@@ -12,14 +12,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from pathlib import Path
 
 import click
 import mpmath as mp
 
+from . import __version__
 from .exactcore import ExactCoreError, Truncation
 from .kappa import (
     bracket_psi_correlators,
@@ -93,15 +96,26 @@ def _default_cache_dir() -> Path:
     return Path.home() / ".cache" / "superkdv"
 
 
+@lru_cache(maxsize=None)
+def _code_fingerprint() -> str:
+    """Package version plus a sha256 over the package's own source files."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return f"{__version__}+{digest.hexdigest()}"
+
+
 def fetch_or_compute(cache_dir: Path | None, request: dict, compute) -> tuple[bytes, str]:
     """Return (payload bytes, source) with source in {fresh, hit, uncached}.
 
     A cache entry stores the request, the payload text and its sha256;
-    corrupted or mismatched entries are recomputed and overwritten.
+    corrupted or mismatched entries are recomputed and overwritten.  The
+    request carries the schema version and the code fingerprint, so
+    entries written by other code miss.
     """
-    request = dict(request, schema=SCHEMA_VERSION)
     if cache_dir is None:
         return canonical_bytes(compute()), "uncached"
+    request = dict(request, schema=SCHEMA_VERSION, code=_code_fingerprint())
     key = hashlib.sha256(canonical_bytes(request)).hexdigest()
     path = cache_dir / f"{key}.json"
     try:
@@ -122,9 +136,14 @@ def fetch_or_compute(cache_dir: Path | None, request: dict, compute) -> tuple[by
     }
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(entry, sort_keys=True))
-        tmp.replace(path)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=f"{key}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(json.dumps(entry, sort_keys=True))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
         warnings.warn(f"cache directory not writable ({exc}); proceeding uncached")
         return payload, "uncached"

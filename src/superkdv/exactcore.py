@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 
 class ExactCoreError(ValueError):
@@ -45,6 +45,15 @@ def double_factorial(n: int) -> int:
     while n > 1:
         out *= n
         n -= 2
+    return out
+
+
+def automorphism_factor(exponents) -> int:
+    """prod e! over the exponents of a monomial, i.e. over the
+    multiplicities of a multiset: its number of symmetries."""
+    out = 1
+    for e in exponents:
+        out *= factorial(e)
     return out
 
 
@@ -472,29 +481,6 @@ class GradedSeries:
                     piece = piece.times_t(k, e)
             out = out + piece
         return out.restrict(base)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_entries(self) -> list[dict]:
-        rows = []
-        for (h, a, t) in sorted(self.terms):
-            rows.append(
-                {
-                    "h": h,
-                    "s2": a,
-                    "t": [[k, e] for k, e in t],
-                    "v": rational_to_str(self.terms[(h, a, t)]),
-                }
-            )
-        return rows
-
-    @classmethod
-    def from_entries(cls, trunc: Truncation, rows: list[dict]) -> "GradedSeries":
-        terms = {}
-        for row in rows:
-            key = (row["h"], row["s2"], tuple((k, e) for k, e in row["t"]))
-            terms[key] = rational_from_str(row["v"])
-        return cls(trunc, terms)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GradedSeries({len(self.terms)} terms, trunc={self.trunc})"

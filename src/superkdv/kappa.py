@@ -21,6 +21,7 @@ computed by two independent routes that must agree exactly.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -31,6 +32,7 @@ from .exactcore import (
     FormalPolynomial,
     GradedSeries,
     Truncation,
+    automorphism_factor,
     double_factorial,
     euler_characteristic_constant,
     mono_from_dict,
@@ -170,15 +172,13 @@ def _kappa_psi(g: int, kappa: tuple[int, ...], psi: tuple[int, ...]) -> Fraction
             coeff = poly.coefficient(target)
             if not coeff:
                 continue
-            sym = 1
-            for x in set(parts):
-                sym *= factorial(parts.count(x))
             insertions = tuple(x + 1 for x in parts)
-            total += coeff * table.get(g, psi + insertions) / sym
-    aut = 1
-    for e in kappa:
-        aut *= factorial(e)
-    return total * aut
+            total += (
+                coeff
+                * table.get(g, psi + insertions)
+                / automorphism_factor(Counter(parts).values())
+            )
+    return total * automorphism_factor(kappa)
 
 
 def _pushforward_step(g: int, kappa: tuple[int, ...], psi: tuple[int, ...]) -> Fraction:
@@ -204,6 +204,7 @@ def _pushforward_step(g: int, kappa: tuple[int, ...], psi: tuple[int, ...]) -> F
 # correlator tables of the full kappa class
 
 
+@lru_cache(maxsize=None)
 def _zk_route_kappa(g: int, n: int, m: int, k: tuple[int, ...]) -> Fraction:
     """Route (a): expand K_m into kappa monomials and integrate each."""
     if m < 0:
@@ -231,8 +232,7 @@ def _zk_route_shift(g: int, n: int, k: tuple[int, ...]) -> Fraction:
             weight = Fraction(1)
             for j in insertions:
                 weight *= (-1) ** j * double_factorial(2 * j - 1)
-            for x in set(parts):
-                weight /= factorial(parts.count(x))
+            weight /= automorphism_factor(Counter(parts).values())
             total += weight * table.get(g, k + insertions)
     return total
 
@@ -285,14 +285,11 @@ def zk_free_energy(
     for (g, k), v in table.entries.items():
         if not k and not vacuum:
             continue
-        counts = {idx: k.count(idx) for idx in set(k)}
-        aut = 1
-        for e in counts.values():
-            aut *= factorial(e)
         a = 1 - g + sum(k) if graded else 0
         if not trunc.amin <= a <= trunc.amax:
             continue
-        terms[(g - 1, a, mono_from_dict(counts))] = v / aut
+        counts = Counter(k)
+        terms[(g - 1, a, mono_from_dict(counts))] = v / automorphism_factor(counts.values())
     return GradedSeries(trunc, terms)
 
 
@@ -352,10 +349,8 @@ def bracket_psi_correlators(trunc: Truncation) -> CorrelatorTable:
             for total in range(0, n * trunc.kmax + 1):
                 for k in _fixed_sum_multisets(n, total, trunc.kmax):
                     va = _bracket_route_linear(zk, g, k)
-                    counts = {idx: k.count(idx) for idx in set(k)}
-                    aut = 1
-                    for e in counts.values():
-                        aut *= factorial(e)
+                    counts = Counter(k)
+                    aut = automorphism_factor(counts.values())
                     vb = shifted.coefficient(g - 1, 0, mono_from_dict(counts))
                     if va != vb * aut:
                         raise ExactCoreError(
@@ -366,13 +361,6 @@ def bracket_psi_correlators(trunc: Truncation) -> CorrelatorTable:
         if g >= 2:
             table.set(g, (), zk.get(g, ()))
     return table
-
-
-def bracket_two_point_convention(k: int) -> Fraction:
-    """The unstable two-point constant <tau_(k) tau_0>_0 = 1/(2^{k+1} (k+1)!)."""
-    if k < 0:
-        raise ExactCoreError("bracket index must be nonnegative")
-    return Fraction(1, 2 ** (k + 1) * factorial(k + 1))
 
 
 # ---------------------------------------------------------------------------

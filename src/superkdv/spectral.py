@@ -39,7 +39,7 @@ from .exactcore import (
 )
 from .kappa import _zk_route_kappa
 from .supervol import spin_value, volume_polynomial
-from .virasoro import bgw_correlators, kw_correlators
+from .virasoro import _fixed_sum_multisets, bgw_correlators, kw_correlators
 
 S2 = "s2"
 PI2 = "pi2"
@@ -484,14 +484,8 @@ def _graded_const(value, a: int) -> FormalPolynomial:
 
 def _index_vectors(n: int, total: int, exact: bool = False):
     """Sorted index vectors of length n with sum == total (or <= total)."""
-    out = set()
-    if total < 0:
-        return out
-    for vec in iproduct(range(total + 1), repeat=n):
-        s = sum(vec)
-        if (s == total) if exact else (s <= total):
-            out.add(tuple(sorted(vec)))
-    return sorted(out)
+    sums = [total] if exact else range(total + 1)
+    return sorted(k for s in sums for k in _fixed_sum_multisets(n, s, s))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ is exposed as a report.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -31,6 +32,7 @@ from .exactcore import (
     ExactCoreError,
     GradedSeries,
     Truncation,
+    automorphism_factor,
     chi_series_coefficient,
     mono_from_dict,
 )
@@ -164,15 +166,6 @@ def alpha_coefficient(m: int) -> Fraction:
     return Fraction(1, 2 ** (m + 1) * factorial(m + 1))
 
 
-def s_alpha_series(trunc: Truncation) -> GradedSeries:
-    """S_alpha = sum alpha_m t_m / (2m+1); equal to the one-point series."""
-    terms = {}
-    for m in range(trunc.kmax + 1):
-        if trunc.amin <= m + 1 <= trunc.amax:
-            terms[(-1, m + 1, ((m, 1),))] = alpha_coefficient(m) / (2 * m + 1)
-    return GradedSeries(trunc, terms)
-
-
 def f02_series(trunc: Truncation) -> GradedSeries:
     """Two-point genus-0 series F02, an ordered double sum: the monomial
     t_{m1} t_{m2} carries <tau_{m1} tau_{m2}>_0 once per ordering.  It
@@ -201,14 +194,11 @@ def spin_free_energy(trunc: Truncation) -> GradedSeries:
     table = spin_correlators(trunc)
     terms: dict = {}
     for (g, k), v in table.entries.items():
-        counts = {idx: k.count(idx) for idx in set(k)}
-        aut = 1
-        for e in counts.values():
-            aut *= factorial(e)
         a = 1 - g + sum(k)
         if not trunc.amin <= a <= trunc.amax:
             continue
-        terms[(g - 1, a, mono_from_dict(counts))] = v / aut
+        counts = Counter(k)
+        terms[(g - 1, a, mono_from_dict(counts))] = v / automorphism_factor(counts.values())
     F = GradedSeries(trunc, terms)
     return F + f01_series(trunc) + f02_series(trunc).scale(Fraction(1, 2))
 
@@ -263,8 +253,9 @@ def d_operator_apply(zk: GradedSeries, target: Truncation | None = None) -> Grad
             )
         shifts[k] = img
     shifted = zk.with_window(work).substitute(shifts)
+    # S_alpha / hbar = sum alpha_m t_m / (2m+1) / hbar is the one-point series
     exponent = (
-        _chi_series(tr) + s_alpha_series(tr) + f02_series(tr).scale(Fraction(1, 2))
+        _chi_series(tr) + f01_series(tr) + f02_series(tr).scale(Fraction(1, 2))
     )
     factor = exponent.with_window(work).exp()
     return (factor * shifted).restrict(target)

@@ -25,6 +25,7 @@ by high-precision quadrature.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -38,6 +39,7 @@ from .exactcore import (
     FormalPolynomial,
     GradedSeries,
     Truncation,
+    automorphism_factor,
     rational_to_str,
 )
 from .kappa import _zk_route_kappa
@@ -47,16 +49,6 @@ from .virasoro import VirasoroSpec, _fixed_sum_multisets, apply_virasoro_oracle
 
 # ---------------------------------------------------------------------------
 # per-entry spin correlators (any stable or Ramond-stabilized entry)
-
-
-@lru_cache(maxsize=None)
-def _zk_entry(g: int, k: tuple[int, ...]) -> Fraction:
-    """Kappa-class correlator int K_m prod psi^{k_i}, per entry."""
-    n = len(k)
-    m = 3 * g - 3 + n - sum(k)
-    if m < 0:
-        return Fraction(0)
-    return _zk_route_kappa(g, n, m, k)
 
 
 @lru_cache(maxsize=None)
@@ -77,12 +69,14 @@ def spin_value(g: int, k: tuple[int, ...]) -> Fraction:
         raise ExactCoreError("genus must be nonnegative")
     if g == 0:
         return genus0_closed_form(k)
+    n = len(k)
     total = Fraction(0)
     for drops in iproduct(*[range(ki + 1) for ki in k]):
         weight = Fraction(1)
         for j in drops:
             weight /= 2**j * factorial(j)
-        total += weight * _zk_entry(g, tuple(ki - j for ki, j in zip(k, drops)))
+        dropped = tuple(sorted(ki - j for ki, j in zip(k, drops)))
+        total += weight * _zk_route_kappa(g, n, 3 * g - 3 + n - sum(dropped), dropped)
     return total
 
 
@@ -99,9 +93,7 @@ def _insertion_weight(parts: tuple[int, ...]) -> Fraction:
     weight = Fraction(1)
     for j in parts:
         weight *= Fraction((-1) ** (j + 1) * 2**j, factorial(j))
-    for x in set(parts):
-        weight /= factorial(parts.count(x))
-    return weight
+    return weight / automorphism_factor(Counter(parts).values())
 
 
 @dataclass
@@ -334,7 +326,7 @@ def _volume_or_none(g: int, n: int, smax: int, include_v01: bool, include_v02: b
         return volume_polynomial(0, 1, smax) if include_v01 else None
     if g == 0 and n == 2:
         return volume_polynomial(0, 2, smax) if include_v02 else None
-    if n == 0 or 2 * g - 2 + n <= 0:
+    if g < 0 or n == 0 or 2 * g - 2 + n <= 0:
         return None
     return volume_polynomial(g, n, smax)
 

@@ -1,4 +1,4 @@
-"""Virasoro-constraint solver for the KW and generalized BGW hierarchies.
+"""Virasoro constraints and correlator store of the KW and generalized BGW models.
 
 Both models satisfy constraints of the shape
 
@@ -11,26 +11,40 @@ with c = 1 for KW (m >= -1) and c = 0 for the generalized BGW model
         + sum_i ((2i+2m+1)!!/(2i-1)!!) t_i d/dt_{i+m}
         + (1/8) delta_{m,0} + (t_0**2 / (2 hbar)) delta_{m,-1}.
 
-The solver works at free-energy level: dividing the constraint by
-Z = exp F turns the quadratic operator into d2F + dF*dF, and the
-coefficient of each (hbar^{g-1}, monomial) is solved level by level in
-l = 2g - 2 + n.  For BGW the one-point entries sit at level -1, so the
-dF*dF term couples a target to entries of its own level; those pairs
-always involve a one-point factor and a lexicographically smaller
-monomial, which the solver handles with an exact same-level correction
-and a descending-lex processing order.
+Read off at one coefficient of log Z, the constraint with m = k* - c,
+k* the largest index of an entry <tau_{k*} tau_K>_g, is a recursion for
+single correlators (Dijkgraaf-Verlinde-Verlinde for KW; its analogue
+for gBGW, Alexandrov arXiv:1608.01627):
+
+    (2k*+1)!! <tau_{k*} tau_K>_g
+        = sum_{j in K} (2k_j+2m+1)!!/(2k_j-1)!! <tau_{k_j+m} tau_{K-j}>_g
+        + 1/2 sum_{i+j=m-1} (2i+1)!!(2j+1)!! [<tau_i tau_j tau_K>_{g-1}
+              + sum_{g1+g2=g, I+J=K} <tau_i tau_I>_{g1} <tau_j tau_J>_{g2}]
+        + constants,
+
+where I+J runs over the labelled splittings of K and the constants are
+1/8 at (g, K, m) = (1, {}, 0), 1/2 for gBGW at (0, {}, 0) and 1 for KW
+at (0, {0, 0}, -1).  Every entry on the right has a lower genus, fewer
+points, or (the gBGW genus-0 one-point factors) a smaller index sum,
+so one memoized function of (model, g, sorted k) is the correlator
+store of each model.  The tables and the free energy are views of it;
+the direct-operator oracle and the KdV and homogeneity checks below
+test its output independently at Z level.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .exactcore import (
     ExactCoreError,
     GradedSeries,
     Truncation,
+    automorphism_factor,
     double_factorial,
     mono_from_dict,
 )
@@ -69,14 +83,15 @@ class VirasoroSpec:
 
 
 # ---------------------------------------------------------------------------
-# solve windows
+# windows
 
 
 def solve_truncation(model: str, trunc: Truncation) -> Truncation:
-    """Internal window wide enough that every referenced entry is solved.
+    """Window of `free_energy(model, trunc)`, on which the oracle builds Z.
 
-    The equation for a target at (g, n) references entries at genus g-1
-    and degree n+1, so degrees are padded by 2 per missing genus.  The
+    The constraint at a key of (g, n) reads entries at genus g-1 and
+    degree n+1, so degrees are padded by 2 per missing genus; certifying
+    the oracle residual on `trunc` needs those keys present in Z.  The
     index bound comes from gradings: KW entries vanish unless
     sum k = 3g-3+n, BGW entries unless 0 <= 2-2g+2|k| <= smax.
     """
@@ -88,10 +103,6 @@ def solve_truncation(model: str, trunc: Truncation) -> Truncation:
         kmax_int = trunc.smax // 2 + trunc.gmax - 1
         smax_int = trunc.smax
     return Truncation(trunc.gmax, max(kmax_int, 0), dmax_int, smax_int)
-
-
-def _degree_window(work: Truncation, g: int) -> int:
-    return work.dmax - 2 * g
 
 
 def _fixed_sum_multisets(n: int, total: int, kmax: int, low: int = 0):
@@ -119,172 +130,91 @@ def _admissible_sums(model: str, work: Truncation, g: int, n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# free-energy solve
-#
-# The right-hand side of each constraint is extracted coefficient by
-# coefficient from the already-solved entries (dict lookups over divisor
-# splits of the target monomial) rather than by building whole product
-# series; the two are identical because every term of L_m references
-# entries of level l-1 only, except the BGW one-point pairings that the
-# explicit same-level correction covers.
-
-_Coeffs = dict  # (h, a, mono) -> Fraction
+# the correlator store
 
 
-def _mono_splits(t: dict) -> list[tuple[dict, dict, int]]:
-    """All splittings t = S * R, as (S, R, weighted index sum of S)."""
-    items = tuple(t.items())
-    out: list[tuple[dict, dict, int]] = [({}, {}, 0)]
-    for idx, e in items:
-        nxt = []
-        for left, right, w in out:
-            for el in range(e + 1):
-                l2, r2 = dict(left), dict(right)
-                if el:
-                    l2[idx] = el
-                if e - el:
-                    r2[idx] = e - el
-                nxt.append((l2, r2, w + idx * el))
-        out = nxt
+def _labelled_splits(k: tuple[int, ...]) -> list[tuple[tuple, tuple, int]]:
+    """(I, J, number of labelled splittings of k into I and J), per sub-multiset I."""
+    out = [((), (), 1)]
+    for idx, e in sorted(Counter(k).items()):
+        out = [
+            (left + (idx,) * c, right + (idx,) * (e - c), w * comb(e, c))
+            for left, right, w in out
+            for c in range(e + 1)
+        ]
     return out
 
 
-def _dget(table: _Coeffs, i: int, h: int, a: int, t: dict) -> Fraction:
-    """Coefficient of d/dt_i applied to `table`, at key (h, a, t)."""
-    e = t.get(i, 0) + 1
-    lifted = dict(t)
-    lifted[i] = e
-    v = table.get((h, a, mono_from_dict(lifted)))
-    return v * e if v else Fraction(0)
+def _with(k: tuple[int, ...], *extra: int) -> tuple[int, ...]:
+    return tuple(sorted(k + extra))
 
 
-def _d2get(table: _Coeffs, i: int, j: int, h: int, a: int, t: dict) -> Fraction:
-    """Coefficient of d2/dt_i dt_j applied to `table`, at key (h, a, t)."""
-    lifted = dict(t)
-    ei = lifted.get(i, 0) + 1
-    lifted[i] = ei
-    ej = lifted.get(j, 0) + 1
-    lifted[j] = ej
-    v = table.get((h, a, mono_from_dict(lifted)))
-    return v * ei * ej if v else Fraction(0)
+@lru_cache(maxsize=None)
+def _correlator(model: str, g: int, k: tuple[int, ...]) -> Fraction:
+    """<prod tau_{k_i}>_g of the model, for a sorted index tuple with n >= 1.
+
+    Evaluated by the recursion in the module docstring; zero outside the
+    support (KW: 2g-2+n > 0 and |k| = 3g-3+n; gBGW: 1-g+|k| >= 0).
+    """
+    if g < 0:
+        return Fraction(0)
+    if model == "KW":
+        if 2 * g - 2 + len(k) <= 0 or sum(k) != 3 * g - 3 + len(k):
+            return Fraction(0)
+    elif 1 - g + sum(k) < 0:
+        return Fraction(0)
+    spec = VirasoroSpec(model)
+    kstar, rest = k[-1], k[:-1]
+    m = kstar - spec.offset
+    val = Fraction(0)
+    for kj, e in Counter(rest).items():
+        if kj + m >= 0:
+            p = rest.index(kj)
+            lowered = _with(rest[:p] + rest[p + 1:], kj + m)
+            val += e * spec.linear_coefficient(kj, m) * _correlator(model, g, lowered)
+    splits = _labelled_splits(rest) if m >= 1 else []
+    for i in range(m):
+        j = m - 1 - i
+        piece = _correlator(model, g - 1, _with(rest, i, j))
+        for left, right, w in splits:
+            for g1 in range(g + 1):
+                lv = _correlator(model, g1, _with(left, i))
+                if lv:
+                    piece += w * lv * _correlator(model, g - g1, _with(right, j))
+        val += Fraction(spec.quadratic_coefficient(i, j), 2) * piece
+    if m == 0 and not rest:
+        if g == 1:
+            val += Fraction(1, 8)
+        if g == 0 and model == "gBGW":
+            val += Fraction(1, 2)
+    if m == -1 and g == 0 and rest == (0, 0):
+        val += 1
+    return val / spec.lhs_coefficient(m)
 
 
-def _pair_coeff(
-    left: _Coeffs,
-    right: _Coeffs,
-    i: int,
-    j: int,
-    h: int,
-    a: int,
-    splits: list[tuple[dict, dict, int]],
-    kw: bool,
-    work: Truncation,
-) -> Fraction:
-    """Coefficient of (d_i left)(d_j right) at (h, a, mono of the splits)."""
-    total = Fraction(0)
-    for s, r, ws in splits:
-        for h1 in range(-1, h + 2):
-            # the left factor's s-grade is forced: 0 for KW, else the
-            # one-point grading a1 = -h1 + |k| of a solved BGW entry
-            a1 = 0 if kw else ws + i - h1
-            if a1 < 0 or a1 > work.amax:
-                continue
-            lv = _dget(left, i, h1, a1, s)
-            if not lv:
-                continue
-            rv = _dget(right, j, h - h1, a - a1, r)
-            if rv:
-                total += lv * rv
-    return total
+def _stored_entries(model: str, window: Truncation, nmax):
+    """(g, k, s**2-power, value) of every nonzero entry in `window` with
+    1 <= n <= nmax(g) points."""
+    VirasoroSpec(model)  # rejects unknown models
+    for g in range(window.gmax + 1):
+        for n in range(1, nmax(g) + 1):
+            for total in _admissible_sums(model, window, g, n):
+                a = 0 if model == "KW" else 1 - g + total
+                for k in _fixed_sum_multisets(n, total, window.kmax):
+                    v = _correlator(model, g, k)
+                    if v:
+                        yield g, k, a, v
 
 
 @lru_cache(maxsize=None)
 def free_energy(model: str, trunc: Truncation) -> GradedSeries:
-    """log Z for the model, complete within solve_truncation(model, trunc)."""
-    spec = VirasoroSpec(model)
+    """log Z for the model: every nonzero store entry of solve_truncation(model, trunc)."""
     work = solve_truncation(model, trunc)
-    kw = model == "KW"
-    Fd: _Coeffs = {}
-    one_point: _Coeffs = {}  # BGW level -1 slice, for corrections
-
-    lmax = 2 * work.gmax - 2 + work.dmax
-    lmin = -1 if model == "gBGW" else 1
-    for level in range(lmin, lmax + 1):
-        targets = []
-        for g in range(0, work.gmax + 1):
-            n = level + 2 - 2 * g
-            if n < 1 or n > _degree_window(work, g):
-                continue
-            for total in _admissible_sums(model, work, g, n):
-                targets.extend((g, k) for k in _fixed_sum_multisets(n, total, work.kmax))
-        targets.sort(key=lambda t: (t[0], len(t[1]), tuple(sorted(t[1], reverse=True))))
-
-        block: _Coeffs = {}  # entries solved within this level
-        prior_one_point = dict(one_point)  # pre-level snapshot; intra-level
-        for g, k in targets:               # pairs use the block self-term
-            kstar = max(k)
-            m = kstar - spec.offset
-            mult = k.count(kstar)
-            mono = {idx: k.count(idx) for idx in set(k)}
-            tprime = dict(mono)
-            tprime[kstar] -= 1
-            if not tprime[kstar]:
-                del tprime[kstar]
-            a_t = 0 if kw else 1 - g + sum(k)
-            if a_t < 0 or a_t > work.amax:
-                continue
-
-            val = Fraction(0)
-            # quadratic part: (hbar/2) sum (2i+1)!!(2j+1)!! (didjF + diF djF),
-            # read one hbar power down
-            if m >= 1:
-                splits = _mono_splits(tprime)
-                for i in range(m):
-                    j = m - 1 - i
-                    qc = spec.quadratic_coefficient(i, j)
-                    piece = _d2get(Fd, i, j, g - 2, a_t, tprime)
-                    piece += _pair_coeff(Fd, Fd, i, j, g - 2, a_t, splits, kw, work)
-                    val += Fraction(qc, 2) * piece
-                # same-level correction: dF*dF pairs with a one-point factor
-                if model == "gBGW" and (block or prior_one_point):
-                    for i in range(m):
-                        j = m - 1 - i
-                        qc = spec.quadratic_coefficient(i, j)
-                        val += qc * _pair_coeff(
-                            prior_one_point, block, i, j, g - 2, a_t, splits, kw, work
-                        )
-                        val += Fraction(qc, 2) * _pair_coeff(
-                            block, block, i, j, g - 2, a_t, splits, kw, work
-                        )
-            # linear part: sum_i ((2i+2m+1)!!/(2i-1)!!) t_i dF/dt_{i+m}
-            for i, e in tprime.items():
-                if 0 <= i + m <= work.kmax:
-                    lowered = dict(tprime)
-                    if e > 1:
-                        lowered[i] = e - 1
-                    else:
-                        del lowered[i]
-                    val += spec.linear_coefficient(i, m) * _dget(
-                        Fd, i + m, g - 1, a_t, lowered
-                    )
-            # constants
-            if m == 0 and not tprime:
-                if g == 1 and a_t == 0:
-                    val += Fraction(1, 8)
-                if model == "gBGW" and g == 0 and a_t == 1:
-                    val += Fraction(1, 2)
-            if m == -1 and g == 0 and tprime == {0: 2}:
-                val += Fraction(1, 2)
-
-            if not val:
-                continue
-            coeff = val / (spec.lhs_coefficient(m) * mult)
-            key = (g - 1, a_t, mono_from_dict(mono))
-            block[key] = coeff
-            if (g, len(k)) == (0, 1):
-                one_point[key] = coeff
-        Fd.update(block)
-    return GradedSeries(work, Fd)
+    terms = {}
+    for g, k, a, v in _stored_entries(model, work, lambda g: work.dmax - 2 * g):
+        mono = mono_from_dict(Counter(k))
+        terms[(g - 1, a, mono)] = v / automorphism_factor(e for _, e in mono)
+    return GradedSeries(work, terms)
 
 
 def partition_function(model: str, trunc: Truncation) -> GradedSeries:
@@ -296,33 +226,22 @@ def partition_function(model: str, trunc: Truncation) -> GradedSeries:
 # correlator tables
 
 
-def _table_from_free_energy(engine: str, model: str, trunc: Truncation) -> CorrelatorTable:
-    from math import factorial
-
-    F = free_energy(model, trunc)
+def _table(engine: str, model: str, trunc: Truncation) -> CorrelatorTable:
     table = CorrelatorTable(engine, trunc)
-    for (h, a, t), v in F.terms.items():
-        g = h + 1
-        k = tuple(sorted(sum(([idx] * e for idx, e in t), [])))
-        if len(k) > trunc.dmax or (k and max(k) > trunc.kmax):
-            continue
-        if engine == "bgw" and 2 * a > trunc.smax:
-            continue
-        sym = 1
-        for _, e in t:
-            sym *= factorial(e)
-        table.set(g, k, v * sym)
+    for g, k, _, v in _stored_entries(model, trunc, lambda g: trunc.dmax):
+        table.set(g, k, v)
     return table
 
 
 def kw_correlators(trunc: Truncation) -> CorrelatorTable:
     """Psi-class intersection numbers <prod tau_{k_i}>_g."""
-    return _table_from_free_energy("kw", "KW", trunc)
+    return _table("kw", "KW", trunc)
 
 
 def bgw_correlators(trunc: Truncation) -> CorrelatorTable:
     """Generalized BGW correlators, implicit s-power 2 - 2g + 2|k|."""
-    return _table_from_free_energy("bgw", "gBGW", trunc)
+    return _table("bgw", "gBGW", trunc)
+
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import superkdv
 from superkdv import cli
 
 
@@ -122,6 +123,31 @@ class TestCache:
         monkeypatch.setattr(cli, "SCHEMA_VERSION", cli.SCHEMA_VERSION + 1)
         result = invoke(runner, self.ARGS, tmp_path)
         assert "# cache fresh" in result.stderr
+
+    def test_code_fingerprint_change_misses(self, runner, tmp_path, monkeypatch):
+        invoke(runner, self.ARGS, tmp_path)
+        monkeypatch.setattr(cli, "_code_fingerprint", lambda: "0.0.0+other-source")
+        result = invoke(runner, self.ARGS, tmp_path)
+        assert "# cache fresh" in result.stderr
+
+    def test_entry_records_code_fingerprint(self, runner, tmp_path):
+        invoke(runner, self.ARGS, tmp_path)
+        entry = json.loads(next(tmp_path.glob("*.json")).read_text())
+        assert entry["request"]["code"] == cli._code_fingerprint()
+        assert entry["request"]["code"].startswith(superkdv.__version__ + "+")
+
+    def test_squatted_temp_name_still_caches(self, runner, tmp_path):
+        invoke(runner, self.ARGS, tmp_path)
+        entry = next(tmp_path.glob("*.json"))
+        entry.unlink()
+        entry.with_suffix(".tmp").mkdir()
+        first = invoke(runner, self.ARGS, tmp_path)
+        second = invoke(runner, self.ARGS, tmp_path)
+        assert "# cache fresh" in first.stderr
+        assert "# cache hit" in second.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [entry.name, entry.with_suffix(".tmp").name]
+        )
 
     def test_unwritable_directory_warns_and_proceeds(self, runner, tmp_path):
         blocker = tmp_path / "blocked"

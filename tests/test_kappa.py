@@ -22,7 +22,6 @@ from superkdv.kappa import (
     _kw_table,
     _normalize_kappa,
     bracket_psi_correlators,
-    bracket_two_point_convention,
     k_m_integral,
     k_polynomial_json,
     k_polynomials,
@@ -225,11 +224,6 @@ class TestBracketTable:
         assert bracket_table.get(0, (1, 0, 0)) == Fraction(1, 2)
         assert bracket_table.get(1, (1,)) == Fraction(5, 48)
         assert bracket_table.get(1, (0,)) == Fraction(1, 8)
-
-    def test_two_point_convention(self):
-        assert bracket_two_point_convention(0) == Fraction(1, 2)
-        assert bracket_two_point_convention(1) == Fraction(1, 8)
-        assert bracket_two_point_convention(2) == Fraction(1, 48)
 
     def test_linear_expansion_by_hand(self, zk_table, bracket_table):
         # psi^{(2)} = psi^2 + psi/2 + 1/8 on a one-point genus-1 space

@@ -17,11 +17,9 @@ from superkdv.spincorr import (
     alpha_coefficient,
     assemble_z_omega,
     d_operator_apply,
-    f01_series,
     f02_series,
     genus0_closed_form,
     genus0_spin_trr,
-    s_alpha_series,
     series_mismatches,
     spin_correlators,
     spin_free_energy,
@@ -113,9 +111,6 @@ class TestUnstableSeries:
     def test_alpha_equals_one_point(self):
         for m in range(6):
             assert alpha_coefficient(m) / (2 * m + 1) == genus0_closed_form((m,))
-
-    def test_s_alpha_equals_f01(self):
-        assert s_alpha_series(TRS).terms == f01_series(TRS).terms
 
     def test_f02_displayed_coefficients(self):
         f02 = f02_series(TRS)

@@ -8,12 +8,14 @@ high precision.
 """
 
 from fractions import Fraction
+import warnings
 from itertools import permutations
 
 import mpmath as mp
 import pytest
 
 from superkdv.exactcore import ExactCoreError, FormalPolynomial, Truncation
+from superkdv import supervol
 from superkdv.spincorr import assemble_z_omega, spin_correlators
 from superkdv.supervol import (
     PASSING_CONVENTION,
@@ -181,3 +183,15 @@ class TestRecursionResidual:
     def test_residual_combines_orders(self):
         r = recursion_residual(1, 1, 0.5, [1.0], smax=4, **PASSING_CONVENTION)
         assert r < mp.mpf(10) ** -8
+
+    def test_genus0_four_points_has_no_handle_term(self, monkeypatch):
+        # the handle-splitting term would need genus -1; at smax = 0 every
+        # genus-0 volume is empty, so no kernel moment is ever needed
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("unexpected kernel quadrature")
+
+        monkeypatch.setattr(supervol, "kernel_moment", no_quadrature)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            orders = recursion_residual_orders(0, 4, [1.0, 0.7, 1.3, 0.9], smax=0)
+        assert orders == {0: 0}

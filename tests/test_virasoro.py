@@ -131,6 +131,22 @@ class TestBGWValues:
         assert checked > 10
 
 
+class TestStore:
+    @pytest.mark.parametrize("model", ["KW", "gBGW"])
+    def test_windows_read_one_store(self, model):
+        # a table is a view: a small window holds exactly the entries of a
+        # larger one that fall inside it, whatever was computed before
+        view = kw_correlators if model == "KW" else bgw_correlators
+        small, large = view(Truncation(1, 3, 3, 4)), view(TR5)
+        inside = {
+            (g, k): v
+            for (g, k), v in large.entries.items()
+            if g <= 1 and len(k) <= 3 and max(k) <= 3
+            and (model == "KW" or large.spower(g, k) <= 4)
+        }
+        assert small.entries and small.entries == inside
+
+
 class TestOracle:
     @pytest.mark.parametrize("m", range(-1, 5))
     def test_kw_residual_zero(self, m):
