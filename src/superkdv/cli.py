@@ -50,6 +50,7 @@ from .supervol import (
     translated_virasoro_check,
     volume_polynomial,
 )
+from .tables import canonical_bytes
 from .virasoro import (
     bgw_correlators,
     check_homogeneity,
@@ -79,10 +80,6 @@ VERIFY_SUITES = (
     "laplace",
     "recursion",
 )
-
-
-def canonical_bytes(payload: dict) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,14 @@ G(z) = 1/(4 z y(z)) computed by series inversion.  The overall residue
 orientation is calibrated once so that the airy (0,3) coefficient is 1;
 after that every cross-check against the symbolic correlator tables is
 a genuine test.
+
+The residue step only sees a bracket term z^p with p + q <= -2 for some
+power q of G, so the splitting products are formed only on the window
+p <= -2 - min q (0 for airy and ck, -2 for bessel and cns).
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -105,6 +108,16 @@ def _y_series(label: str, order: int) -> dict[int, FormalPolynomial]:
     raise ExactCoreError(f"unknown curve {label!r}")
 
 
+def _accumulate(d: dict, key, value: FormalPolynomial) -> None:
+    """d[key] += value, dropping the key when the sum is zero."""
+    old = d.get(key)
+    w = value if old is None else old + value
+    if w.is_zero():
+        d.pop(key, None)
+    else:
+        d[key] = w
+
+
 def _invert_series(a: dict[int, FormalPolynomial], order: int) -> dict[int, FormalPolynomial]:
     """1/a for a Laurent series whose terms sit on one side of a leading
     monomial c z^d with constant c; truncated `order` powers past d."""
@@ -120,31 +133,24 @@ def _invert_series(a: dict[int, FormalPolynomial], order: int) -> dict[int, Form
     if d is None:
         raise ExactCoreError("series has no invertible leading term")
     c0 = a[d].constant()
-    r = {p - d: v.scale(1 / c0) for p, v in a.items() if p != d}
+    # z^d/a = c0^{-1} sum_j (-r)^j with r = a/(c0 z^d) - 1
+    neg_r = {p - d: v.scale(-1 / c0) for p, v in a.items() if p != d}
     out = {0: FormalPolynomial.const(1 / c0)}
     power = {0: FormalPolynomial.const(1 / c0)}
     for _ in range(order):
         nxt: dict[int, FormalPolynomial] = {}
         for p1, v1 in power.items():
-            for p2, v2 in r.items():
+            for p2, v2 in neg_r.items():
                 p = p1 + p2
                 if abs(p) > order:
                     continue
-                w = nxt.get(p, FormalPolynomial()) - v1 * v2
-                if w.is_zero():
-                    nxt.pop(p, None)
-                else:
-                    nxt[p] = w
+                _accumulate(nxt, p, v1 * v2)
         if not nxt:
             break
         power = nxt
         for p, v in nxt.items():
-            w = out.get(p, FormalPolynomial()) + v
-            if w.is_zero():
-                out.pop(p, None)
-            else:
-                out[p] = w
-    return {p - d: v for p, v in out.items() if not v.is_zero()}
+            _accumulate(out, p, v)
+    return {p - d: v for p, v in out.items()}
 
 
 @lru_cache(maxsize=None)
@@ -185,9 +191,6 @@ class OddDifferentialTable:
             rows.append({"g": g, "k": list(k), "coeff": coeff})
         return {"engine": self.engine, "entries": rows}
 
-    def canonical_bytes(self) -> bytes:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")).encode()
-
     @classmethod
     def from_json(cls, d: dict) -> "OddDifferentialTable":
         table = cls(d["engine"])
@@ -226,12 +229,7 @@ def _stable_factor(curve: SpectralCurve, g: int, legs: tuple[int, ...], nlegs: i
         for slot, ki in zip(legs, krest):
             ext[slot] = -2 * ki - 2
             scale *= _df(ki)
-        key = (-2 * k0 - 2, tuple(ext))
-        w = out.get(key, FormalPolynomial()) + poly.scale(scale)
-        if w.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = w
+        _accumulate(out, (-2 * k0 - 2, tuple(ext)), poly.scale(scale))
     return out
 
 
@@ -254,17 +252,14 @@ def _hat(factor):
     }
 
 
-def _factor_product(f1, f2):
-    out: dict[tuple[int, tuple[int, ...]], FormalPolynomial] = {}
+def _accumulate_product(out, f1, f2, pmax: int) -> None:
+    """out += f1 * f2, forming only the terms with z-power p <= pmax."""
     for (p1, e1), v1 in f1.items():
         for (p2, e2), v2 in f2.items():
+            if p1 + p2 > pmax:
+                continue
             key = (p1 + p2, tuple(a + b for a, b in zip(e1, e2)))
-            w = out.get(key, FormalPolynomial()) + v1 * v2
-            if w.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = w
-    return out
+            _accumulate(out, key, v1 * v2)
 
 
 def _is_excluded(g: int, size: int) -> bool:
@@ -288,19 +283,16 @@ def _omega_compute(curve: SpectralCurve, g: int, n: int):
     nlegs = n - 1
     zero_ext = tuple([0] * nlegs)
     bracket: dict[tuple[int, tuple[int, ...]], FormalPolynomial] = {}
-
-    def add(key, poly):
-        w = bracket.get(key, FormalPolynomial()) + poly
-        if w.is_zero():
-            bracket.pop(key, None)
-        else:
-            bracket[key] = w
+    gser = curve.g_series
+    # bracket powers above pmax cannot reach z^{-2} against any power of G
+    pmax = -2 - min(gser)
 
     # handle term omega_{g-1,n+1}(z, -z, z_L)
     if g >= 1:
         if (g - 1, n + 1) == (0, 2):
             # omega_{0,2}(z, -z) = -dz^2/(4 z^2)
-            add((-2, zero_ext), FormalPolynomial.const(Fraction(-1, 4)))
+            minus_quarter = FormalPolynomial.const(Fraction(-1, 4))
+            _accumulate(bracket, (-2, zero_ext), minus_quarter)
         else:
             table = _omega_ordered(curve, g - 1, n + 1)
             for kvec, poly in table.items():
@@ -310,7 +302,8 @@ def _omega_compute(curve: SpectralCurve, g: int, n: int):
                 for slot, ki in enumerate(krest):
                     ext[slot] = -2 * ki - 2
                     scale *= _df(ki)
-                add((-2 * ka - 2 * kb - 4, tuple(ext)), poly.scale(scale))
+                key = (-2 * ka - 2 * kb - 4, tuple(ext))
+                _accumulate(bracket, key, poly.scale(scale))
 
     # splitting terms
     lmax = curve.order
@@ -331,11 +324,9 @@ def _omega_compute(curve: SpectralCurve, g: int, n: int):
                 f2 = _hat(_stable_factor(curve, g2, legs2, nlegs))
             if not f1 or not f2:
                 continue
-            for key, poly in _factor_product(f1, f2).items():
-                add(key, poly)
+            _accumulate_product(bracket, f1, f2, pmax)
 
     # residue extraction: coefficient of z^{-m-1} (m odd) in G * bracket
-    gser = curve.g_series
     if curve.label == "cns" and bracket:
         deepest = -2 - min(p for p, _ in bracket)
         if deepest > curve.order:
@@ -350,12 +341,7 @@ def _omega_compute(curve: SpectralCurve, g: int, n: int):
                 continue
             k1 = (-e - 2) // 2
             value = (poly * gcoeff).scale(Fraction(2 * _KERNEL_SIGN, _df(k1)))
-            key = (k1, ext)
-            w = result.get(key, FormalPolynomial()) + value
-            if w.is_zero():
-                result.pop(key, None)
-            else:
-                result[key] = w
+            _accumulate(result, (k1, ext), value)
 
     # convert external powers to the xi-basis
     table: dict[tuple[int, ...], FormalPolynomial] = {}
@@ -367,12 +353,7 @@ def _omega_compute(curve: SpectralCurve, g: int, n: int):
         ks = tuple((-x - 2) // 2 for x in ext)
         for ki in ks:
             poly = poly.scale(Fraction(1, _df(ki)))
-        key = (k1,) + ks
-        w = table.get(key, FormalPolynomial()) + poly
-        if w.is_zero():
-            table.pop(key, None)
-        else:
-            table[key] = w
+        _accumulate(table, (k1,) + ks, poly)
     return table
 
 
@@ -392,7 +373,7 @@ def tr_correlators(curve: SpectralCurve, gmax: int, nmax: int) -> OddDifferentia
             ordered = _omega_ordered(curve, g, n)
             for kvec, poly in ordered.items():
                 skey = tuple(sorted(kvec))
-                if skey in {k for (_, k) in out.entries if _ == g}:
+                if (g, skey) in out.entries:
                     continue
                 for perm in set(permutations(kvec)):
                     if ordered.get(perm, FormalPolynomial()) != poly:
@@ -530,12 +511,7 @@ def eta_reexpand(table: OddDifferentialTable, smax: int) -> OddDifferentialTable
                 )
                 if shifted.is_zero():
                     continue
-                key = (g, target)
-                w = out.entries.get(key, FormalPolynomial()) + shifted
-                if w.is_zero():
-                    out.entries.pop(key, None)
-                else:
-                    out.entries[key] = w
+                _accumulate(out.entries, (g, target), shifted)
     return out
 
 
@@ -593,21 +569,22 @@ def cns_laplace_check(g: int, n: int, order: int = 40) -> dict:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         vp = volume_polynomial(g, n, 0)
+    # the table holds the coefficient of one ordered monomial per sorted
+    # key, so each ordering of a volume monomial must carry that same
+    # coefficient; orderings that disagree are reported, not summed
     expected: dict[tuple[int, ...], FormalPolynomial] = {}
+    mismatches = []
     for (a, k), poly in vp.terms.items():
         if a != 0:
             continue
         scale = Fraction(1)
         for ki in k:
             scale *= -_LAPLACE_SIGN * double_factorial(2 * ki)
-        key = tuple(sorted(k))
-        w = expected.get(key, FormalPolynomial()) + poly.scale(scale)
-        if w.is_zero():
-            expected.pop(key, None)
-        else:
-            expected[key] = w
+        value = poly.scale(scale)
+        first = expected.setdefault(tuple(sorted(k)), value)
+        if first != value:
+            mismatches.append((k, first, value))
     keys = set(expected) | {k for (gg, k) in table.entries if gg == g and len(k) == n}
-    mismatches = []
     for k in sorted(keys):
         lhs = table.get(g, k)
         rhs = expected.get(k, FormalPolynomial())

@@ -13,6 +13,12 @@ from .exactcore import (
     rational_to_str,
 )
 
+
+def canonical_bytes(payload: dict) -> bytes:
+    """The one byte form of a JSON payload: sorted keys, no whitespace."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+
+
 # engines whose entries carry the implicit s-power 2 - 2g + 2|k|
 S_GRADED_ENGINES = {"bgw", "spin", "zk", "zk-bracket"}
 
@@ -45,9 +51,6 @@ class CorrelatorTable:
             for (g, k), v in sorted(self.entries.items())
         ]
         return {"engine": self.engine, "trunc": self.trunc.to_json(), "entries": rows}
-
-    def canonical_bytes(self) -> bytes:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")).encode()
 
     @classmethod
     def from_json(cls, d: dict) -> "CorrelatorTable":
