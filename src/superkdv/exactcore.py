@@ -9,10 +9,14 @@ Every symbolic computation in this package happens over `Fraction`
     t_0, t_1, ..., t_K (tracked by a sorted exponent monomial),
 
 supporting ring arithmetic, exp/log, differentiation in t_k and
-substitution t_k -> series.  `FormalPolynomial` is a small sparse
-polynomial ring over Fraction in a user-chosen alphabet of symbols
-(kappa classes, pi^2, translation parameters); it deliberately stays
-tiny -- no general computer algebra.
+substitution t_k -> series.  A product scales each operand once to int
+numerators over the lcm of its denominators, grouped by t-monomial in
+increasing t-degree, so the inner loop multiplies ints, stops at dmax
+and builds one Fraction per output key.
+
+`FormalPolynomial` is a small sparse polynomial ring over Fraction in a
+user-chosen alphabet of symbols (kappa classes, pi^2, translation
+parameters); it deliberately stays tiny -- no general computer algebra.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 
 class ExactCoreError(ValueError):
@@ -46,6 +50,19 @@ def double_factorial(n: int) -> int:
         out *= n
         n -= 2
     return out
+
+
+def fixed_sum_multisets(n: int, total: int, kmax: int, low: int = 0):
+    """Nondecreasing index tuples of length n in [low, kmax] with given sum."""
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    if total < n * low or total > n * kmax:
+        return
+    for first in range(low, min(kmax, total) + 1):
+        for rest in fixed_sum_multisets(n - 1, total - first, kmax, first):
+            yield (first,) + rest
 
 
 def automorphism_factor(exponents) -> int:
@@ -230,6 +247,20 @@ class Truncation:
 # graded series
 
 
+def _int_groups(terms: dict[Key, Fraction]):
+    """One operand of a series product, prepared once.
+
+    Returns (D, groups): D is the lcm of the denominators, and groups
+    lists (t-degree, t, [(h, a, n), ...]) per t-monomial in increasing
+    t-degree, where each coefficient equals n / D with n an int.
+    """
+    den = lcm(*(v.denominator for v in terms.values()))
+    by_mono: dict[TMono, list[tuple[int, int, int]]] = {}
+    for (h, a, t), v in terms.items():
+        by_mono.setdefault(t, []).append((h, a, v.numerator * (den // v.denominator)))
+    return den, sorted((mono_degree(t), t, hs) for t, hs in by_mono.items())
+
+
 class GradedSeries:
     """Sparse truncated series in hbar, s**2 and t_0..t_K over Fraction."""
 
@@ -307,11 +338,12 @@ class GradedSeries:
         self._require_same(other)
         out = dict(self.terms)
         for k, v in other.terms.items():
-            w = out.get(k, Fraction(0)) + v
+            got = out.get(k)
+            w = v if got is None else got + v
             if w:
                 out[k] = w
-            else:
-                out.pop(k, None)
+            elif got is not None:
+                del out[k]
         return GradedSeries(self.trunc, out)
 
     def __neg__(self) -> "GradedSeries":
@@ -340,30 +372,28 @@ class GradedSeries:
     def __mul__(self, other: "GradedSeries") -> "GradedSeries":
         self._require_same(other)
         tr = self.trunc
-        out: dict[Key, Fraction] = {}
-        # iterate the smaller factor outermost
-        left, right = (self.terms, other.terms)
-        if len(left) > len(right):
-            left, right = right, left
-        ritems = list(right.items())
-        for (h1, a1, t1), v1 in left.items():
-            d1 = mono_degree(t1)
-            for (h2, a2, t2), v2 in ritems:
-                if d1 + mono_degree(t2) > tr.dmax:
-                    continue
-                h = h1 + h2
-                if not (tr.hmin <= h <= tr.hmax):
-                    continue
-                a = a1 + a2
-                if not (tr.amin <= a <= tr.amax):
-                    continue
-                key = (h, a, mono_mul(t1, t2))
-                w = out.get(key, Fraction(0)) + v1 * v2
-                if w:
-                    out[key] = w
-                else:
-                    del out[key]
-        return GradedSeries(tr, out)
+        hmin, hmax, amin, amax = tr.hmin, tr.hmax, tr.amin, tr.amax
+        d_left, left = _int_groups(self.terms)
+        d_right, right = _int_groups(other.terms)
+        acc: dict[Key, int] = {}
+        for deg1, t1, terms1 in left:
+            room = tr.dmax - deg1
+            if room < 0:
+                break
+            for deg2, t2, terms2 in right:
+                if deg2 > room:
+                    break
+                t = mono_mul(t1, t2)
+                for h1, a1, n1 in terms1:
+                    h_lo, h_hi = hmin - h1, hmax - h1
+                    a_lo, a_hi = amin - a1, amax - a1
+                    for h2, a2, n2 in terms2:
+                        if h_lo <= h2 <= h_hi and a_lo <= a2 <= a_hi:
+                            key = (h1 + h2, a1 + a2, t)
+                            got = acc.get(key)
+                            acc[key] = n1 * n2 if got is None else got + n1 * n2
+        den = d_left * d_right
+        return GradedSeries(tr, {k: Fraction(n, den) for k, n in acc.items() if n})
 
     def derive(self, k: int) -> "GradedSeries":
         """d/dt_k."""
@@ -523,10 +553,11 @@ class FormalPolynomial:
     def __add__(self, other: "FormalPolynomial") -> "FormalPolynomial":
         out = dict(self.terms)
         for m, v in other.terms.items():
-            w = out.get(m, Fraction(0)) + v
+            got = out.get(m)
+            w = v if got is None else got + v
             if w:
                 out[m] = w
-            else:
+            elif got is not None:
                 del out[m]
         return FormalPolynomial(out)
 
@@ -540,14 +571,20 @@ class FormalPolynomial:
         out: dict[PMono, Fraction] = {}
         for m1, v1 in self.terms.items():
             for m2, v2 in other.terms.items():
-                d = dict(m1)
-                for s, e in m2:
-                    d[s] = d.get(s, 0) + e
-                m = tuple(sorted(d.items()))
-                w = out.get(m, Fraction(0)) + v1 * v2
+                if not m1:
+                    m = m2
+                elif not m2:
+                    m = m1
+                else:
+                    d = dict(m1)
+                    for s, e in m2:
+                        d[s] = d.get(s, 0) + e
+                    m = tuple(sorted(d.items()))
+                got = out.get(m)
+                w = v1 * v2 if got is None else got + v1 * v2
                 if w:
                     out[m] = w
-                else:
+                elif got is not None:
                     del out[m]
         return FormalPolynomial(out)
 

@@ -35,13 +35,14 @@ from .exactcore import (
     automorphism_factor,
     double_factorial,
     euler_characteristic_constant,
+    fixed_sum_multisets,
     mono_from_dict,
     rational_to_str,
     useries_exp_poly,
     useries_log,
 )
 from .tables import CorrelatorTable
-from .virasoro import _fixed_sum_multisets, kw_correlators
+from .virasoro import kw_correlators
 
 # ---------------------------------------------------------------------------
 # generating polynomials
@@ -165,7 +166,7 @@ def _kappa_psi(g: int, kappa: tuple[int, ...], psi: tuple[int, ...]) -> Fraction
     )
     total = Fraction(0)
     for r in range(1, w + 1):
-        for parts in _fixed_sum_multisets(r, w, w, low=1):
+        for parts in fixed_sum_multisets(r, w, w, low=1):
             poly = FormalPolynomial.const(1)
             for x in parts:
                 poly = poly * p[x]
@@ -227,7 +228,7 @@ def _zk_route_shift(g: int, n: int, k: tuple[int, ...]) -> Fraction:
     table = _kw_table(g, n + m)
     total = table.get(g, k) if m == 0 else Fraction(0)
     for r in range(1, m + 1):
-        for parts in _fixed_sum_multisets(r, m, m, low=1):
+        for parts in fixed_sum_multisets(r, m, m, low=1):
             insertions = tuple(x + 1 for x in parts)
             weight = Fraction(1)
             for j in insertions:
@@ -254,7 +255,7 @@ def zk_correlators(trunc: Truncation) -> CorrelatorTable:
                 continue
             dim = 3 * g - 3 + n
             for total in range(0, min(dim, n * trunc.kmax) + 1):
-                for k in _fixed_sum_multisets(n, total, trunc.kmax):
+                for k in fixed_sum_multisets(n, total, trunc.kmax):
                     va = _zk_route_kappa(g, n, dim - total, k)
                     vb = _zk_route_shift(g, n, k)
                     if va != vb:
@@ -304,15 +305,20 @@ def zk_partition_function(
 # bracketed-psi basis
 
 
-def _bracket_route_linear(zk: CorrelatorTable, g: int, k: tuple[int, ...]) -> Fraction:
-    """Expand each psi^{(k)} = sum_j psi^{k-j} / (2^j j!) and combine."""
+def bracket_expansion(k: tuple[int, ...], value) -> Fraction:
+    """Expand each psi^{(k_i)} = sum_j psi^{k_i-j} / (2^j j!) and combine.
+
+    `value` maps an index tuple (in slot order, not sorted) to its
+    correlator; the caller chooses where those correlators come from.
+    """
     total = Fraction(0)
-    ranges = [range(ki + 1) for ki in k]
-    for drops in iproduct(*ranges):
-        weight = Fraction(1)
-        for j in drops:
-            weight /= 2**j * factorial(j)
-        total += weight * zk.get(g, tuple(ki - j for ki, j in zip(k, drops)))
+    for drops in iproduct(*[range(ki + 1) for ki in k]):
+        v = value(tuple(ki - j for ki, j in zip(k, drops)))
+        if v:
+            weight = 1
+            for j in drops:
+                weight *= 2**j * factorial(j)
+            total += Fraction(1, weight) * v
     return total
 
 
@@ -347,8 +353,8 @@ def bracket_psi_correlators(trunc: Truncation) -> CorrelatorTable:
             # any index sum can be nonzero: the drops absorb an excess
             # over the dimension and the kappa class fills a deficit
             for total in range(0, n * trunc.kmax + 1):
-                for k in _fixed_sum_multisets(n, total, trunc.kmax):
-                    va = _bracket_route_linear(zk, g, k)
+                for k in fixed_sum_multisets(n, total, trunc.kmax):
+                    va = bracket_expansion(k, lambda d: zk.get(g, d))
                     counts = Counter(k)
                     aut = automorphism_factor(counts.values())
                     vb = shifted.coefficient(g - 1, 0, mono_from_dict(counts))

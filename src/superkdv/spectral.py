@@ -37,12 +37,13 @@ from .exactcore import (
     FormalPolynomial,
     Truncation,
     double_factorial,
+    fixed_sum_multisets,
     rational_from_str,
     rational_to_str,
 )
 from .kappa import _zk_route_kappa
 from .supervol import spin_value, volume_polynomial
-from .virasoro import _fixed_sum_multisets, bgw_correlators, kw_correlators
+from .virasoro import bgw_correlators, kw_correlators
 
 S2 = "s2"
 PI2 = "pi2"
@@ -466,7 +467,7 @@ def _graded_const(value, a: int) -> FormalPolynomial:
 def _index_vectors(n: int, total: int, exact: bool = False):
     """Sorted index vectors of length n with sum == total (or <= total)."""
     sums = [total] if exact else range(total + 1)
-    return sorted(k for s in sums for k in _fixed_sum_multisets(n, s, s))
+    return sorted(k for s in sums for k in fixed_sum_multisets(n, s, s))
 
 
 # ---------------------------------------------------------------------------

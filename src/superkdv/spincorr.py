@@ -34,11 +34,12 @@ from .exactcore import (
     Truncation,
     automorphism_factor,
     chi_series_coefficient,
+    fixed_sum_multisets,
     mono_from_dict,
 )
 from .kappa import bracket_psi_correlators, zk_partition_function
 from .tables import CorrelatorTable
-from .virasoro import _fixed_sum_multisets, partition_function
+from .virasoro import partition_function
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +88,7 @@ def genus0_spin_trr(trunc: Truncation) -> CorrelatorTable:
     table = CorrelatorTable("spin", trunc)
     for n in range(3, trunc.dmax + 1):
         for total in range(0, n * trunc.kmax + 1):
-            for k in _fixed_sum_multisets(n, total, trunc.kmax):
+            for k in fixed_sum_multisets(n, total, trunc.kmax):
                 table.set(0, k, _spin_genus0(k))
     return table
 

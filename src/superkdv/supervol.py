@@ -40,11 +40,12 @@ from .exactcore import (
     GradedSeries,
     Truncation,
     automorphism_factor,
+    fixed_sum_multisets,
     rational_to_str,
 )
-from .kappa import _zk_route_kappa
+from .kappa import _zk_route_kappa, bracket_expansion
 from .spincorr import genus0_closed_form, spin_free_energy
-from .virasoro import VirasoroSpec, _fixed_sum_multisets, apply_virasoro_oracle
+from .virasoro import VirasoroSpec, apply_virasoro_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -70,14 +71,9 @@ def spin_value(g: int, k: tuple[int, ...]) -> Fraction:
     if g == 0:
         return genus0_closed_form(k)
     n = len(k)
-    total = Fraction(0)
-    for drops in iproduct(*[range(ki + 1) for ki in k]):
-        weight = Fraction(1)
-        for j in drops:
-            weight /= 2**j * factorial(j)
-        dropped = tuple(sorted(ki - j for ki, j in zip(k, drops)))
-        total += weight * _zk_route_kappa(g, n, 3 * g - 3 + n - sum(dropped), dropped)
-    return total
+    return bracket_expansion(
+        k, lambda d: _zk_route_kappa(g, n, 3 * g - 3 + n - sum(d), tuple(sorted(d)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +165,7 @@ def volume_polynomial(g: int, n: int, smax: int) -> VolumePolynomial:
             else:
                 rational = Fraction(0)
                 for r in range(1, w + 1):
-                    for parts in _fixed_sum_multisets(r, w, w, low=1):
+                    for parts in fixed_sum_multisets(r, w, w, low=1):
                         rational += _insertion_weight(parts) * spin_value(
                             g, k + parts
                         )

@@ -46,6 +46,7 @@ from .exactcore import (
     Truncation,
     automorphism_factor,
     double_factorial,
+    fixed_sum_multisets,
     mono_from_dict,
 )
 from .tables import CorrelatorTable
@@ -103,19 +104,6 @@ def solve_truncation(model: str, trunc: Truncation) -> Truncation:
         kmax_int = trunc.smax // 2 + trunc.gmax - 1
         smax_int = trunc.smax
     return Truncation(trunc.gmax, max(kmax_int, 0), dmax_int, smax_int)
-
-
-def _fixed_sum_multisets(n: int, total: int, kmax: int, low: int = 0):
-    """Nondecreasing index tuples of length n in [low, kmax] with given sum."""
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    if total < n * low or total > n * kmax:
-        return
-    for first in range(low, min(kmax, total) + 1):
-        for rest in _fixed_sum_multisets(n - 1, total - first, kmax, first):
-            yield (first,) + rest
 
 
 def _admissible_sums(model: str, work: Truncation, g: int, n: int) -> list[int]:
@@ -200,7 +188,7 @@ def _stored_entries(model: str, window: Truncation, nmax):
         for n in range(1, nmax(g) + 1):
             for total in _admissible_sums(model, window, g, n):
                 a = 0 if model == "KW" else 1 - g + total
-                for k in _fixed_sum_multisets(n, total, window.kmax):
+                for k in fixed_sum_multisets(n, total, window.kmax):
                     v = _correlator(model, g, k)
                     if v:
                         yield g, k, a, v

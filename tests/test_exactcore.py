@@ -1,10 +1,11 @@
 """Tests for the exact-arithmetic core."""
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superkdv.exactcore import (
@@ -99,6 +100,89 @@ def no_constant(series):
     for k in bad:
         del cleaned[k]
     return GradedSeries(series.trunc, cleaned)
+
+
+# a small window with negative h and a, so random keys often sit on its
+# edges and products often leave it
+TREDGE = Truncation(gmax=2, kmax=2, dmax=3, smax=4, h_lo=-2, h_hi=2, a_lo=-2, a_hi=2)
+BIG_DEN = 2**64 + 13  # larger than any machine word
+
+
+def window_series(trunc=TREDGE, max_terms=6):
+    """Series with keys anywhere in the window (edges included) and
+    coefficients whose denominators may exceed 2**64."""
+    monos = st.lists(
+        st.tuples(st.integers(0, trunc.kmax), st.integers(1, trunc.dmax)),
+        max_size=2,
+        unique_by=lambda p: p[0],
+    ).map(lambda ps: mono_from_dict(dict(ps)))
+    keys = st.tuples(
+        st.integers(trunc.hmin, trunc.hmax),
+        st.integers(trunc.amin, trunc.amax),
+        monos.filter(lambda t: sum(e for _, e in t) <= trunc.dmax),
+    )
+    values = st.builds(
+        Fraction,
+        st.integers(-(10**25), 10**25).filter(bool),
+        st.sampled_from([1, 2, 3, 12, BIG_DEN, 3**45, BIG_DEN * 7**30]),
+    )
+    return st.dictionaries(keys, values, max_size=max_terms).map(
+        lambda d: GradedSeries(trunc, d)
+    )
+
+
+def naive_mul(x: GradedSeries, y: GradedSeries) -> dict:
+    """All pairs, summed, then kept only where the window contains the key."""
+    out: dict = {}
+    for (h1, a1, t1), v1 in x.terms.items():
+        for (h2, a2, t2), v2 in y.terms.items():
+            t = mono_from_dict(Counter(dict(t1)) + Counter(dict(t2)))
+            key = (h1 + h2, a1 + a2, t)
+            out[key] = out.get(key, 0) + v1 * v2
+    return {k: v for k, v in out.items() if v and x.trunc.contains(*k)}
+
+
+class TestSeriesProduct:
+    # two routes into the same key with opposite signs: t0 t1 cancels
+    CANCEL = (
+        GradedSeries(TREDGE, {(0, 0, ((0, 1),)): Fraction(1), (0, 0, ((1, 1),)): Fraction(1)}),
+        GradedSeries(TREDGE, {(0, 0, ((0, 1),)): Fraction(1), (0, 0, ((1, 1),)): Fraction(-1)}),
+    )
+    # keys on every corner of the h/a window, and a degree-dmax key
+    EDGES = (
+        GradedSeries(
+            TREDGE,
+            {
+                (2, -2, ()): Fraction(1, BIG_DEN),
+                (-2, 2, ((0, 1),)): Fraction(-3, 7),
+                (0, 0, ((2, 3),)): Fraction(5),
+            },
+        ),
+        GradedSeries(
+            TREDGE,
+            {(0, 0, ()): Fraction(BIG_DEN, 3**45), (-2, -2, ((1, 1),)): Fraction(2)},
+        ),
+    )
+
+    @given(window_series(), window_series())
+    @settings(max_examples=200, deadline=None)
+    @example(*CANCEL)
+    @example(*EDGES)
+    @example(GradedSeries(TREDGE), EDGES[0])
+    @example(EDGES[1], GradedSeries(TREDGE))
+    def test_matches_all_pairs_reference(self, x, y):
+        got = (x * y).terms
+        assert got == naive_mul(x, y)
+        assert all(got.values())
+
+    @given(window_series(), window_series())
+    @settings(max_examples=50, deadline=None)
+    def test_commutes(self, x, y):
+        assert x * y == y * x
+
+    def test_cancellation_drops_the_key(self):
+        got = (self.CANCEL[0] * self.CANCEL[1]).terms
+        assert got == {(0, 0, ((0, 2),)): 1, (0, 0, ((1, 2),)): -1}
 
 
 class TestGradedSeries:
@@ -199,6 +283,23 @@ class TestFormalPolynomial:
     def test_pow(self):
         x = FormalPolynomial.symbol("x")
         assert (x + FormalPolynomial.const(1)) ** 2 == x * x + x.scale(2) + FormalPolynomial.const(1)
+
+    def test_constant_operands(self):
+        c = FormalPolynomial.const(Fraction(-2, 3))
+        p = FormalPolynomial({(("a", 1), ("b", 2)): Fraction(3), (): Fraction(1, 2)})
+        assert (c * p).terms == (p * c).terms == {
+            (("a", 1), ("b", 2)): Fraction(-2),
+            (): Fraction(-1, 3),
+        }
+        assert (c * c).terms == {(): Fraction(4, 9)}
+        assert (c * FormalPolynomial()).is_zero() and (FormalPolynomial() * c).is_zero()
+
+    def test_no_zero_coefficients(self):
+        x = FormalPolynomial.symbol("x")
+        one = FormalPolynomial.const(1)
+        assert ((x + one) * (x - one)).terms == {(("x", 2),): 1, (): -1}
+        assert (x + one + (-x)).terms == {(): 1}
+        assert ((x - x) * one).is_zero()
 
 
 class TestUnivariateSeries:
