@@ -20,7 +20,6 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 import click
-import mpmath as mp
 
 from . import __version__
 from .exactcore import ExactCoreError, Truncation
@@ -44,12 +43,7 @@ from .spincorr import (
     triple_route_compare,
     spin_correlators,
 )
-from .supervol import (
-    PASSING_CONVENTION,
-    recursion_residual_orders,
-    translated_virasoro_check,
-    volume_polynomial,
-)
+from .supervol import translated_virasoro_check, volume_polynomial
 from .tables import canonical_bytes
 from .virasoro import (
     bgw_correlators,
@@ -457,6 +451,10 @@ def _verify_laplace(trunc: Truncation) -> dict:
 
 
 def _verify_recursion(trunc: Truncation) -> dict:
+    # the numeric route is the package's only user of mpmath; importing
+    # it here keeps mpmath out of every other command's process
+    from . import swnumeric
+
     exact_trunc = Truncation(
         trunc.gmax, min(trunc.kmax, 2), min(trunc.dmax, 3), min(trunc.smax, 6)
     )
@@ -466,16 +464,21 @@ def _verify_recursion(trunc: Truncation) -> dict:
     cases = [(0, 1, [1.3]), (1, 1, [1.0]), (0, 3, [1.0, 0.7, 1.3])]
     numeric_ok = True
     for g, n, L in cases:
-        orders = recursion_residual_orders(g, n, L, smax=4, **PASSING_CONVENTION)
+        orders = swnumeric.recursion_residual_orders(
+            g, n, L, smax=4, **swnumeric.PASSING_CONVENTION
+        )
         worst = max(abs(v) for v in orders.values())
         ok = worst < tol[f"{g},{n}"]
         numeric_ok = numeric_ok and ok
-        numeric[f"{g},{n}"] = {"max_residual": float(mp.nstr(worst, 6)), "ok": ok}
+        numeric[f"{g},{n}"] = {
+            "max_residual": float(swnumeric.mp.nstr(worst, 6)),
+            "ok": ok,
+        }
     return {
         "exact_trunc": exact_trunc.to_json(),
         "exact_all_zero": exact["all_zero"],
         "m_checked": exact["m_checked"],
-        "convention": PASSING_CONVENTION,
+        "convention": swnumeric.PASSING_CONVENTION,
         "numeric": numeric,
         "ok": exact["all_zero"] and numeric_ok,
     }

@@ -306,8 +306,19 @@ def _omega_compute(curve: SpectralCurve, g: int, n: int):
                 key = (-2 * ka - 2 * kb - 4, tuple(ext))
                 _accumulate(bracket, key, poly.scale(scale))
 
-    # splitting terms
+    # splitting terms; each factor is built once and hatted where it is f2
     lmax = curve.order
+    factors: dict[tuple[int, tuple[int, ...]], dict] = {}
+
+    def factor(gi: int, legs: tuple[int, ...]):
+        key = (gi, legs)
+        if key not in factors:
+            if gi == 0 and len(legs) == 1:
+                factors[key] = _b_factor(legs[0], nlegs, lmax)
+            else:
+                factors[key] = _stable_factor(curve, gi, legs, nlegs)
+        return factors[key]
+
     for g1 in range(g + 1):
         g2 = g - g1
         for mask in iproduct((0, 1), repeat=nlegs):
@@ -315,17 +326,11 @@ def _omega_compute(curve: SpectralCurve, g: int, n: int):
             legs2 = tuple(i for i in range(nlegs) if mask[i] == 1)
             if _is_excluded(g1, len(legs1) + 1) or _is_excluded(g2, len(legs2) + 1):
                 continue
-            if g1 == 0 and len(legs1) == 1:
-                f1 = _b_factor(legs1[0], nlegs, lmax)
-            else:
-                f1 = _stable_factor(curve, g1, legs1, nlegs)
-            if g2 == 0 and len(legs2) == 1:
-                f2 = _hat(_b_factor(legs2[0], nlegs, lmax))
-            else:
-                f2 = _hat(_stable_factor(curve, g2, legs2, nlegs))
+            f1 = factor(g1, legs1)
+            f2 = factor(g2, legs2)
             if not f1 or not f2:
                 continue
-            _accumulate_product(bracket, f1, f2, pmax)
+            _accumulate_product(bracket, f1, _hat(f2), pmax)
 
     # residue extraction: coefficient of z^{-m-1} (m odd) in G * bracket
     if curve.label == "cns" and bracket:

@@ -6,7 +6,6 @@ line per criterion.
 """
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -16,7 +15,6 @@ from math import factorial
 
 import pytest
 
-import superkdv
 from superkdv.exactcore import (
     FormalPolynomial,
     Truncation,
@@ -45,11 +43,8 @@ from superkdv.spincorr import (
     spin_correlators,
     triple_route_compare,
 )
-from superkdv.supervol import (
-    PASSING_CONVENTION,
-    recursion_residual_orders,
-    translated_virasoro_check,
-)
+from superkdv.supervol import translated_virasoro_check
+from superkdv.swnumeric import PASSING_CONVENTION, recursion_residual_orders
 from superkdv.virasoro import (
     check_homogeneity,
     kdv_residual,
@@ -226,7 +221,7 @@ def test_c09_stanford_witten_recursion():
     assert all(abs(v) < 1e-8 for v in orders.values())
 
 
-def test_c10_determinism_and_cache(tmp_path):
+def test_c10_determinism_and_cache(cli_child_env):
     # byte-identical artifacts across two separate processes and a
     # cache round trip (computation is single-threaded by construction,
     # so thread count cannot influence the artifact bytes)
@@ -244,19 +239,8 @@ def test_c10_determinism_and_cache(tmp_path):
         "--format",
         "json",
     ]
-    # minimal environment, so the artifact cannot depend on the parent's;
-    # the children import the same superkdv package as this process,
-    # whether it is installed or only on the import path
-    package_dir = os.path.dirname(os.path.abspath(superkdv.__file__))
-    package_root = os.path.dirname(package_dir)
-    import_path = os.pathsep.join(
-        p for p in (package_root, os.environ.get("PYTHONPATH")) if p
-    )
-    env = {
-        "SUPERKDV_CACHE_DIR": str(tmp_path),
-        "PATH": "/usr/bin:/bin",
-        "PYTHONPATH": import_path,
-    }
+    # minimal environment, so the artifact cannot depend on the parent's
+    env = cli_child_env
     first = subprocess.run(args, capture_output=True, env=env)
     assert first.returncode == 0, first.stderr.decode(errors="replace")
     second = subprocess.run(args, capture_output=True, env=env)

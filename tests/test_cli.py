@@ -1,12 +1,16 @@
 """Tests for the command-line front end and the artifact cache."""
 
 import json
+import subprocess
+import sys
+from types import SimpleNamespace
 
+import mpmath as mp
 import pytest
 from click.testing import CliRunner
 
 import superkdv
-from superkdv import cli
+from superkdv import cli, swnumeric
 
 
 @pytest.fixture
@@ -96,6 +100,98 @@ class TestVerify:
 
     def test_unknown_suite_exits_2(self, runner):
         assert invoke(runner, ["verify", "everything"]).exit_code == 2
+
+
+class TestVerifyRecursion:
+    """The `verify recursion` wiring, with the numeric route replaced by
+    fixed residuals so the suite runs in well under a second."""
+
+    ARGS = ["verify", "recursion", "--gmax", "1", "--kmax", "2", "--dmax", "2", "--smax", "2"]
+
+    @pytest.fixture
+    def fake_route(self, monkeypatch):
+        """The fake numeric route: `values` maps "g,n" to the residual it
+        reports at every s^2-order, `calls` records its arguments."""
+        route = SimpleNamespace(
+            values={"0,1": 1e-12, "1,1": 1e-12, "0,3": 1e-12}, calls=[]
+        )
+
+        def fake_orders(g, n, L, smax=4, **flags):
+            route.calls.append((g, n, len(L), smax, flags))
+            value = mp.mpf(route.values[f"{g},{n}"])
+            return {a: (-1) ** a * value for a in range(smax // 2 + 1)}
+
+        monkeypatch.setattr(swnumeric, "recursion_residual_orders", fake_orders)
+        return route
+
+    def test_small_residuals_pass(self, runner, fake_route):
+        result = invoke(runner, self.ARGS)
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.stdout)
+        assert set(report) == {
+            "suite", "exact_trunc", "exact_all_zero", "m_checked",
+            "convention", "numeric", "ok",
+        }
+        assert report["ok"] and report["exact_all_zero"]
+        assert report["convention"] == swnumeric.PASSING_CONVENTION
+        assert set(report["numeric"]) == {"0,1", "1,1", "0,3"}
+        for case in report["numeric"].values():
+            assert isinstance(case["max_residual"], float)
+            assert case["max_residual"] == 1e-12 and case["ok"]
+        assert [c[:4] for c in fake_route.calls] == [
+            (0, 1, 1, 4), (1, 1, 1, 4), (0, 3, 3, 4)
+        ]
+        assert all(c[4] == swnumeric.PASSING_CONVENTION for c in fake_route.calls)
+
+    def test_residual_above_tolerance_exits_1(self, runner, fake_route):
+        fake_route.values["1,1"] = 2e-8  # tolerance 1e-8
+        result = invoke(runner, self.ARGS)
+        assert result.exit_code == 1
+        report = json.loads(result.stdout)
+        assert not report["numeric"]["1,1"]["ok"]
+        assert report["numeric"]["0,1"]["ok"] and report["numeric"]["0,3"]["ok"]
+
+    def test_exact_route_failure_exits_1(self, runner, fake_route, monkeypatch):
+        monkeypatch.setattr(
+            cli,
+            "translated_virasoro_check",
+            lambda trunc: {"all_zero": False, "m_checked": [0, 1, 2]},
+        )
+        result = invoke(runner, self.ARGS)
+        assert result.exit_code == 1
+        assert not json.loads(result.stdout)["exact_all_zero"]
+
+
+def _imported_modules(importtime_stderr: str) -> list[str]:
+    """Module names from the `-X importtime` lines of a child's stderr."""
+    return [
+        line.rsplit("|", 1)[-1].strip()
+        for line in importtime_stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+
+
+def test_cli_processes_do_not_import_mpmath(cli_child_env):
+    # only `verify recursion` needs the numeric route; the import, a
+    # volume miss and its cache hit, and a TR miss must not load mpmath
+    python = [sys.executable, "-X", "importtime"]
+    runs = [
+        (python + ["-c", "import superkdv.cli"], None),
+        (python + ["-m", "superkdv.cli", "volume", "--g", "1", "--n", "1",
+                   "--smax", "2"], "# cache fresh"),
+        (python + ["-m", "superkdv.cli", "volume", "--g", "1", "--n", "1",
+                   "--smax", "2"], "# cache hit"),
+        (python + ["-m", "superkdv.cli", "tr", "--curve", "airy", "--gmax", "1",
+                   "--nmax", "2", "--order", "24"], "# cache fresh"),
+    ]
+    for args, cache_line in runs:
+        proc = subprocess.run(args, capture_output=True, text=True, env=cli_child_env)
+        assert proc.returncode == 0, proc.stderr
+        if cache_line:
+            assert cache_line in proc.stderr
+        modules = _imported_modules(proc.stderr)
+        assert "superkdv.supervol" in modules  # the trace is really there
+        assert [m for m in modules if m.split(".")[0] == "mpmath"] == [], args
 
 
 class TestCache:

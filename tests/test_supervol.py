@@ -15,16 +15,15 @@ import mpmath as mp
 import pytest
 
 from superkdv.exactcore import ExactCoreError, FormalPolynomial, Truncation
-from superkdv import supervol
+from superkdv import swnumeric
 from superkdv.spincorr import assemble_z_omega, spin_correlators
-from superkdv.supervol import (
+from superkdv.supervol import spin_value, translated_virasoro_check, volume_polynomial
+from superkdv.swnumeric import (
     PASSING_CONVENTION,
+    evaluate_volume,
     kernel_moment,
     recursion_residual,
     recursion_residual_orders,
-    spin_value,
-    translated_virasoro_check,
-    volume_polynomial,
 )
 from superkdv.virasoro import VirasoroSpec, apply_virasoro_oracle
 
@@ -102,7 +101,7 @@ class TestVolumePolynomial:
 
     def test_evaluate(self):
         vp = volume_polynomial(1, 1, 2)
-        value = vp.evaluate(1.0, [2.0])
+        value = evaluate_volume(vp, 1.0, [2.0])
         expected = (
             mp.mpf(1) / 8
             + mp.mpf(5) / 96 * 4
@@ -190,7 +189,7 @@ class TestRecursionResidual:
         def no_quadrature(*args, **kwargs):
             raise AssertionError("unexpected kernel quadrature")
 
-        monkeypatch.setattr(supervol, "kernel_moment", no_quadrature)
+        monkeypatch.setattr(swnumeric, "kernel_moment", no_quadrature)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             orders = recursion_residual_orders(0, 4, [1.0, 0.7, 1.3, 0.9], smax=0)
