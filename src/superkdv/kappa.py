@@ -210,14 +210,7 @@ def _zk_route_kappa(g: int, n: int, m: int, k: tuple[int, ...]) -> Fraction:
     """Route (a): expand K_m into kappa monomials and integrate each."""
     if m < 0:
         return Fraction(0)
-    poly = k_polynomials(m)[m]
-    total = Fraction(0)
-    for mono, coeff in poly.terms.items():
-        exps: dict[int, int] = {int(name[1:]): e for name, e in mono}
-        top = max(exps, default=0)
-        kappa = tuple(exps.get(j, 0) for j in range(1, top + 1))
-        total += coeff * kappa_psi_number(g, n, kappa, k)
-    return total
+    return k_m_integral(g, n, m, psi_exponents=k)
 
 
 def _zk_route_shift(g: int, n: int, k: tuple[int, ...]) -> Fraction:

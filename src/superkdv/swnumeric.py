@@ -5,9 +5,12 @@ polynomials of `supervol`, with the kernels
 
     D(x,y,z) = sinh(x/4) sinh((y+z)/4)
                / (cosh((x-y-z)/4) cosh((x+y+z)/4)),
-    R(x,y,z) = (D(x+y,z,0) + D(x-y,z,0)) / 2
+    R(x,y,z) = (D(x+y,z,0) + D(x-y,z,0)) / 2.
 
-integrated by high-precision quadrature.  It checks the exact route
+D depends on y and z only through u = y + z, and R is a mean of two
+D(., u, 0), so every kernel moment the recursion needs is a multiple of
+one 1D moment M_m(x) = integral over u > 0 of u^m D(x, u, 0), computed
+by high-precision quadrature.  It checks the exact route
 (`supervol.translated_virasoro_check`) independently.
 
 This is the only module that imports `mpmath`; the command line loads
@@ -49,59 +52,40 @@ def kernel_d(x, y, z):
     )
 
 
-def kernel_r(x, y, z):
-    """R(x,y,z) = (D(x+y,z,0) + D(x-y,z,0)) / 2."""
-    return (kernel_d(x + y, z, 0) + kernel_d(x - y, z, 0)) / 2
+#: Distinct moments M_m(x) kept by `_moment`.  The recursion checks of
+#: (g, n) = (0,1), (1,1), (0,3), (1,2), (2,1) and (0,4), with the first
+#: n lengths of (1.0, 0.7, 1.3, 0.9), need 19 of them together at
+#: smax 4 and 27 at smax 6.
+_MOMENT_CACHE_SIZE = 64
 
 
-def _tail_radius(powers: tuple[int, ...], scale, tol) -> mp.mpf:
-    """Radius beyond which the weighted kernel tail is below tol/10.
+def _tail_radius(m: int, x, tol) -> mp.mpf:
+    """Radius beyond which the tail of u^m D(x, u, 0) is below tol/10.
 
-    For large integration variable x the kernel decays like e^{-x/4}
-    (the cosh denominators beat the sinh numerator by one quarter-scale
-    exponential per variable); the weight is bounded by x^p.  The bound
-    C x^p e^{-x/4} integrates to an incomplete-gamma tail that is
-    solved by doubling.
+    D(x, u, 0) = (sech((x-u)/4) - sech((x+u)/4)) / 2 and sech t <= 2 e^{-|t|},
+    so |D(x, u, 0)| <= e^{|x|/4} e^{-u/4}.  The tail of u^m times that
+    bound is e^{|x|/4} 4^{m+1} Gamma(m+1, R/4), which is solved for R by
+    doubling.
     """
-    p = sum(powers)
-    c = 8 * mp.exp(scale / 4)
+    c = mp.exp(abs(x) / 4) * 4 ** (m + 1)
     radius = mp.mpf(40)
-    while c * mp.gammainc(p + 1, radius / 4) * 4 ** (p + 1) > tol / 10:
+    while c * mp.gammainc(m + 1, radius / 4) > tol / 10:
         radius *= 2
         if radius > 1e6:
             raise ExactCoreError("tail bound does not reach tolerance")
     return radius
 
 
-@lru_cache(maxsize=None)
-def _cached_moment(kernel: str, fixed: tuple[str, ...], powers: tuple[int, ...], method: str):
-    return _moment_uncached(kernel, tuple(mp.mpf(v) for v in fixed), powers, method)
-
-
-def _moment_uncached(kernel, fixed, powers, method):
-    tol = mp.mpf(10) ** (-12)
-    scale = sum(abs(v) for v in fixed)
-    radius = _tail_radius(powers, scale, tol)
+@lru_cache(maxsize=_MOMENT_CACHE_SIZE)
+def _moment(m: int, x, method: str) -> mp.mpf:
+    """M_m(x) = integral over u > 0 of u^m D(x, u, 0)."""
+    radius = _tail_radius(m, x, mp.mpf(10) ** (-12))
     quad_method = "tanh-sinh" if method == "tanh-sinh" else "gauss-legendre"
-    if kernel == "R":
-        (a,) = powers
-        l1, lj = fixed
 
-        def integrand(x):
-            return x ** (2 * a + 1) * kernel_r(l1, lj, x)
+    def integrand(u):
+        return u**m * kernel_d(x, u, 0)
 
-        return mp.quad(integrand, [0, radius / 2, radius], method=quad_method)
-    if kernel == "D":
-        a, b = powers
-        (l1,) = fixed
-
-        def inner(x, y):
-            return x ** (2 * a + 1) * y ** (2 * b + 1) * kernel_d(l1, x, y)
-
-        return mp.quad(
-            inner, [0, radius / 2, radius], [0, radius / 2, radius], method=quad_method
-        )
-    raise ExactCoreError(f"unknown kernel {kernel!r}")
+    return mp.quad(integrand, [0, radius / 2, radius], method=quad_method)
 
 
 def kernel_moment(kernel: str, fixed, powers, method: str = "tanh-sinh"):
@@ -110,17 +94,30 @@ def kernel_moment(kernel: str, fixed, powers, method: str = "tanh-sinh"):
     kernel "R": integral over x of x^{2a+1} R(l1, lj, x) with
     fixed = (l1, lj) and powers = (a,).  kernel "D": double integral of
     x^{2a+1} y^{2b+1} D(l1, x, y) with fixed = (l1,) and
-    powers = (a, b).  `method` selects tanh-sinh or adaptive
-    Gauss-Legendre quadrature; both are exposed for cross-validation.
+    powers = (a, b).  Both reduce to the 1D moments M_m of `_moment`:
+    R is the mean of M_{2a+1} at l1 + lj and l1 - lj, and D depends on
+    x and y only through u = x + y, whose Beta integral over the simplex
+    gives (2a+1)! (2b+1)! / (2a+2b+3)! M_{2a+2b+3}(l1).  `method`
+    selects tanh-sinh or adaptive Gauss-Legendre quadrature; both are
+    exposed for cross-validation.
     """
     powers = tuple(int(p) for p in powers)
     if any(p < 0 for p in powers):
         raise ExactCoreError("moment powers must be nonnegative")
     with mp.workdps(max(mp.mp.dps, 50)):
         fixed = tuple(mp.mpf(v) for v in fixed)
-        return _cached_moment(
-            kernel, tuple(mp.nstr(v, 25) for v in fixed), powers, method
-        )
+        if kernel == "R":
+            (a,) = powers
+            l1, lj = fixed
+            m = 2 * a + 1
+            return (_moment(m, l1 + lj, method) + _moment(m, l1 - lj, method)) / 2
+        if kernel == "D":
+            a, b = powers
+            (l1,) = fixed
+            m = 2 * a + 2 * b + 3
+            beta = mp.factorial(2 * a + 1) * mp.factorial(2 * b + 1) / mp.factorial(m)
+            return beta * _moment(m, l1, method)
+    raise ExactCoreError(f"unknown kernel {kernel!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +174,12 @@ def recursion_residual_orders(
     by order (orders above smax are truncation-incomplete and not
     reported).
 
-    Each kernel term carries a measure normalization 1/(2 pi),
-    calibrated once at the (1,1) s^2 order (where the moments evaluate
-    to 2 pi (L^3/6 + 2 pi^2 L) and 2 pi L exactly) and then tested at
-    the other cases.
+    Each kernel term carries a measure normalization 1/(2 pi).  It
+    comes from the lowest moment M_1(x) = 2 pi x: every M_m(x) is 2 pi
+    times a polynomial in x and pi^2, so the R moment at a = 0 is
+    2 pi L_1 and the D moment at (0, 0) is M_3(L_1)/6
+    = 2 pi (L_1^3/6 + 2 pi^2 L_1).  The normalization was calibrated
+    once at the (1,1) s^2 order and is tested at the other cases.
     """
     if len(L) != n or n < 1:
         raise ExactCoreError("need boundary lengths matching n")
@@ -213,8 +212,9 @@ def _residual_orders_impl(g, n, L, smax, include_v01, include_v02, method):
             if va is None or vb is None:
                 continue
             combined: dict[tuple, mp.mpf] = {}
+            terms_b = _slot_terms(vb, 1, part_j).items()
             for (a1, (ka,)), ca in _slot_terms(va, 1, part_i).items():
-                for (a2, (kb,)), cb in _slot_terms(vb, 1, part_j).items():
+                for (a2, (kb,)), cb in terms_b:
                     key = (a1 + a2, (ka, kb))
                     combined[key] = combined.get(key, mp.mpf(0)) + ca * cb
             pieces.append(combined)

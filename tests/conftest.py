@@ -18,8 +18,11 @@ def cli_child_env(tmp_path):
     import_path = os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p
     )
-    return {
+    env = {
         "SUPERKDV_CACHE_DIR": str(tmp_path),
         "PATH": "/usr/bin:/bin",
         "PYTHONPATH": import_path,
     }
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env

@@ -194,6 +194,13 @@ def test_cli_processes_do_not_import_mpmath(cli_child_env):
         assert [m for m in modules if m.split(".")[0] == "mpmath"] == [], args
 
 
+def test_cli_child_env_passes_bytecode_setting(monkeypatch, request):
+    # without it the CLI children write bytecode caches into the source tree
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    env = request.getfixturevalue("cli_child_env")
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+
+
 class TestCache:
     ARGS = ["volume", "--g", "1", "--n", "1", "--smax", "2", "--format", "json"]
 

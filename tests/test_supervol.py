@@ -3,8 +3,8 @@
 Exact coefficients are frozen from independent derivations (spin
 correlator values times translation weights computed by hand); the
 numeric kernel moments are cross-validated between two quadrature
-schemes and against exact closed forms discovered empirically at
-high precision.
+schemes and against their exact closed forms, the sech moments of
+D(x, u, 0) = (sech((x-u)/4) - sech((x+u)/4)) / 2.
 """
 
 from fractions import Fraction
@@ -141,15 +141,26 @@ class TestKernelMoments:
         assert abs(a - b) < mp.mpf(10) ** -10
 
     def test_exact_closed_forms(self):
-        # discovered at high precision: the first moments are exactly
-        # 2 pi L and 2 pi (L^3/6 + 2 pi^2 L)
+        # M_m(x) = 2 pi sum_i C(m, 2i) (2 pi)^{2i} |E_{2i}| x^{m-2i} for
+        # odd m (E the Euler numbers), from the sech moments of
+        # D(x, u, 0) = (sech((x-u)/4) - sech((x+u)/4)) / 2
         with mp.workdps(50):
             for l1 in (0.5, 1.0, 2.0):
                 r = kernel_moment("R", (l1, 0.7), (0,))
                 assert abs(r - 2 * mp.pi * mp.mpf(l1)) < mp.mpf(10) ** -11
-            l1 = mp.mpf(1.0)
+            l1, lj = mp.mpf(1.0), mp.mpf(0.7)
+            r = kernel_moment("R", (l1, lj), (1,))
+            expected = 2 * mp.pi * (l1**3 + 3 * l1 * lj**2 + 12 * mp.pi**2 * l1)
+            assert abs(r - expected) < mp.mpf(10) ** -11
             d = kernel_moment("D", (l1,), (0, 0))
             expected = 2 * mp.pi * (l1**3 / 6 + 2 * mp.pi**2 * l1)
+            assert abs(d - expected) < mp.mpf(10) ** -11
+            d = kernel_moment("D", (l1,), (1, 0))
+            expected = (
+                mp.pi
+                / 10
+                * (l1**5 + 40 * mp.pi**2 * l1**3 + 400 * mp.pi**4 * l1)
+            )
             assert abs(d - expected) < mp.mpf(10) ** -11
 
     def test_bad_inputs(self):
