@@ -28,7 +28,7 @@ from .kappa import (
     k_m_integral,
     vanishing_check,
     zk_correlators,
-    zk_partition_function,
+    zk_free_energy,
 )
 from .spectral import (
     cns_laplace_check,
@@ -38,19 +38,19 @@ from .spectral import (
 )
 from .spincorr import (
     _spin_genus0,
-    assemble_z_omega,
     genus0_closed_form,
-    triple_route_compare,
     spin_correlators,
+    spin_free_energy,
+    triple_route_compare,
 )
 from .supervol import translated_virasoro_check, volume_polynomial
 from .tables import canonical_bytes
 from .virasoro import (
     bgw_correlators,
     check_homogeneity,
+    free_energy,
     kdv_residual,
     kw_correlators,
-    partition_function,
     virasoro_oracle_residual,
 )
 
@@ -63,17 +63,6 @@ ENGINES = {
     "zk": zk_correlators,
     "zk-bracket": bracket_psi_correlators,
 }
-
-VERIFY_SUITES = (
-    "theorem1",
-    "kdv",
-    "homogeneity",
-    "virasoro",
-    "vanishing",
-    "trr",
-    "laplace",
-    "recursion",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -351,16 +340,14 @@ def _verify_theorem1(trunc: Truncation) -> dict:
 def _verify_kdv(trunc: Truncation) -> dict:
     # the residual reads five t_0-derivatives; dmax below 5 certifies nothing
     trunc = Truncation(trunc.gmax, trunc.kmax, max(trunc.dmax, 5), trunc.smax)
+    kw = Truncation(trunc.gmax, trunc.kmax, trunc.dmax, 0)
+    spin = Truncation(trunc.gmax, min(trunc.kmax, 2), trunc.dmax, min(trunc.smax, 6))
     cases = {}
     builders = {
-        "kw": lambda: partition_function(
-            "KW", Truncation(trunc.gmax, trunc.kmax, trunc.dmax, 0)
-        ),
-        "bgw": lambda: partition_function("gBGW", trunc),
-        "zk": lambda: zk_partition_function(trunc, graded=False, vacuum=False),
-        "spin": lambda: assemble_z_omega(
-            Truncation(trunc.gmax, min(trunc.kmax, 2), trunc.dmax, min(trunc.smax, 6))
-        ),
+        "kw": lambda: free_energy("KW", kw).restrict(kw),
+        "bgw": lambda: free_energy("gBGW", trunc).restrict(trunc),
+        "zk": lambda: zk_free_energy(trunc, graded=False, vacuum=False),
+        "spin": lambda: spin_free_energy(spin),
     }
     for name, build in builders.items():
         res, deg = kdv_residual(build())
@@ -373,15 +360,14 @@ def _verify_kdv(trunc: Truncation) -> dict:
 
 
 def _verify_homogeneity(trunc: Truncation) -> dict:
-    bgw = check_homogeneity(partition_function("gBGW", trunc)).is_zero()
+    kw_trunc = Truncation(trunc.gmax, trunc.kmax, trunc.dmax, 0)
+    bgw = check_homogeneity(free_energy("gBGW", trunc).restrict(trunc)).is_zero()
     spin = check_homogeneity(
-        assemble_z_omega(
+        spin_free_energy(
             Truncation(trunc.gmax, min(trunc.kmax, 3), min(trunc.dmax, 4), min(trunc.smax, 6))
         )
     ).is_zero()
-    kw = check_homogeneity(
-        partition_function("KW", Truncation(trunc.gmax, trunc.kmax, trunc.dmax, 0))
-    ).is_zero()
+    kw = check_homogeneity(free_energy("KW", kw_trunc).restrict(kw_trunc)).is_zero()
     return {
         "trunc": trunc.to_json(),
         "bgw_zero": bgw,
@@ -497,7 +483,7 @@ VERIFY_IMPL = {
 
 
 @main.command()
-@click.argument("suite", type=click.Choice(VERIFY_SUITES))
+@click.argument("suite", type=click.Choice(tuple(VERIFY_IMPL)))
 @_trunc_options
 @click.pass_context
 def verify(ctx, suite, gmax, kmax, dmax, smax):

@@ -21,6 +21,7 @@ parameters); it deliberately stays tiny -- no general computer algebra.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -63,6 +64,13 @@ def fixed_sum_multisets(n: int, total: int, kmax: int, low: int = 0):
     for first in range(low, min(kmax, total) + 1):
         for rest in fixed_sum_multisets(n - 1, total - first, kmax, first):
             yield (first,) + rest
+
+
+def partitions(w: int):
+    """Partitions of w >= 0 as nondecreasing tuples of positive parts, by
+    increasing number of parts; partitions(0) yields the empty tuple."""
+    for r in range(w + 1):
+        yield from fixed_sum_multisets(r, w, w, low=1)
 
 
 def automorphism_factor(exponents) -> int:
@@ -222,11 +230,11 @@ class Truncation:
             a_hi=self.amax,
         )
 
-    def padded(self, pad: int, kpad: int = 0) -> "Truncation":
-        """Widen the h and a windows by `pad` and kmax by `kpad`."""
+    def padded(self, pad: int) -> "Truncation":
+        """Widen the h and a windows by `pad`."""
         return Truncation(
             self.gmax,
-            self.kmax + kpad,
+            self.kmax,
             self.dmax,
             self.smax,
             h_lo=self.hmin - pad,
@@ -514,6 +522,18 @@ class GradedSeries:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GradedSeries({len(self.terms)} terms, trunc={self.trunc})"
+
+
+def free_energy_series(trunc: Truncation, entries) -> GradedSeries:
+    """log Z from correlator entries (g, k, a, v): each sits at
+    hbar^{g-1} s^{2a} t^k with factor 1/|Aut k|; keys outside `trunc`
+    are dropped."""
+    terms = {}
+    for g, k, a, v in entries:
+        mono = mono_from_dict(Counter(k))
+        if trunc.contains(g - 1, a, mono):
+            terms[(g - 1, a, mono)] = v / automorphism_factor(e for _, e in mono)
+    return GradedSeries(trunc, terms)
 
 
 # ---------------------------------------------------------------------------

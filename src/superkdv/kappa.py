@@ -36,7 +36,9 @@ from .exactcore import (
     double_factorial,
     euler_characteristic_constant,
     fixed_sum_multisets,
+    free_energy_series,
     mono_from_dict,
+    partitions,
     rational_to_str,
     useries_exp_poly,
     useries_log,
@@ -158,27 +160,24 @@ def _kappa_psi(g: int, kappa: tuple[int, ...], psi: tuple[int, ...]) -> Fraction
         # integral against a positive power of the new psi)
         return _pushforward_step(g, kappa, psi)
     table = _kw_table(g, n + w)
-    if w == 0:
-        return table.get(g, psi)
     p = translation_polynomials(w)
     target = tuple(
         sorted((f"b{i + 1}", e) for i, e in enumerate(kappa) if e)
     )
     total = Fraction(0)
-    for r in range(1, w + 1):
-        for parts in fixed_sum_multisets(r, w, w, low=1):
-            poly = FormalPolynomial.const(1)
-            for x in parts:
-                poly = poly * p[x]
-            coeff = poly.coefficient(target)
-            if not coeff:
-                continue
-            insertions = tuple(x + 1 for x in parts)
-            total += (
-                coeff
-                * table.get(g, psi + insertions)
-                / automorphism_factor(Counter(parts).values())
-            )
+    for parts in partitions(w):
+        poly = FormalPolynomial.const(1)
+        for x in parts:
+            poly = poly * p[x]
+        coeff = poly.coefficient(target)
+        if not coeff:
+            continue
+        insertions = tuple(x + 1 for x in parts)
+        total += (
+            coeff
+            * table.get(g, psi + insertions)
+            / automorphism_factor(Counter(parts).values())
+        )
     return total * automorphism_factor(kappa)
 
 
@@ -219,15 +218,14 @@ def _zk_route_shift(g: int, n: int, k: tuple[int, ...]) -> Fraction:
     if m < 0:
         return Fraction(0)
     table = _kw_table(g, n + m)
-    total = table.get(g, k) if m == 0 else Fraction(0)
-    for r in range(1, m + 1):
-        for parts in fixed_sum_multisets(r, m, m, low=1):
-            insertions = tuple(x + 1 for x in parts)
-            weight = Fraction(1)
-            for j in insertions:
-                weight *= (-1) ** j * double_factorial(2 * j - 1)
-            weight /= automorphism_factor(Counter(parts).values())
-            total += weight * table.get(g, k + insertions)
+    total = Fraction(0)
+    for parts in partitions(m):
+        insertions = tuple(x + 1 for x in parts)
+        weight = Fraction(1)
+        for j in insertions:
+            weight *= (-1) ** j * double_factorial(2 * j - 1)
+        weight /= automorphism_factor(Counter(parts).values())
+        total += weight * table.get(g, k + insertions)
     return total
 
 
@@ -274,17 +272,11 @@ def zk_free_energy(
     they multiply Z by a t-free factor, so nothing that depends on log Z
     only through t-derivatives (such as the KdV residual) changes.
     """
-    table = zk_correlators(trunc)
-    terms: dict = {}
-    for (g, k), v in table.entries.items():
-        if not k and not vacuum:
-            continue
-        a = 1 - g + sum(k) if graded else 0
-        if not trunc.amin <= a <= trunc.amax:
-            continue
-        counts = Counter(k)
-        terms[(g - 1, a, mono_from_dict(counts))] = v / automorphism_factor(counts.values())
-    return GradedSeries(trunc, terms)
+    entries = zk_correlators(trunc).entries.items()
+    return free_energy_series(
+        trunc,
+        ((g, k, 1 - g + sum(k) if graded else 0, v) for (g, k), v in entries if k or vacuum),
+    )
 
 
 def zk_partition_function(

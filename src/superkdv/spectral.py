@@ -67,10 +67,6 @@ class SpectralCurve:
     order: int
 
     @property
-    def y_series(self) -> dict[int, FormalPolynomial]:
-        return _y_series(self.label, self.order)
-
-    @property
     def g_series(self) -> dict[int, FormalPolynomial]:
         """G(z) = 1/(4 z y(z)), the even kernel prefactor."""
         return _g_series(self.label, self.order)
@@ -415,31 +411,28 @@ def compare_to_tables(curve: SpectralCurve, chi_bound: int = 4) -> dict:
     table = tr_correlators(curve, gtop, ntop)
     mismatches = []
     compared = 0
-    if curve.label == "airy":
-        kmax = 3 * gtop - 3 + ntop
-        ref = kw_correlators(Truncation(gtop, kmax, ntop, 0))
+    if curve.label in ("airy", "bessel"):
+        airy = curve.label == "airy"
+        if airy:
+            ref = kw_correlators(Truncation(gtop, 3 * gtop - 3 + ntop, ntop, 0))
+        else:
+            ref = bgw_correlators(Truncation(gtop, max(gtop - 1, 0), ntop, 0))
+
+        def index_sum(g: int, n: int) -> int:
+            """The index sum of every nonzero psi (airy) or Theta (bessel) entry."""
+            return 3 * g - 3 + n if airy else g - 1
+
         for (g, n) in pairs:
-            for k in _index_vectors(n, 3 * g - 3 + n, exact=True):
+            for k in _index_vectors(n, index_sum(g, n), exact=True):
                 expect = FormalPolynomial.const(ref.get(g, k))
                 compared += 1
                 if table.get(g, k) != expect:
                     mismatches.append((g, k, table.get(g, k), expect))
-        extra = [
-            (g, k)
+        mismatches.extend(
+            (g, k, table.get(g, k), 0)
             for (g, k) in table.entries
-            if sum(k) != 3 * g - 3 + len(k)
-        ]
-        mismatches.extend((g, k, table.get(g, k), 0) for g, k in extra)
-    elif curve.label == "bessel":
-        ref = bgw_correlators(Truncation(gtop, max(gtop - 1, 0), ntop, 0))
-        for (g, n) in pairs:
-            for k in _index_vectors(n, g - 1, exact=True):
-                expect = FormalPolynomial.const(ref.get(g, k))
-                compared += 1
-                if table.get(g, k) != expect:
-                    mismatches.append((g, k, table.get(g, k), expect))
-        extra = [(g, k) for (g, k) in table.entries if sum(k) != g - 1]
-        mismatches.extend((g, k, table.get(g, k), 0) for g, k in extra)
+            if sum(k) != index_sum(g, len(k))
+        )
     elif curve.label == "ck":
         for (g, n) in pairs:
             for k in _index_vectors(n, 3 * g - 3 + n):

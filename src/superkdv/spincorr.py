@@ -21,7 +21,6 @@ is exposed as a report.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -32,10 +31,9 @@ from .exactcore import (
     ExactCoreError,
     GradedSeries,
     Truncation,
-    automorphism_factor,
     chi_series_coefficient,
     fixed_sum_multisets,
-    mono_from_dict,
+    free_energy_series,
 )
 from .kappa import bracket_psi_correlators, zk_partition_function
 from .tables import CorrelatorTable
@@ -192,15 +190,8 @@ def f02_series(trunc: Truncation) -> GradedSeries:
 def spin_free_energy(trunc: Truncation) -> GradedSeries:
     """log Z^Omega: stable entries at s-power 2 - 2g + 2|k| plus the
     unstable hbar^{-1} pieces (one-point plus half the two-point)."""
-    table = spin_correlators(trunc)
-    terms: dict = {}
-    for (g, k), v in table.entries.items():
-        a = 1 - g + sum(k)
-        if not trunc.amin <= a <= trunc.amax:
-            continue
-        counts = Counter(k)
-        terms[(g - 1, a, mono_from_dict(counts))] = v / automorphism_factor(counts.values())
-    F = GradedSeries(trunc, terms)
+    entries = spin_correlators(trunc).entries.items()
+    F = free_energy_series(trunc, ((g, k, 1 - g + sum(k), v) for (g, k), v in entries))
     return F + f01_series(trunc) + f02_series(trunc).scale(Fraction(1, 2))
 
 

@@ -30,15 +30,14 @@ from math import factorial
 from .exactcore import (
     ExactCoreError,
     FormalPolynomial,
-    GradedSeries,
     Truncation,
     automorphism_factor,
-    fixed_sum_multisets,
+    partitions,
     rational_to_str,
 )
 from .kappa import _zk_route_kappa, bracket_expansion
 from .spincorr import genus0_closed_form, spin_free_energy
-from .virasoro import VirasoroSpec, apply_virasoro_oracle
+from .virasoro import VirasoroSpec, quotient_residual
 
 
 # ---------------------------------------------------------------------------
@@ -135,20 +134,12 @@ def volume_polynomial(g: int, n: int, smax: int) -> VolumePolynomial:
             if w < 0:
                 continue
             value = FormalPolynomial()
-            if w == 0:
-                rational = spin_value(g, k)
-                if rational:
-                    value = FormalPolynomial.const(rational)
-            else:
-                rational = Fraction(0)
-                for r in range(1, w + 1):
-                    for parts in fixed_sum_multisets(r, w, w, low=1):
-                        rational += _insertion_weight(parts) * spin_value(
-                            g, k + parts
-                        )
-                if rational:
-                    value = FormalPolynomial.symbol(_TRANSLATION_SYMBOL) ** w
-                    value = value.scale(rational)
+            rational = Fraction(0)
+            for parts in partitions(w):
+                rational += _insertion_weight(parts) * spin_value(g, k + parts)
+            if rational:
+                value = FormalPolynomial.symbol(_TRANSLATION_SYMBOL) ** w
+                value = value.scale(rational)
             for ki in k:
                 value = value.scale(Fraction(1, 2**ki * factorial(ki)))
             if not value.is_zero():
@@ -188,11 +179,7 @@ def translated_virasoro_check(trunc: Truncation, mmax: int | None = None) -> dic
     F = spin_free_energy(work).with_window(work.z_window())
     Z = F.exp()
     Zinv = (-F).exp()
-    residuals = {}
-    for m in range(mmax + 1):
-        res = apply_virasoro_oracle(Z, spec, m)
-        res = (res * Zinv).restrict(trunc)
-        residuals[m] = res
+    residuals = {m: quotient_residual(Z, Zinv, spec, m, trunc) for m in range(mmax + 1)}
     return {
         "trunc": trunc.to_json(),
         "m_checked": list(range(mmax + 1)),

@@ -27,9 +27,9 @@ where I+J runs over the labelled splittings of K and the constants are
 at (0, {0, 0}, -1).  Every entry on the right has a lower genus, fewer
 points, or (the gBGW genus-0 one-point factors) a smaller index sum,
 so one memoized function of (model, g, sorted k) is the correlator
-store of each model.  The tables and the free energy are views of it;
-the direct-operator oracle and the KdV and homogeneity checks below
-test its output independently at Z level.
+store of each model.  The tables and the free energy are views of it.
+The direct-operator oracle below tests its output independently at Z
+level; the KdV and homogeneity checks test it on log Z itself.
 """
 
 from __future__ import annotations
@@ -44,10 +44,9 @@ from .exactcore import (
     ExactCoreError,
     GradedSeries,
     Truncation,
-    automorphism_factor,
     double_factorial,
     fixed_sum_multisets,
-    mono_from_dict,
+    free_energy_series,
 )
 from .tables import CorrelatorTable
 
@@ -198,11 +197,7 @@ def _stored_entries(model: str, window: Truncation, nmax):
 def free_energy(model: str, trunc: Truncation) -> GradedSeries:
     """log Z for the model: every nonzero store entry of solve_truncation(model, trunc)."""
     work = solve_truncation(model, trunc)
-    terms = {}
-    for g, k, a, v in _stored_entries(model, work, lambda g: work.dmax - 2 * g):
-        mono = mono_from_dict(Counter(k))
-        terms[(g - 1, a, mono)] = v / automorphism_factor(e for _, e in mono)
-    return GradedSeries(work, terms)
+    return free_energy_series(work, _stored_entries(model, work, lambda g: work.dmax - 2 * g))
 
 
 def partition_function(model: str, trunc: Truncation) -> GradedSeries:
@@ -229,7 +224,6 @@ def kw_correlators(trunc: Truncation) -> CorrelatorTable:
 def bgw_correlators(trunc: Truncation) -> CorrelatorTable:
     """Generalized BGW correlators, implicit s-power 2 - 2g + 2|k|."""
     return _table("bgw", "gBGW", trunc)
-
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +268,24 @@ def _z_and_inverse(model: str, trunc: Truncation) -> tuple[GradedSeries, GradedS
     return F.exp(), (-F).exp()
 
 
+def quotient_residual(
+    Z: GradedSeries, Zinv: GradedSeries, spec: VirasoroSpec, m: int, cert: Truncation
+) -> GradedSeries:
+    """The oracle residual of Z times Zinv = 1/Z, restricted to `cert`.
+
+    The quotient is the constraint written out at free-energy level.
+    Only degree <= cert.dmax slices of either factor reach `cert`, so
+    both are cut there before the (quadratic-cost) product.
+    """
+    zw = Z.trunc
+    cut = Truncation(
+        zw.gmax, zw.kmax, cert.dmax, zw.smax,
+        h_lo=zw.hmin, h_hi=zw.hmax, a_lo=zw.amin, a_hi=zw.amax,
+    )
+    res = apply_virasoro_oracle(Z, spec, m).restrict(cut) * Zinv.restrict(cut)
+    return res.restrict(cert)
+
+
 def virasoro_oracle_residual(model: str, trunc: Truncation, m: int) -> GradedSeries:
     """Certified-zero oracle residual for the solved Z of `model`.
 
@@ -288,33 +300,22 @@ def virasoro_oracle_residual(model: str, trunc: Truncation, m: int) -> GradedSer
     spec = VirasoroSpec(model)
     work = solve_truncation(model, trunc)
     Z, Zinv = _z_and_inverse(model, trunc)
-    res = apply_virasoro_oracle(Z, spec, m)
-    # only degree <= trunc.dmax slices of either factor can reach the
-    # certified keys, so cut both before the (quadratic-cost) product
-    zw = Z.trunc
-    cut = Truncation(
-        zw.gmax, zw.kmax, trunc.dmax, zw.smax,
-        h_lo=zw.hmin, h_hi=zw.hmax, a_lo=zw.amin, a_hi=zw.amax,
-    )
-    res = res.restrict(cut) * Zinv.restrict(cut)
     cert = Truncation(
         trunc.gmax,
         max(min(trunc.kmax, work.kmax - max(m + spec.offset, 0)), 0),
         trunc.dmax,
         trunc.smax if model == "gBGW" else 0,
     )
-    return res.restrict(cert)
+    return quotient_residual(Z, Zinv, spec, m, cert)
 
 
-def check_homogeneity(Z: GradedSeries) -> GradedSeries:
-    """Residual of (d/dt_0 - sum (2k+1) t_k d/dt_k) log Z - s**2/(2 hbar) - 1/8.
+def check_homogeneity(F: GradedSeries) -> GradedSeries:
+    """Residual of (d/dt_0 - sum (2k+1) t_k d/dt_k) F - s**2/(2 hbar) - 1/8
+    for a free energy F = log Z.
 
     Complete on keys with one t-degree of margin; restricted accordingly.
     """
-    if Z.constant_term() != 1:
-        raise ExactCoreError("homogeneity check requires Z with constant term 1")
-    tr = Z.trunc
-    F = Z.log()
+    tr = F.trunc
     res = F.derive(0)
     for k in range(tr.kmax + 1):
         res = res - F.derive(k).times_t(k).scale(2 * k + 1)
@@ -324,18 +325,19 @@ def check_homogeneity(Z: GradedSeries) -> GradedSeries:
     return res.restrict(cert)
 
 
-def kdv_residual(Z: GradedSeries) -> tuple[GradedSeries, int]:
-    """Residual of U_{t_1} - U U_{t_0} - (hbar/12) U_{t_0 t_0 t_0}.
+def kdv_residual(F: GradedSeries) -> tuple[GradedSeries, int]:
+    """Residual of U_{t_1} - U U_{t_0} - (hbar/12) U_{t_0 t_0 t_0} for
+    U = hbar d2/dt_0^2 F and a free energy F = log Z.
 
-    U = hbar d2/dt_0^2 log Z.  Returns (residual, certified t-degree):
-    the residual is complete and exact for t-degrees up to dmax - 5.
+    Returns (residual, certified t-degree): the residual is complete and
+    exact for t-degrees up to dmax - 5.  F's own window suffices: U has
+    hbar-power >= 0, so no product term reaches the certified keys from
+    outside it.
     """
-    tr = Z.trunc
+    tr = F.trunc
     cert_deg = tr.dmax - 5
     if cert_deg < 0 or tr.kmax < 1:
         raise ExactCoreError("truncation too small to certify any KdV order")
-    work = tr.padded(2 * tr.gmax + 2)
-    F = Z.with_window(work).log()
     U = F.derive(0).derive(0).shift(dh=1)
     res = (
         U.derive(1)

@@ -24,7 +24,7 @@ from superkdv.kappa import (
     k_m_integral,
     k_polynomials,
     vanishing_check,
-    zk_partition_function,
+    zk_free_energy,
 )
 from superkdv.spectral import (
     compare_to_tables,
@@ -37,18 +37,18 @@ from superkdv.spectral import (
 from superkdv.spincorr import (
     _spin_genus0,
     alpha_coefficient,
-    assemble_z_omega,
     f02_series,
     genus0_closed_form,
     spin_correlators,
+    spin_free_energy,
     triple_route_compare,
 )
 from superkdv.supervol import translated_virasoro_check
 from superkdv.swnumeric import PASSING_CONVENTION, recursion_residual_orders
 from superkdv.virasoro import (
     check_homogeneity,
+    free_energy,
     kdv_residual,
-    partition_function,
     virasoro_oracle_residual,
 )
 
@@ -152,12 +152,16 @@ def test_c05_kdv_residuals():
     # runtime < 60 s for the whole set
     start = time.monotonic()
     builders = {
-        "kw": lambda: partition_function("KW", Truncation(2, 6, 5, 0)),
-        "bgw": lambda: partition_function("gBGW", Truncation(2, 6, 5, 6)),
-        "zk": lambda: zk_partition_function(
+        "kw": lambda: free_energy("KW", Truncation(2, 6, 5, 0)).restrict(
+            Truncation(2, 6, 5, 0)
+        ),
+        "bgw": lambda: free_energy("gBGW", Truncation(2, 6, 5, 6)).restrict(
+            Truncation(2, 6, 5, 6)
+        ),
+        "zk": lambda: zk_free_energy(
             Truncation(2, 6, 5, 0), graded=False, vacuum=False
         ),
-        "spin": lambda: assemble_z_omega(Truncation(2, 2, 5, 6)),
+        "spin": lambda: spin_free_energy(Truncation(2, 2, 5, 6)),
     }
     for name, build in builders.items():
         res, deg = kdv_residual(build())
@@ -174,9 +178,9 @@ def test_c06_virasoro_and_homogeneity():
         assert virasoro_oracle_residual("KW", kw_trunc, m).is_zero(), m
     for m in range(0, 5):
         assert virasoro_oracle_residual("gBGW", bgw_trunc, m).is_zero(), m
-    assert check_homogeneity(partition_function("gBGW", bgw_trunc)).is_zero()
-    assert check_homogeneity(assemble_z_omega(Truncation(2, 3, 3, 6))).is_zero()
-    assert not check_homogeneity(partition_function("KW", kw_trunc)).is_zero()
+    assert check_homogeneity(free_energy("gBGW", bgw_trunc).restrict(bgw_trunc)).is_zero()
+    assert check_homogeneity(spin_free_energy(Truncation(2, 3, 3, 6))).is_zero()
+    assert not check_homogeneity(free_energy("KW", kw_trunc).restrict(kw_trunc)).is_zero()
 
 
 def test_c07_spectral_cross_checks():

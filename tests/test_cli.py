@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 import superkdv
 from superkdv import cli, swnumeric
+from superkdv.exactcore import GradedSeries, Truncation
 
 
 @pytest.fixture
@@ -100,6 +101,17 @@ class TestVerify:
 
     def test_unknown_suite_exits_2(self, runner):
         assert invoke(runner, ["verify", "everything"]).exit_code == 2
+
+    def test_kdv_and_homogeneity_read_log_z(self, monkeypatch):
+        # both checks are statements about log Z, which the free energies
+        # already are: exponentiating them only to take the log again is waste
+        def refuse(self):
+            raise AssertionError("exp/log called")
+
+        monkeypatch.setattr(GradedSeries, "exp", refuse)
+        monkeypatch.setattr(GradedSeries, "log", refuse)
+        assert cli._verify_kdv(Truncation(1, 3, 5, 4))["ok"]
+        assert cli._verify_homogeneity(Truncation(1, 3, 3, 4))["ok"]
 
 
 class TestVerifyRecursion:

@@ -31,7 +31,6 @@ from superkdv.kappa import (
     vanishing_check,
     zk_correlators,
     zk_free_energy,
-    zk_partition_function,
 )
 from superkdv.virasoro import kdv_residual
 
@@ -213,8 +212,8 @@ class TestZkTable:
 
     def test_kdv(self):
         tr = Truncation(gmax=1, kmax=2, dmax=5, smax=0)
-        Z = zk_partition_function(tr, graded=False, vacuum=False)
-        res, deg = kdv_residual(Z)
+        F = zk_free_energy(tr, graded=False, vacuum=False)
+        res, deg = kdv_residual(F)
         assert deg == 0
         assert res.is_zero()
 

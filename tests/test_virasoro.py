@@ -173,30 +173,40 @@ class TestOracle:
 
 class TestHomogeneity:
     def test_bgw_zero(self):
-        assert check_homogeneity(partition_function("gBGW", TRSMALL)).is_zero()
+        assert check_homogeneity(free_energy("gBGW", TRSMALL).restrict(TRSMALL)).is_zero()
 
     def test_kw_nonzero(self):
-        assert not check_homogeneity(partition_function("KW", TRSMALL)).is_zero()
+        assert not check_homogeneity(free_energy("KW", TRSMALL).restrict(TRSMALL)).is_zero()
+
+    def test_sensitivity(self):
+        # one wrong gBGW coefficient breaks the grading it must satisfy
+        F = free_energy("gBGW", TRSMALL).restrict(TRSMALL)
+        bad = dict(F.terms)
+        key = (0, 0, ((0, 1),))
+        assert bad[key] == Fraction(1, 8)
+        bad[key] = Fraction(1, 7)
+        assert not check_homogeneity(GradedSeries(F.trunc, bad)).is_zero()
 
 
 class TestKdV:
     @pytest.mark.parametrize("model", ["KW", "gBGW"])
     def test_zero(self, model):
-        res, deg = kdv_residual(partition_function(model, TR5))
+        res, deg = kdv_residual(free_energy(model, TR5).restrict(TR5))
         assert deg == 0
         assert res.is_zero()
 
     def test_sensitivity(self):
         # plant a spurious coefficient that the degree-0 slice of the
         # residual sees through d2/dt_0^2 d/dt_1
-        Z = partition_function("KW", TR5)
-        bad = dict(Z.terms)
+        F = free_energy("KW", TR5).restrict(TR5)
+        bad = dict(F.terms)
         bad[(0, 0, ((0, 2), (1, 1)))] = Fraction(1, 1000)
-        assert not kdv_residual(GradedSeries(Z.trunc, bad))[0].is_zero()
+        assert not kdv_residual(GradedSeries(F.trunc, bad))[0].is_zero()
 
     def test_too_small_rejected(self):
         with pytest.raises(ExactCoreError):
-            kdv_residual(partition_function("KW", Truncation(1, 2, 4, 0)))
+            small = Truncation(1, 2, 4, 0)
+            kdv_residual(free_energy("KW", small).restrict(small))
 
 
 class TestTableSerialization:
