@@ -229,7 +229,7 @@ def _zk_route_shift(g: int, n: int, k: tuple[int, ...]) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def zk_correlators(trunc: Truncation) -> CorrelatorTable:
     """Integrals of the full kappa class against psi monomials.
 

@@ -122,7 +122,7 @@ def genus0_closed_form(m) -> Fraction:
 # all-genus table
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def spin_correlators(trunc: Truncation) -> CorrelatorTable:
     """Spin correlators for stable (g, n): the bracketed-kappa values.
 

@@ -11,10 +11,9 @@ with c = 1 for KW (m >= -1) and c = 0 for the generalized BGW model
         + sum_i ((2i+2m+1)!!/(2i-1)!!) t_i d/dt_{i+m}
         + (1/8) delta_{m,0} + (t_0**2 / (2 hbar)) delta_{m,-1}.
 
-Read off at one coefficient of log Z, the constraint with m = k* - c,
-k* the largest index of an entry <tau_{k*} tau_K>_g, is a recursion for
-single correlators (Dijkgraaf-Verlinde-Verlinde for KW; its analogue
-for gBGW, Alexandrov arXiv:1608.01627):
+Read off at the coefficient of t_K in log Z, the constraint with
+m = k* - c is a recursion for single correlators (Dijkgraaf-Verlinde-
+Verlinde for KW; its analogue for gBGW, Alexandrov arXiv:1608.01627):
 
     (2k*+1)!! <tau_{k*} tau_K>_g
         = sum_{j in K} (2k_j+2m+1)!!/(2k_j-1)!! <tau_{k_j+m} tau_{K-j}>_g
@@ -24,12 +23,29 @@ for gBGW, Alexandrov arXiv:1608.01627):
 
 where I+J runs over the labelled splittings of K and the constants are
 1/8 at (g, K, m) = (1, {}, 0), 1/2 for gBGW at (0, {}, 0) and 1 for KW
-at (0, {0, 0}, -1).  Every entry on the right has a lower genus, fewer
-points, or (the gBGW genus-0 one-point factors) a smaller index sum,
-so one memoized function of (model, g, sorted k) is the correlator
-store of each model.  The tables and the free energy are views of it.
-The direct-operator oracle below tests its output independently at Z
-level; the KdV and homogeneity checks test it on log Z itself.
+at (0, {0, 0}, -1).  The constraint is an identity of Z for every m, so
+the recursion holds with k* any index of the entry, not only the
+largest.  The store pivots on k* = k_0, the smallest index, when
+k_0 <= c, and on the largest index otherwise.  Writing |K| for the
+number of points of K and sum K for its index sum, the small pivots
+are, for KW, the string equation (k* = 0, m = -1: only the linear
+term, with coefficient 1) and the dilaton equation (k* = 1, m = 0:
+the factor (|K| + 2 sum K)/3 = 2g-2+|K|), and for gBGW the m = 0
+equation <tau_0 tau_K>_g = (|K| + 2 sum K) <tau_K>_g.  None of them has
+a quadratic term, so an entry padded with tau_0 and tau_1 (the kappa
+pull-back adds up to n + w of them) reduces to entries on fewer points
+without the labelled splits of its padding that the largest index
+would pay for.  The seeds <tau_0^3>_0, <tau_1>_1 and the gBGW
+<tau_0>_0 are the constant terms.
+
+Every entry on the right has a lower genus, fewer points, or (the
+gBGW genus-0 one-point factors at the largest pivot) the same genus and
+points with a smaller index sum; the small pivots drop n by one.  So
+the recursion terminates, and one memoized function of (model, g,
+sorted k) is the correlator store of each model.  The tables and the
+free energy are views of it.  The direct-operator oracle below tests
+its output independently at Z level; the KdV and homogeneity checks
+test it on log Z itself.
 """
 
 from __future__ import annotations
@@ -140,8 +156,14 @@ def _with(k: tuple[int, ...], *extra: int) -> tuple[int, ...]:
 def _correlator(model: str, g: int, k: tuple[int, ...]) -> Fraction:
     """<prod tau_{k_i}>_g of the model, for a sorted index tuple with n >= 1.
 
-    Evaluated by the recursion in the module docstring; zero outside the
-    support (KW: 2g-2+n > 0 and |k| = 3g-3+n; gBGW: 1-g+|k| >= 0).
+    Zero outside the support (KW: 2g-2+n > 0 and |k| = 3g-3+n; gBGW:
+    1-g+|k| >= 0).  Inside it, the entry is `_recursion` at one pivot:
+    the constraint for m = k* - c holds at the coefficient of every
+    t-monomial of log Z, so any index k* of k gives the value.  The
+    pivot is k_0 when k_0 <= c (string and dilaton for KW, the m = 0
+    factor for gBGW), which leaves one point fewer, and the largest
+    index otherwise, which leaves lower genus, fewer points or a smaller
+    index sum; so every chain of calls ends at the constant terms.
     """
     if g < 0:
         return Fraction(0)
@@ -150,8 +172,16 @@ def _correlator(model: str, g: int, k: tuple[int, ...]) -> Fraction:
             return Fraction(0)
     elif 1 - g + sum(k) < 0:
         return Fraction(0)
+    pivot = k[0] if k[0] <= VirasoroSpec(model).offset else k[-1]
+    return _recursion(model, g, k, pivot)
+
+
+def _recursion(model: str, g: int, k: tuple[int, ...], kstar: int) -> Fraction:
+    """The constraint m = kstar - c read off at the entry <tau_k>_g, solved
+    for it; `kstar` is any index of the sorted tuple k."""
     spec = VirasoroSpec(model)
-    kstar, rest = k[-1], k[:-1]
+    at = k.index(kstar)
+    rest = k[:at] + k[at + 1:]
     m = kstar - spec.offset
     val = Fraction(0)
     for kj, e in Counter(rest).items():
@@ -193,7 +223,7 @@ def _stored_entries(model: str, window: Truncation, nmax):
                         yield g, k, a, v
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def free_energy(model: str, trunc: Truncation) -> GradedSeries:
     """log Z for the model: every nonzero store entry of solve_truncation(model, trunc)."""
     work = solve_truncation(model, trunc)

@@ -179,7 +179,11 @@ class TestRecursionResidual:
         assert abs(orders[1]) < mp.mpf(10) ** -9
 
     def test_passing_convention_through_s4(self):
-        for g, n, L in [(1, 1, [1.0]), (0, 3, [1.0, 0.7, 1.3])]:
+        cases = [
+            (1, 1, [1.0]), (0, 3, [1.0, 0.7, 1.3]),
+            (2, 1, [1.1]), (2, 2, [1.0, 0.7]), (3, 1, [1.1]),
+        ]
+        for g, n, L in cases:
             orders = recursion_residual_orders(g, n, L, smax=4, **PASSING_CONVENTION)
             for a, v in orders.items():
                 assert abs(v) < mp.mpf(10) ** -8, (g, n, a)

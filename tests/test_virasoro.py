@@ -11,6 +11,8 @@ from math import factorial
 import pytest
 
 from superkdv.exactcore import ExactCoreError, GradedSeries, Truncation
+from superkdv.kappa import zk_correlators
+from superkdv.spincorr import spin_correlators
 from superkdv.virasoro import (
     VirasoroSpec,
     apply_virasoro_oracle,
@@ -21,6 +23,7 @@ from superkdv.virasoro import (
     kw_correlators,
     partition_function,
     virasoro_oracle_residual,
+    _recursion,
 )
 
 TR = Truncation(gmax=2, kmax=6, dmax=4, smax=6)
@@ -71,7 +74,9 @@ class TestKWValues:
             assert 2 * g - 2 + len(k) > 0
 
     def test_string_equation_everywhere(self, kw_table):
-        # <tau_0 prod> = sum_i <prod with one k_i lowered>, on all entries
+        # <tau_0 prod> = sum_i <prod with one k_i lowered>, on all entries.
+        # The store pivots on tau_0 by this very identity, so this restates
+        # it; TestStore.test_every_pivot_agrees is the independent check.
         checked = 0
         for (g, k), v in kw_table.entries.items():
             if not k or k[0] != 0 or len(k) == 1:
@@ -118,7 +123,9 @@ class TestBGWValues:
             assert 0 <= bgw_table.spower(g, k) <= TR.smax
 
     def test_dilaton_factor(self, bgw_table):
-        # m=0 constraint at correlator level: factor n + 2|k|
+        # m=0 constraint at correlator level: factor n + 2|k|.  The store
+        # pivots on tau_0 by this very identity, so this restates it;
+        # TestStore.test_every_pivot_agrees is the independent check.
         checked = 0
         for (g, k), v in bgw_table.entries.items():
             if not k or k[0] != 0 or len(k) == 1:
@@ -145,6 +152,50 @@ class TestStore:
             and (model == "KW" or large.spower(g, k) <= 4)
         }
         assert small.entries and small.entries == inside
+
+    @pytest.mark.parametrize(
+        "model, trunc, pivots",
+        [("KW", Truncation(3, 12, 7, 0), 1174), ("gBGW", Truncation(3, 5, 5, 10), 720)],
+        ids=["KW", "gBGW"],
+    )
+    def test_every_pivot_agrees(self, model, trunc, pivots):
+        # the recursion holds at every index of an entry, the store uses
+        # one per entry; the others must give the same value, so the
+        # table meets every constraint L_m the window reaches
+        view = kw_correlators if model == "KW" else bgw_correlators
+        checked = 0
+        for (g, k), v in view(trunc).entries.items():
+            for p in set(k):
+                assert _recursion(model, g, k, p) == v, (g, k, p)
+                checked += 1
+        assert checked == pivots
+
+    @pytest.mark.parametrize(
+        "cached, args",
+        [
+            (free_energy, ("KW",)),
+            (free_energy, ("gBGW",)),
+            (zk_correlators, ()),
+            (spin_correlators, ()),
+        ],
+        ids=["free_energy-KW", "free_energy-gBGW", "zk_correlators", "spin_correlators"],
+    )
+    def test_result_survives_eviction(self, cached, args):
+        # the caches keyed by Truncation are bounded; a truncation pushed
+        # out by others is rebuilt from the per-entry stores unchanged
+        def as_data(result):
+            return result.terms if isinstance(result, GradedSeries) else result.to_json()
+
+        target = Truncation(2, 3, 2, 4)
+        first = cached(*args, target)
+        others = [Truncation(1, k, 2, s) for k in range(1, 5) for s in (0, 2, 4, 6)]
+        assert len(others) >= cached.cache_info().maxsize
+        for t in others:
+            cached(*args, t)
+        misses = cached.cache_info().misses
+        again = cached(*args, target)
+        assert cached.cache_info().misses == misses + 1
+        assert again is not first and as_data(again) == as_data(first)
 
 
 class TestOracle:
