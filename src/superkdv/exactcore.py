@@ -14,6 +14,13 @@ numerators over the lcm of its denominators, grouped by t-monomial in
 increasing t-degree, so the inner loop multiplies ints, stops at dmax
 and builds one Fraction per output key.
 
+`exp` shares that int kernel: it runs the t-degree recurrence
+n Z_n = sum_k k x_k Z_{n-k} from Z_0 = exp(t-free part), and each Z_m
+keeps only the keys that the remaining dmax - m t-degrees can still
+bring into the window.  Only the t-free part, `log` and `substitute`
+work in a padded window (`_exp_pad`) and restrict at the end; `log`
+keeps its power series as an independent check of `exp`.
+
 `FormalPolynomial` is a small sparse polynomial ring over Fraction in a
 user-chosen alphabet of symbols (kappa classes, pi^2, translation
 parameters); it deliberately stays tiny -- no general computer algebra.
@@ -25,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, floor, gcd, lcm
 
 
 class ExactCoreError(ValueError):
@@ -269,6 +276,45 @@ def _int_groups(terms: dict[Key, Fraction]):
     return den, sorted((mono_degree(t), t, hs) for t, hs in by_mono.items())
 
 
+def _int_product(acc, left, right, dmax: int, bounds, scale: int = 1) -> None:
+    """Add scale * (left * right) into `acc`, both operands from `_int_groups`.
+
+    Pairs past t-degree dmax are skipped, and a key is formed only when
+    its h and a lie in bounds = (hmin, hmax, amin, amax).
+    """
+    hmin, hmax, amin, amax = bounds
+    for deg1, t1, terms1 in left:
+        room = dmax - deg1
+        if room < 0:
+            break
+        for deg2, t2, terms2 in right:
+            if deg2 > room:
+                break
+            t = mono_mul(t1, t2)
+            for h1, a1, n1 in terms1:
+                n1 *= scale
+                h_lo, h_hi = hmin - h1, hmax - h1
+                a_lo, a_hi = amin - a1, amax - a1
+                for h2, a2, n2 in terms2:
+                    if h_lo <= h2 <= h_hi and a_lo <= a2 <= a_hi:
+                        key = (h1 + h2, a1 + a2, t)
+                        got = acc.get(key)
+                        acc[key] = n1 * n2 if got is None else got + n1 * n2
+
+
+def _lowest_terms(acc: dict[Key, int], den: int):
+    """`_int_groups` of the series acc / den for int numerators: zeros
+    dropped, numerators and den divided by their gcd (so den becomes the
+    lcm of the reduced denominators).  The groups stay unsorted, which
+    `_int_product` allows only because all keys share one t-degree."""
+    acc = {k: n for k, n in acc.items() if n}
+    g = gcd(den, *acc.values())
+    by_mono: dict[TMono, list[tuple[int, int, int]]] = {}
+    for (h, a, t), n in acc.items():
+        by_mono.setdefault(t, []).append((h, a, n // g))
+    return den // g, [(mono_degree(t), t, hs) for t, hs in by_mono.items()]
+
+
 class GradedSeries:
     """Sparse truncated series in hbar, s**2 and t_0..t_K over Fraction."""
 
@@ -380,26 +426,10 @@ class GradedSeries:
     def __mul__(self, other: "GradedSeries") -> "GradedSeries":
         self._require_same(other)
         tr = self.trunc
-        hmin, hmax, amin, amax = tr.hmin, tr.hmax, tr.amin, tr.amax
         d_left, left = _int_groups(self.terms)
         d_right, right = _int_groups(other.terms)
         acc: dict[Key, int] = {}
-        for deg1, t1, terms1 in left:
-            room = tr.dmax - deg1
-            if room < 0:
-                break
-            for deg2, t2, terms2 in right:
-                if deg2 > room:
-                    break
-                t = mono_mul(t1, t2)
-                for h1, a1, n1 in terms1:
-                    h_lo, h_hi = hmin - h1, hmax - h1
-                    a_lo, a_hi = amin - a1, amax - a1
-                    for h2, a2, n2 in terms2:
-                        if h_lo <= h2 <= h_hi and a_lo <= a2 <= a_hi:
-                            key = (h1 + h2, a1 + a2, t)
-                            got = acc.get(key)
-                            acc[key] = n1 * n2 if got is None else got + n1 * n2
+        _int_product(acc, left, right, tr.dmax, (tr.hmin, tr.hmax, tr.amin, tr.amax))
         den = d_left * d_right
         return GradedSeries(tr, {k: Fraction(n, den) for k, n in acc.items() if n})
 
@@ -426,11 +456,12 @@ class GradedSeries:
         return GradedSeries(tr, out)
 
     def _exp_pad(self) -> int:
-        # Partial products inside exp/log/substitute can leave the h/a
-        # window and re-enter it: an hbar^{-1} factor carries t-degree
-        # >= 1, so at most dmax of them act, and each t-free factor has
-        # h >= 1 or a >= 1 bounded by the window.  A pad linear in dmax
-        # covers every excursion that can return.
+        # Partial products inside log, substitute and the t-free part of
+        # exp can leave the h/a window and re-enter it: an hbar^{-1}
+        # factor carries t-degree >= 1, so at most dmax of them act, and
+        # each t-free factor has h >= 1 or a >= 1 bounded by the window.
+        # A pad linear in dmax covers every excursion that can return.
+        # (The t-graded part of exp keeps its own per-degree bounds.)
         tr = self.trunc
         return tr.dmax * max(tr.gmax - 1, 1) + 2
 
@@ -439,6 +470,15 @@ class GradedSeries:
 
         Termination needs each term to be nilpotent under truncation:
         positive t-degree, positive hbar-power or positive s**2-power.
+
+        With x = x_0 + x_1 + ... graded by t-degree, Z = exp(x) obeys
+        n Z_n = sum_{k=1..n} k x_k Z_{n-k}.  A product of x-terms of total
+        t-degree D moves h within D times the extreme slopes h/deg of x's
+        t-graded terms (a likewise), so Z_m keeps only the keys that
+        D <= dmax - m can still bring into the window; a dropped key only
+        ever feeds keys that are dropped in turn.  Z_0 = exp(x_0) is the
+        power series of the t-free part, summed in a padded window around
+        the keys it keeps.
         """
         for (h, a, t) in self.terms:
             if mono_degree(t) == 0 and h <= 0 and a <= 0:
@@ -447,18 +487,60 @@ class GradedSeries:
                     f"of hbar or s**2; offending key {(h, a, t)}"
                 )
         base = self.trunc
-        work = base.padded(self._exp_pad())
-        x = self.with_window(work)
-        result = GradedSeries.one(work)
+        graded = {k: v for k, v in self.terms.items() if k[2]}
+        sh = [Fraction(h, mono_degree(t)) for h, _, t in graded] or [0]
+        sa = [Fraction(a, mono_degree(t)) for _, a, t in graded] or [0]
+
+        def reach(m: int) -> tuple[int, int, int, int]:
+            # (hmin, hmax, amin, amax) of the keys of Z_m worth keeping
+            r = base.dmax - m
+            return (
+                base.hmin - max(0, floor(r * max(sh))),
+                base.hmax + max(0, floor(-r * min(sh))),
+                base.amin - max(0, floor(r * max(sa))),
+                base.amax + max(0, floor(-r * min(sa))),
+            )
+
+        # Z_0 must hold every key of reach(0); its partial products need the pad
+        keep = Truncation(base.gmax, base.kmax, base.dmax, base.smax, *reach(0))
+        work = keep.padded(self._exp_pad())
+        x0 = GradedSeries(work, {k: v for k, v in self.terms.items() if not k[2]})
+        z0 = GradedSeries.one(work)
         power = GradedSeries.one(work)
         for p in range(1, 10_000):
-            power = (power * x).scale(Fraction(1, p))
+            power = (power * x0).scale(Fraction(1, p))
             if power.is_zero():
                 break
-            result = result + power
+            z0 = z0 + power
         else:  # pragma: no cover - bounded by truncation nilpotency
             raise ExactCoreError("exp failed to terminate")
-        return result.restrict(base)
+
+        zs = [_int_groups(z0.restrict(keep).terms)]
+        d_x, x_groups = _int_groups(graded)
+        slices: dict[int, list] = {}
+        for group in x_groups:
+            slices.setdefault(group[0], []).append(group)
+        for n in range(1, base.dmax + 1):
+            pieces = [
+                (k, slices[k], zs[n - k])
+                for k in range(1, n + 1)
+                if k in slices and zs[n - k][1]
+            ]
+            den = lcm(*(d for _, _, (d, _) in pieces))
+            acc: dict[Key, int] = {}
+            bounds = reach(n)
+            for k, x_k, (d, z) in pieces:
+                _int_product(acc, x_k, z, base.dmax, bounds, k * (den // d))
+            zs.append(_lowest_terms(acc, n * d_x * den))
+
+        hmin, hmax, amin, amax = base.hmin, base.hmax, base.amin, base.amax
+        out: dict[Key, Fraction] = {}
+        for den, groups in zs:
+            for _, t, hs in groups:
+                for h, a, n in hs:
+                    if hmin <= h <= hmax and amin <= a <= amax:
+                        out[(h, a, t)] = Fraction(n, den)
+        return GradedSeries(base, out)
 
     def log(self) -> "GradedSeries":
         """log of a series with constant term exactly 1."""

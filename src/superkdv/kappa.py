@@ -160,16 +160,12 @@ def _kappa_psi(g: int, kappa: tuple[int, ...], psi: tuple[int, ...]) -> Fraction
         # integral against a positive power of the new psi)
         return _pushforward_step(g, kappa, psi)
     table = _kw_table(g, n + w)
-    p = translation_polynomials(w)
     target = tuple(
         sorted((f"b{i + 1}", e) for i, e in enumerate(kappa) if e)
     )
     total = Fraction(0)
     for parts in partitions(w):
-        poly = FormalPolynomial.const(1)
-        for x in parts:
-            poly = poly * p[x]
-        coeff = poly.coefficient(target)
+        coeff = _translation_product(parts).coefficient(target)
         if not coeff:
             continue
         insertions = tuple(x + 1 for x in parts)
@@ -179,6 +175,15 @@ def _kappa_psi(g: int, kappa: tuple[int, ...], psi: tuple[int, ...]) -> Fraction
             / automorphism_factor(Counter(parts).values())
         )
     return total * automorphism_factor(kappa)
+
+
+@lru_cache(maxsize=4096)
+def _translation_product(parts: tuple[int, ...]) -> FormalPolynomial:
+    """prod p_x over a nondecreasing tuple of parts, from its prefix's product."""
+    if not parts:
+        return FormalPolynomial.const(1)
+    x = parts[-1]
+    return _translation_product(parts[:-1]) * translation_polynomials(x)[x]
 
 
 def _pushforward_step(g: int, kappa: tuple[int, ...], psi: tuple[int, ...]) -> Fraction:
@@ -309,16 +314,19 @@ def bracket_expansion(k: tuple[int, ...], value) -> Fraction:
 
 def _bracket_route_shift(trunc: Truncation) -> GradedSeries:
     """Apply t_k -> sum_m t_{k+m} / (2^m m!) to the s = 1 free energy."""
-    F = zk_free_energy(trunc, graded=False)
+    # the images sit at hbar^0, outside a gmax-0 window (hmax = -1), so
+    # build them and substitute on a window one step wider
+    work = trunc.padded(1)
+    F = zk_free_energy(trunc, graded=False).with_window(work)
     shifts = {}
     for k in range(trunc.kmax + 1):
-        img = GradedSeries.zero(trunc)
+        img = GradedSeries.zero(work)
         for m in range(trunc.kmax - k + 1):
             img = img + GradedSeries.term(
-                trunc, Fraction(1, 2**m * factorial(m)), t=((k + m, 1),)
+                work, Fraction(1, 2**m * factorial(m)), t=((k + m, 1),)
             )
         shifts[k] = img
-    return F.substitute(shifts)
+    return F.substitute(shifts).restrict(trunc)
 
 
 def bracket_psi_correlators(trunc: Truncation) -> CorrelatorTable:

@@ -3,6 +3,8 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
+from math import factorial, prod
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -70,6 +72,23 @@ class TestComputeCommands:
         data = json.loads(result.stdout)
         assert data["engine"] == "tr-ck-eta"
         assert {"coeff": [[1, 0, "5/48"]], "g": 1, "k": [1]} in data["entries"]
+
+    @pytest.mark.parametrize("engine", ["spin", "zk-bracket"])
+    def test_bracket_engines_at_genus_zero(self, runner, engine):
+        # a gmax-0 window has hmax = -1, below the hbar^0 shift images of
+        # the bracket route; at genus 0 only <tau_0^3> = 1 survives, so
+        # <psi^(k1) psi^(k2) psi^(k3)> = prod 1 / (2^k k!)
+        result = invoke(
+            runner,
+            ["correlators", engine, "--gmax", "0", "--kmax", "2", "--dmax", "3",
+             "--smax", "0", "--format", "json"],
+        )
+        assert result.exit_code == 0, result.output
+        entries = json.loads(result.stdout)["entries"]
+        assert len(entries) == 10
+        for e in entries:
+            assert e["g"] == 0
+            assert Fraction(e["v"]) == Fraction(1, prod(2**k * factorial(k) for k in e["k"]))
 
     def test_usage_errors_exit_2(self, runner):
         assert invoke(runner, ["correlators", "cubic"]).exit_code == 2

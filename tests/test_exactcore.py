@@ -22,6 +22,9 @@ from superkdv.exactcore import (
     useries_exp_poly,
     useries_log,
 )
+from superkdv.kappa import zk_free_energy
+from superkdv.spincorr import _chi_series
+from superkdv.virasoro import free_energy, solve_truncation
 
 
 class TestConstants:
@@ -266,6 +269,83 @@ class TestGradedSeries:
             + GradedSeries.term(tr, Fraction(1, 2), t=((1, 1), (2, 1)))
         ).exp()
         assert mk(big).restrict(small) == mk(small)
+
+
+def reference_exp(x: GradedSeries, pad: int) -> GradedSeries:
+    """sum_p x^p / p! in the window widened by `pad`, restricted back."""
+    work = x.trunc.padded(pad)
+    xw = x.with_window(work)
+    total = power = GradedSeries.one(work)
+    p = 0
+    while not power.is_zero():
+        p += 1
+        power = (power * xw).scale(Fraction(1, p))
+        total = total + power
+    return total.restrict(x.trunc)
+
+
+def oracle_free_energy(model, trunc):
+    """log Z on the window the Virasoro oracle exponentiates it in."""
+    return free_energy(model, trunc).with_window(solve_truncation(model, trunc).z_window())
+
+
+def zk_vacuum(trunc):
+    return zk_free_energy(trunc, vacuum=True).with_window(trunc.z_window())
+
+
+class TestExp:
+    """`exp` runs the t-degree recurrence and prunes keys that cannot
+    reach the window; the reference sums the power series in a window
+    twice as wide as the padding `exp` itself uses."""
+
+    KW2, BGW2, ZK3 = Truncation(2, 2, 2, 0), Truncation(2, 2, 2, 6), Truncation(3, 3, 3, 6)
+    # name -> (series, a window its exp(x) exp(-x) is complete on); the
+    # zk free energy has t-free vacuum terms at negative s-powers, and
+    # chi has no t-graded terms at all
+    CASES = {
+        "KW genus 2": lambda: (oracle_free_energy("KW", TestExp.KW2), TestExp.KW2),
+        "gBGW genus 2, smax 6": lambda: (oracle_free_energy("gBGW", TestExp.BGW2), TestExp.BGW2),
+        "zk with vacuum": lambda: (zk_vacuum(TestExp.ZK3), TestExp.ZK3),
+        "minus chi": lambda: (-_chi_series(TestExp.ZK3.z_window()), TestExp.ZK3),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_power_series_reference(self, case):
+        x, _ = self.CASES[case]()
+        for y in (x, -x):
+            assert y.exp() == reference_exp(y, 2 * y._exp_pad())
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_inverse(self, case):
+        # the zk vacuum terms lower the s-power, so terms above the
+        # window's s-bound come back into it: multiply on a wider window
+        x, cert = self.CASES[case]()
+        x = x.with_window(x.trunc.padded(x._exp_pad()))
+        assert (x.exp() * (-x).exp()).restrict(cert) == GradedSeries.one(cert)
+
+    @given(sparse_series(max_terms=5))
+    @settings(max_examples=50, deadline=None)
+    def test_random_series_match_reference(self, a):
+        a = no_constant(a)
+        assert a.exp() == reference_exp(a, 2 * a._exp_pad())
+
+    # hbar^-4 t_0^2 and s^-4 t_0^2 leave the window at t-degree 2, and one
+    # more factor brings them back; s^4 t_0^3 in the third needs the term
+    # s^16 of exp(s^2), beyond the pad of the t-free part
+    @given(window_series())
+    @settings(max_examples=100, deadline=None)
+    @example(GradedSeries(TREDGE, {(-2, 0, ((0, 1),)): Fraction(1), (2, 0, ((1, 1),)): Fraction(1)}))
+    @example(GradedSeries(TREDGE, {(0, -2, ((0, 1),)): Fraction(1), (0, 2, ((1, 1),)): Fraction(1)}))
+    @example(GradedSeries(TREDGE, {(0, 1, ()): Fraction(1), (0, -2, ((0, 1),)): Fraction(1)}))
+    def test_edge_series_match_reference(self, a):
+        # t-graded keys anywhere on TREDGE, so Z_m keys leave the window on
+        # every side and must come back; t-free keys kept at h, a >= 0 so
+        # that both sums terminate
+        a = GradedSeries(a.trunc, {
+            (h, s, t): v for (h, s, t), v in a.terms.items()
+            if t or (h >= 0 and s >= 0 and h + s > 0)
+        })
+        assert a.exp() == reference_exp(a, 2 * a._exp_pad())
 
 
 class TestFormalPolynomial:
