@@ -11,10 +11,10 @@ constraints
 
     ((2m+1)!! d/dt_m - L_m - s^2/(2 hbar) delta_{m,0}) Z^Omega = 0
 
-in rational arithmetic; the recursion is their conjugation by the
-kappa_1 translation, so all-zero residuals certify it.  The numeric
-route, the integral form of the recursion by quadrature, is in
-`swnumeric`.
+in rational arithmetic, read on log Z^Omega; the recursion is their
+conjugation by the kappa_1 translation, so all-zero residuals certify
+it.  The numeric route, the integral form of the recursion by
+quadrature, is in `swnumeric`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .exactcore import (
 )
 from .kappa import _zk_route_kappa, bracket_expansion
 from .spincorr import genus0_closed_form, spin_free_energy
-from .virasoro import VirasoroSpec, quotient_residual
+from .virasoro import VirasoroSpec, apply_virasoro_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +162,12 @@ def translated_virasoro_check(trunc: Truncation, mmax: int | None = None) -> dic
     The Stanford-Witten recursion is the conjugation of these
     constraints by the kappa_1 translation of the times, so all-zero
     residuals on the geometric assembly certify the recursion in its
-    proven-equivalent form.  The residual is evaluated at free-energy
-    level (operator residual times exp(-F)), which is complete on the
-    requested truncation; the assembly is padded so every referenced
-    slot is present.
+    proven-equivalent form.  The residual is the constraint conjugated
+    by e^F and read on F = log Z^Omega, with no exponential.  The
+    assembly is padded so every slot a key of `trunc` reads is present:
+    two t-degrees for the second derivatives and mmax indices for d/dt_m
+    and t_i d/dt_{i+m}.  One more s^2-power keeps F_i F_j complete
+    against a term at s^{-2}, which log Z^Omega should not have.
     """
     if mmax is None:
         mmax = min(trunc.kmax, 3)
@@ -176,10 +178,10 @@ def translated_virasoro_check(trunc: Truncation, mmax: int | None = None) -> dic
         trunc.dmax + 2,
         trunc.smax + 2,
     )
-    F = spin_free_energy(work).with_window(work.z_window())
-    Z = F.exp()
-    Zinv = (-F).exp()
-    residuals = {m: quotient_residual(Z, Zinv, spec, m, trunc) for m in range(mmax + 1)}
+    F = spin_free_energy(work)
+    residuals = {
+        m: apply_virasoro_oracle(F, spec, m).restrict(trunc) for m in range(mmax + 1)
+    }
     return {
         "trunc": trunc.to_json(),
         "m_checked": list(range(mmax + 1)),

@@ -43,9 +43,10 @@ gBGW genus-0 one-point factors at the largest pivot) the same genus and
 points with a smaller index sum; the small pivots drop n by one.  So
 the recursion terminates, and one memoized function of (model, g,
 sorted k) is the correlator store of each model.  The tables and the
-free energy are views of it.  The direct-operator oracle below tests
-its output independently at Z level; the KdV and homogeneity checks
-test it on log Z itself.
+free energy are views of it.  The direct-operator oracle below, the
+KdV and the homogeneity checks test its output independently on log Z
+itself: conjugated by e^F, the constraint operator reads
+d_i Z / Z = F_i and d_i d_j Z / Z = F_ij + F_i F_j.
 """
 
 from __future__ import annotations
@@ -103,15 +104,15 @@ class VirasoroSpec:
 
 
 def solve_truncation(model: str, trunc: Truncation) -> Truncation:
-    """Window of `free_energy(model, trunc)`, on which the oracle builds Z.
+    """Window of `free_energy(model, trunc)`, on which the oracle reads F.
 
-    The constraint at a key of (g, n) reads entries at genus g-1 and
-    degree n+1, so degrees are padded by 2 per missing genus; certifying
-    the oracle residual on `trunc` needs those keys present in Z.  The
-    index bound comes from gradings: KW entries vanish unless
-    sum k = 3g-3+n, BGW entries unless 0 <= 2-2g+2|k| <= smax.
+    The constraint at t-degree d reads F at degree d+2 (the hbar d2/dt_i
+    dt_j term), so degrees are padded by 2.  The index bound comes from
+    gradings: KW entries vanish unless sum k = 3g-3+n, BGW entries unless
+    0 <= 2-2g+2|k| <= smax, so no nonzero entry of degree <= dmax_int
+    carries an index above kmax_int.
     """
-    dmax_int = trunc.dmax + 2 * trunc.gmax + 2
+    dmax_int = trunc.dmax + 2
     if model == "KW":
         kmax_int = 3 * trunc.gmax - 3 + dmax_int
         smax_int = 0
@@ -209,12 +210,11 @@ def _recursion(model: str, g: int, k: tuple[int, ...], kstar: int) -> Fraction:
     return val / spec.lhs_coefficient(m)
 
 
-def _stored_entries(model: str, window: Truncation, nmax):
-    """(g, k, s**2-power, value) of every nonzero entry in `window` with
-    1 <= n <= nmax(g) points."""
+def _stored_entries(model: str, window: Truncation):
+    """(g, k, s**2-power, value) of every nonzero entry in `window`."""
     VirasoroSpec(model)  # rejects unknown models
     for g in range(window.gmax + 1):
-        for n in range(1, nmax(g) + 1):
+        for n in range(1, window.dmax + 1):
             for total in _admissible_sums(model, window, g, n):
                 a = 0 if model == "KW" else 1 - g + total
                 for k in fixed_sum_multisets(n, total, window.kmax):
@@ -227,11 +227,12 @@ def _stored_entries(model: str, window: Truncation, nmax):
 def free_energy(model: str, trunc: Truncation) -> GradedSeries:
     """log Z for the model: every nonzero store entry of solve_truncation(model, trunc)."""
     work = solve_truncation(model, trunc)
-    return free_energy_series(work, _stored_entries(model, work, lambda g: work.dmax - 2 * g))
+    return free_energy_series(work, _stored_entries(model, work))
 
 
 def partition_function(model: str, trunc: Truncation) -> GradedSeries:
-    """Z = exp(log Z), complete within trunc.z_window()."""
+    """Z = exp(log Z), complete within trunc.z_window(): the solve window
+    holds every entry of degree <= trunc.dmax."""
     return free_energy(model, trunc).restrict(trunc.z_window()).exp()
 
 
@@ -241,7 +242,7 @@ def partition_function(model: str, trunc: Truncation) -> GradedSeries:
 
 def _table(engine: str, model: str, trunc: Truncation) -> CorrelatorTable:
     table = CorrelatorTable(engine, trunc)
-    for g, k, _, v in _stored_entries(model, trunc, lambda g: trunc.dmax):
+    for g, k, _, v in _stored_entries(model, trunc):
         table.set(g, k, v)
     return table
 
@@ -260,83 +261,56 @@ def bgw_correlators(trunc: Truncation) -> CorrelatorTable:
 # direct-operator oracle and residual checks
 
 
-def apply_virasoro_oracle(Z: GradedSeries, spec: VirasoroSpec, m: int) -> GradedSeries:
-    """Residual ((2m+2c+1)!! d/dt_{m+c} - L_m - shift) Z, on Z's window.
+def apply_virasoro_oracle(F: GradedSeries, spec: VirasoroSpec, m: int) -> GradedSeries:
+    """Residual e^{-F} ((2m+2c+1)!! d/dt_{m+c} - L_m - shift) e^F of a
+    free energy F, read on F through d_i Z/Z = F_i and d_i d_j Z/Z =
+    F_ij + F_i F_j:
 
-    The result is exact on keys a margin away from the window edges (two
-    t-degrees and m+c index steps); callers certify via a restriction.
+        lhs F_{m+c} - sum_{i+j=m-1} (qc/2) hbar (F_ij + F_i F_j)
+            - sum_i lin(i, m) t_i F_{i+m} - constants.
+
+    A constant term of F cancels under the conjugation.  The result is
+    exact on keys two t-degrees below F's window and where F holds every
+    index the linear terms read; callers certify via a restriction.
     """
     if m < spec.mmin:
         raise ExactCoreError(f"m={m} below model minimum {spec.mmin}")
-    if Z.constant_term() != 1:
-        raise ExactCoreError("oracle requires Z with constant term 1")
-    tr = Z.trunc
-    c = spec.offset
-    res = Z.derive(m + c).scale(spec.lhs_coefficient(m))
+    tr = F.trunc
+    res = F.derive(m + spec.offset).scale(spec.lhs_coefficient(m))
     for i in range(m):
         j = m - 1 - i
-        qc = spec.quadratic_coefficient(i, j)
-        res = res - Z.derive(i).derive(j).shift(dh=1).scale(Fraction(qc, 2))
-    i = 0
-    while i + m <= tr.kmax:
-        if i + m >= 0:
-            res = res - Z.derive(i + m).times_t(i).scale(spec.linear_coefficient(i, m))
-        i += 1
+        second = F.derive(i).derive(j) + F.derive(i) * F.derive(j)
+        res = res - second.shift(dh=1).scale(Fraction(spec.quadratic_coefficient(i, j), 2))
+    for i in range(max(-m, 0), tr.kmax - m + 1):
+        res = res - F.derive(i + m).times_t(i).scale(spec.linear_coefficient(i, m))
     if m == 0:
-        res = res - Z.scale(Fraction(1, 8))
+        res = res - GradedSeries.term(tr, Fraction(1, 8))
         if spec.model == "gBGW":
-            res = res - Z.shift(dh=-1, da=1).scale(Fraction(1, 2))
+            res = res - GradedSeries.term(tr, Fraction(1, 2), h=-1, a=1)
     if m == -1:
-        res = res - Z.times_t(0, 2).shift(dh=-1).scale(Fraction(1, 2))
+        res = res - GradedSeries.term(tr, Fraction(1, 2), h=-1, t=((0, 2),))
     return res
 
 
-@lru_cache(maxsize=8)
-def _z_and_inverse(model: str, trunc: Truncation) -> tuple[GradedSeries, GradedSeries]:
-    work = solve_truncation(model, trunc)
-    F = free_energy(model, trunc).with_window(work.z_window())
-    return F.exp(), (-F).exp()
-
-
-def quotient_residual(
-    Z: GradedSeries, Zinv: GradedSeries, spec: VirasoroSpec, m: int, cert: Truncation
-) -> GradedSeries:
-    """The oracle residual of Z times Zinv = 1/Z, restricted to `cert`.
-
-    The quotient is the constraint written out at free-energy level.
-    Only degree <= cert.dmax slices of either factor reach `cert`, so
-    both are cut there before the (quadratic-cost) product.
-    """
-    zw = Z.trunc
-    cut = Truncation(
-        zw.gmax, zw.kmax, cert.dmax, zw.smax,
-        h_lo=zw.hmin, h_hi=zw.hmax, a_lo=zw.amin, a_hi=zw.amax,
-    )
-    res = apply_virasoro_oracle(Z, spec, m).restrict(cut) * Zinv.restrict(cut)
-    return res.restrict(cert)
-
-
 def virasoro_oracle_residual(model: str, trunc: Truncation, m: int) -> GradedSeries:
-    """Certified-zero oracle residual for the solved Z of `model`.
+    """Certified-zero oracle residual for the solved log Z of `model`.
 
-    Builds Z on the (wider) solve window, applies the direct operator at
-    Z level, and divides by Z again.  The quotient equals the constraint
-    written out at free-energy level, an identity that holds for any
-    exponentiated series, so it is certifiably complete on the requested
-    truncation itself.  (The raw Z-level residual is not: the hbar^{-1}
-    terms of L_m mix slots that would need genus gmax+1 data down into
-    the window through the negative-hbar part of Z.)
+    Applies the constraint, conjugated by e^F, to the free energy on the
+    solve window and restricts to `trunc` (s-free for KW).  The window
+    holds F to degree trunc.dmax + 2, which every residual key of degree
+    <= trunc.dmax reads, and by the gradings no nonzero entry of that
+    degree has an index above the window's kmax: every index the linear
+    and derivative terms read is present, so the residual is complete on
+    indices up to min(trunc.kmax, kmax of the solve window).
     """
-    spec = VirasoroSpec(model)
-    work = solve_truncation(model, trunc)
-    Z, Zinv = _z_and_inverse(model, trunc)
+    F = free_energy(model, trunc)
     cert = Truncation(
         trunc.gmax,
-        max(min(trunc.kmax, work.kmax - max(m + spec.offset, 0)), 0),
+        min(trunc.kmax, F.trunc.kmax),
         trunc.dmax,
         trunc.smax if model == "gBGW" else 0,
     )
-    return quotient_residual(Z, Zinv, spec, m, cert)
+    return apply_virasoro_oracle(F, VirasoroSpec(model), m).restrict(cert)
 
 
 def check_homogeneity(F: GradedSeries) -> GradedSeries:

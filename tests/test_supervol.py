@@ -14,9 +14,9 @@ from itertools import permutations
 import mpmath as mp
 import pytest
 
-from superkdv.exactcore import ExactCoreError, FormalPolynomial, Truncation
+from superkdv.exactcore import ExactCoreError, FormalPolynomial, GradedSeries, Truncation
 from superkdv import swnumeric
-from superkdv.spincorr import assemble_z_omega, spin_correlators
+from superkdv.spincorr import spin_correlators, spin_free_energy
 from superkdv.supervol import spin_value, translated_virasoro_check, volume_polynomial
 from superkdv.swnumeric import (
     PASSING_CONVENTION,
@@ -117,16 +117,16 @@ class TestExactRoute:
         assert report["m_checked"] == [0, 1, 2]
 
     def test_perturbation_sensitivity(self):
+        # log Z^Omega on the window translated_virasoro_check pads
+        # (1, 2, 3, 4) to; one wrong genus-0 coefficient breaks L_0
         trunc = Truncation(1, 2, 3, 4)
-        Z = assemble_z_omega(trunc).with_window(trunc.z_window())
+        F = spin_free_energy(Truncation(1, 4, 5, 6))
+        spec = VirasoroSpec("gBGW")
+        assert apply_virasoro_oracle(F, spec, 0).restrict(trunc).is_zero()
+        bad = dict(F.terms)
         key = (-1, 1, ((0, 1),))
-        from superkdv.exactcore import GradedSeries
-
-        perturbed = GradedSeries(
-            Z.trunc,
-            {k: (v + Fraction(1, 7) if k == key else v) for k, v in Z.terms.items()},
-        )
-        res = apply_virasoro_oracle(perturbed, VirasoroSpec("gBGW"), 0)
+        bad[key] += Fraction(1, 7)
+        res = apply_virasoro_oracle(GradedSeries(F.trunc, bad), spec, 0)
         assert not res.restrict(trunc).is_zero()
 
 

@@ -21,7 +21,6 @@ from superkdv.virasoro import (
     free_energy,
     kdv_residual,
     kw_correlators,
-    partition_function,
     virasoro_oracle_residual,
     _recursion,
 )
@@ -207,19 +206,63 @@ class TestOracle:
     def test_bgw_residual_zero(self, m):
         assert virasoro_oracle_residual("gBGW", TRSMALL, m).is_zero()
 
-    def test_perturbed_z_detected(self):
-        Z = partition_function("KW", TRSMALL)
-        bad = dict(Z.terms)
+    def test_perturbed_f_detected(self):
+        F = free_energy("KW", TRSMALL)
+        bad = dict(F.terms)
         key = (0, 0, ((1, 1),))
         assert bad[key] == Fraction(1, 24)
         bad[key] = Fraction(1, 23)
-        Zp = GradedSeries(Z.trunc, bad)
-        assert not apply_virasoro_oracle(Zp, VirasoroSpec("KW"), 0).is_zero()
+        res = apply_virasoro_oracle(GradedSeries(F.trunc, bad), VirasoroSpec("KW"), 0)
+        assert not res.restrict(TRSMALL).is_zero()
 
     def test_m_below_range_rejected(self):
-        Z = partition_function("gBGW", TRSMALL)
+        F = free_energy("gBGW", TRSMALL)
         with pytest.raises(ExactCoreError):
-            apply_virasoro_oracle(Z, VirasoroSpec("gBGW"), -1)
+            apply_virasoro_oracle(F, VirasoroSpec("gBGW"), -1)
+
+
+def z_level_residual(Z: GradedSeries, spec: VirasoroSpec, m: int) -> GradedSeries:
+    """((2m+2c+1)!! d/dt_{m+c} - L_m - shift) Z, the constraint applied to Z itself."""
+    c = spec.offset
+    res = Z.derive(m + c).scale(spec.lhs_coefficient(m))
+    for i in range(m):
+        j = m - 1 - i
+        qc = spec.quadratic_coefficient(i, j)
+        res = res - Z.derive(i).derive(j).shift(dh=1).scale(Fraction(qc, 2))
+    for i in range(max(-m, 0), Z.trunc.kmax - m + 1):
+        res = res - Z.derive(i + m).times_t(i).scale(spec.linear_coefficient(i, m))
+    if m == 0:
+        res = res - Z.scale(Fraction(1, 8))
+        if spec.model == "gBGW":
+            res = res - Z.shift(dh=-1, da=1).scale(Fraction(1, 2))
+    if m == -1:
+        res = res - Z.times_t(0, 2).shift(dh=-1).scale(Fraction(1, 2))
+    return res
+
+
+class TestConjugation:
+    """The F-level oracle is e^{-F} (constraint) e^F.  Checked against the
+    constraint applied to Z = exp F and multiplied by exp(-F), for a
+    perturbed F, so the identity is tested rather than the store."""
+
+    @pytest.mark.parametrize(
+        "model, m",
+        [("KW", m) for m in range(-1, 4)] + [("gBGW", m) for m in range(0, 4)],
+    )
+    def test_matches_z_level_route(self, model, m):
+        trunc = Truncation(2, 3, 2, 4 if model == "gBGW" else 0)
+        spec = VirasoroSpec(model)
+        F = free_energy(model, trunc)
+        bad = dict(F.terms)
+        for i, k in enumerate(sorted(bad)[::3]):
+            bad[k] += Fraction(1, 7 + i)
+        F = GradedSeries(F.trunc, bad)
+        Fz = F.with_window(F.trunc.z_window())
+        cert = Truncation(trunc.gmax, min(trunc.kmax, F.trunc.kmax), trunc.dmax, trunc.smax)
+        z_level = (z_level_residual(Fz.exp(), spec, m) * (-Fz).exp()).restrict(cert)
+        f_level = apply_virasoro_oracle(F, spec, m).restrict(cert)
+        assert f_level.terms == z_level.terms
+        assert not f_level.is_zero()
 
 
 class TestHomogeneity:
