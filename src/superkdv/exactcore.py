@@ -73,6 +73,18 @@ def fixed_sum_multisets(n: int, total: int, kmax: int, low: int = 0):
             yield (first,) + rest
 
 
+def labelled_splits(k: tuple[int, ...]) -> list[tuple[tuple, tuple, int]]:
+    """(I, J, number of labelled splittings of k into I and J), per sub-multiset I."""
+    out = [((), (), 1)]
+    for idx, e in sorted(Counter(k).items()):
+        out = [
+            (left + (idx,) * c, right + (idx,) * (e - c), w * comb(e, c))
+            for left, right, w in out
+            for c in range(e + 1)
+        ]
+    return out
+
+
 def partitions(w: int):
     """Partitions of w >= 0 as nondecreasing tuples of positive parts, by
     increasing number of parts; partitions(0) yields the empty tuple."""

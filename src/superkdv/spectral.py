@@ -9,23 +9,30 @@ only in y:
     ck      y = z/(z^2+s^2)        (kappa-class tau function, at z = oo)
     cns     y = cos(2 pi z)/z      (super volumes at s = 0)
 
-The Eynard-Orantin residue recursion is evaluated by exact Laurent
-arithmetic: every stable correlator is a polynomial in the odd basis
-xi_k(z_i) = (2k+1)!! z_i^{-(2k+2)} dz_i with coefficients in Q[s^2]
-(Q[pi^2] for cns), and the kernel contributes through the even series
-G(z) = 1/(4 z y(z)) computed by series inversion.  The overall residue
-orientation is calibrated once so that the airy (0,3) coefficient is 1;
-after that every cross-check against the symbolic correlator tables is
-a genuine test.
+The Eynard-Orantin residue recursion is evaluated per coefficient: every
+stable correlator is a polynomial in the odd basis xi_k(z_i) = (2k+1)!!
+z_i^{-(2k+2)} dz_i with coefficients in Q[s^2] (Q[pi^2] for cns), and in
+that basis the kernel is
 
-The residue step only sees a bracket term z^p with p + q <= -2 for some
-power q of G, so the splitting products are formed only on the window
-p <= -2 - min q (0 for airy and ck, -2 for bessel and cns).
+    K(z_1, z) = 2 sum_k xi_k(z_1) z^{2k+1} G(z) / ((2k+1)!! dz),
+
+with the even series G(z) = 1/(4 z y(z)) computed by series inversion.
+Up to the residue orientation, the coefficient of xi_{k_1}(z_1) prod
+xi_rest is then 2/(2k_1+1)!! sum_p bracket_p G_{-2k_1-2-p}, where the
+bracket depends only on (g, rest) and is built from lower tables
+(`_bracket`).  With G reaching down to z^{-2c}, every nonzero
+omega_{g,n} entry has |k| <= (1+2c)(g-1) + c n (`_omega_cached`).  G is
+exact for airy, bessel and ck, and B is never truncated, so the series
+order matters only for cns.  The overall residue orientation is
+calibrated once so that the airy (0,3) coefficient is 1; after that
+every cross-check against the symbolic correlator tables is a genuine
+test.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -38,6 +45,7 @@ from .exactcore import (
     Truncation,
     double_factorial,
     fixed_sum_multisets,
+    labelled_splits,
     rational_from_str,
     rational_to_str,
 )
@@ -210,153 +218,126 @@ def _df(k: int) -> int:
 # ---------------------------------------------------------------------------
 # the residue recursion
 
-# A "factor" is a Laurent expansion in the residue variable z with the
-# external-leg dependence kept symbolic: dict keyed by
-# (z-power, tuple of z_j-powers over the external legs 2..n).
+
+def _support_bound(c: int, g: int, n: int) -> int:
+    """The largest index sum |k| of a nonzero omega_{g,n} entry when G
+    reaches down to z^{-2c}."""
+    return (1 + 2 * c) * (g - 1) + c * n
 
 
-def _stable_factor(curve: SpectralCurve, g: int, legs: tuple[int, ...], nlegs: int):
-    """omega_{g,len(legs)+1}(z, z_legs) as a factor series (dz stripped)."""
-    table = _omega_ordered(curve, g, len(legs) + 1)
-    out: dict[tuple[int, tuple[int, ...]], FormalPolynomial] = {}
-    for kvec, poly in table.items():
-        k0, krest = kvec[0], kvec[1:]
-        ext = [0] * nlegs
-        scale = _df(k0)
-        for slot, ki in zip(legs, krest):
-            ext[slot] = -2 * ki - 2
-            scale *= _df(ki)
-        _accumulate(out, (-2 * k0 - 2, tuple(ext)), poly.scale(scale))
-    return out
+def _bracket(label: str, order: int, g: int, rest: tuple[int, ...]) -> dict[int, FormalPolynomial]:
+    """{p: coefficient of z^p prod xi_rest dz^2} in the bracket
 
+        omega_{g-1,n+1}(z, -z, J) + sum' omega_{g1}(z, I) omega_{g2}(-z, J \\ I)
 
-def _b_factor(slot: int, nlegs: int, lmax: int):
-    """omega_{0,2}(z, z_slot) = B as a factor series: coefficient of z^l
-    is (l+1) z_slot^{-l-2}."""
-    out = {}
-    for l in range(lmax + 1):
-        ext = [0] * nlegs
-        ext[slot] = -l - 2
-        out[(l, tuple(ext))] = FormalPolynomial.const(l + 1)
-    return out
+    of omega_{g,n}, for the sorted indices `rest` of the legs J = 2..n.
+    The sum runs over labelled splits of J, B = omega_{0,2} included and
+    omega_{0,1} excluded.  With xi_a(z) xi_b(-z) = -(2a+1)!!(2b+1)!!
+    z^{-2a-2b-4} dz^2, each stable pair contributes at p = -2a-2b-4.
+    B(z, z_j) omega(-z) and its mirror cancel at odd powers of z_j; at
+    z_j^{-2m-2} they give -2(2m+1)(2b+1)!!/(2m+1)!! at p = 2m-2b-2.
+    Only p <= 2c - 2, the powers the residue against G can see, are kept.
+    `_omega_cached` builds each bracket once, for every entry it serves.
+    """
+    gser = _g_series(label, order)
+    c = -min(gser) // 2
+    n = len(rest) + 1
+    out: dict[int, FormalPolynomial] = {}
 
+    def add(p: int, value: FormalPolynomial) -> None:
+        if p <= 2 * c - 2:
+            _accumulate(out, p, value)
 
-def _hat(factor):
-    """Substitute z -> -z in the first argument (including the sign of dz)."""
-    return {
-        (p, ext): v.scale(Fraction((-1) ** (p + 1)))
-        for (p, ext), v in factor.items()
-    }
+    def leg(gi: int, legs: tuple[int, ...]) -> dict[int, FormalPolynomial]:
+        """{a: (2a+1)!! omega_{gi}[a, legs]}: the z^{-2a-2} dz coefficients
+        of omega_{gi,|legs|+1}(z, legs)."""
+        table = _omega_cached(label, order, gi, len(legs) + 1)
+        top = _support_bound(c, gi, len(legs) + 1) - sum(legs)
+        coeffs = {a: table.get(tuple(sorted((a,) + legs))) for a in range(top + 1)}
+        return {a: v.scale(_df(a)) for a, v in coeffs.items() if v is not None}
 
+    if (g, n) == (1, 1):
+        # omega_{0,2}(z, -z) = -dz^2/(4 z^2)
+        add(-2, FormalPolynomial.const(Fraction(-1, 4)))
+    elif g >= 1:
+        for b in range(_support_bound(c, g - 1, n + 1) - sum(rest) + 1):
+            for a, v in leg(g - 1, rest + (b,)).items():
+                add(-2 * a - 2 * b - 4, v.scale(-_df(b)))
 
-def _accumulate_product(out, f1, f2, pmax: int) -> None:
-    """out += f1 * f2, forming only the terms with z-power p <= pmax."""
-    for (p1, e1), v1 in f1.items():
-        for (p2, e2), v2 in f2.items():
-            if p1 + p2 > pmax:
+    for left, right, weight in labelled_splits(rest):
+        for g1 in range(g + 1):
+            g2 = g - g1
+            if 2 * g1 + len(left) <= 1 or 2 * g2 + len(right) <= 1:
                 continue
-            key = (p1 + p2, tuple(a + b for a, b in zip(e1, e2)))
-            _accumulate(out, key, v1 * v2)
+            f2 = leg(g2, right)
+            for a, v1 in leg(g1, left).items():
+                for b, v2 in f2.items():
+                    add(-2 * a - 2 * b - 4, (v1 * v2).scale(-weight))
 
+    if (g, n) == (0, 3):
+        # B(z, z_2) B(-z, z_3) and its mirror, at even powers of z_2 and z_3
+        m2, m3 = rest
+        w = Fraction(-2 * (2 * m2 + 1) * (2 * m3 + 1), _df(m2) * _df(m3))
+        add(2 * m2 + 2 * m3, FormalPolynomial.const(w))
+    elif n >= 2:
+        for m, e in Counter(rest).items():
+            others = list(rest)
+            others.remove(m)
+            w = Fraction(-2 * e * (2 * m + 1), _df(m))
+            for b, v in leg(g, tuple(others)).items():
+                add(2 * m - 2 * b - 2, v.scale(w))
 
-def _is_excluded(g: int, size: int) -> bool:
-    """The inner sum excludes omega_{0,1} factors."""
-    return g == 0 and size == 1
+    # only the cns series is truncated: its G holds z^q for q <= order
+    if label == "cns" and out and -2 - min(out) > order:
+        raise ExactCoreError("insufficient series order for the requested correlators")
+    return out
 
 
 @lru_cache(maxsize=None)
-def _omega_cached(label: str, order: int, g: int, n: int):
-    return _omega_compute(SpectralCurve(label, order), g, n)
+def _omega_cached(label: str, order: int, g: int, n: int) -> dict[tuple[int, ...], FormalPolynomial]:
+    """{sorted k: coefficient of prod xi_{k_i}(z_i)} of omega_{g,n}, nonzero
+    entries only.
 
+    The kernel K(z_1, z) = 2 sum_k xi_k(z_1) z^{2k+1} G(z)/((2k+1)!! dz)
+    turns the residue into coefficient form:
 
-def _omega_ordered(curve: SpectralCurve, g: int, n: int):
-    return _omega_cached(curve.label, curve.order, g, n)
+        omega[k_1, rest] = 2 _KERNEL_SIGN/(2k_1+1)!! sum_p bracket_p G_{-2k_1-2-p}
 
+    with the bracket of `_bracket`.  Support: G reaches down to z^{-2c}
+    (c = 1 for airy and ck, 0 for bessel and cns), so a bracket term at
+    z^p reaches k_1 <= c - 1 - p/2.  Assume the bound below for every
+    lower table.  The omega_{g-1,n+1} and split terms sit at p = -2a-2b-4
+    with a + b + |rest| <= (1+2c)(g-2) + c(n+1), which gives |k| = k_1 +
+    |rest| <= (1+2c)(g-1) + c n.  A B term sits at p = 2m-2b-2, where
+    omega_{g,n-1} reads leg m as b, so b - m + |rest| <= (1+2c)(g-1) +
+    c(n-1), and k_1 <= c + b - m gives the same bound.  The seeds fit it:
+    (1,1) has p = -2, so |k| <= c; (0,3) has p = 2|rest|, so |k| <= c - 1.
+    Hence every nonzero entry has
 
-def _omega_compute(curve: SpectralCurve, g: int, n: int):
-    """Ordered coefficient dict {k-vector: poly} of omega_{g,n}."""
+        |k| <= (1+2c)(g-1) + c n,
+
+    which is 3g-3+n for airy and ck and g-1 for bessel and cns.  Each
+    entry is evaluated at every distinct first leg; the recursion singles
+    that leg out, so equal values are a strong check.
+    """
     if 2 * g - 2 + n <= 0 or n < 1 or g < 0:
         raise ExactCoreError(f"({g}, {n}) is not stable")
-    nlegs = n - 1
-    zero_ext = tuple([0] * nlegs)
-    bracket: dict[tuple[int, tuple[int, ...]], FormalPolynomial] = {}
-    gser = curve.g_series
-    # bracket powers above pmax cannot reach z^{-2} against any power of G
-    pmax = -2 - min(gser)
-
-    # handle term omega_{g-1,n+1}(z, -z, z_L)
-    if g >= 1:
-        if (g - 1, n + 1) == (0, 2):
-            # omega_{0,2}(z, -z) = -dz^2/(4 z^2)
-            minus_quarter = FormalPolynomial.const(Fraction(-1, 4))
-            _accumulate(bracket, (-2, zero_ext), minus_quarter)
-        else:
-            table = _omega_ordered(curve, g - 1, n + 1)
-            for kvec, poly in table.items():
-                ka, kb, krest = kvec[0], kvec[1], kvec[2:]
-                ext = [0] * nlegs
-                scale = -_df(ka) * _df(kb)
-                for slot, ki in enumerate(krest):
-                    ext[slot] = -2 * ki - 2
-                    scale *= _df(ki)
-                key = (-2 * ka - 2 * kb - 4, tuple(ext))
-                _accumulate(bracket, key, poly.scale(scale))
-
-    # splitting terms; each factor is built once and hatted where it is f2
-    lmax = curve.order
-    factors: dict[tuple[int, tuple[int, ...]], dict] = {}
-
-    def factor(gi: int, legs: tuple[int, ...]):
-        key = (gi, legs)
-        if key not in factors:
-            if gi == 0 and len(legs) == 1:
-                factors[key] = _b_factor(legs[0], nlegs, lmax)
-            else:
-                factors[key] = _stable_factor(curve, gi, legs, nlegs)
-        return factors[key]
-
-    for g1 in range(g + 1):
-        g2 = g - g1
-        for mask in iproduct((0, 1), repeat=nlegs):
-            legs1 = tuple(i for i in range(nlegs) if mask[i] == 0)
-            legs2 = tuple(i for i in range(nlegs) if mask[i] == 1)
-            if _is_excluded(g1, len(legs1) + 1) or _is_excluded(g2, len(legs2) + 1):
-                continue
-            f1 = factor(g1, legs1)
-            f2 = factor(g2, legs2)
-            if not f1 or not f2:
-                continue
-            _accumulate_product(bracket, f1, _hat(f2), pmax)
-
-    # residue extraction: coefficient of z^{-m-1} (m odd) in G * bracket
-    if curve.label == "cns" and bracket:
-        deepest = -2 - min(p for p, _ in bracket)
-        if deepest > curve.order:
-            raise ExactCoreError(
-                "insufficient series order for the requested correlators"
-            )
-    result: dict[tuple[int, ...], FormalPolynomial] = {}
-    for (p, ext), poly in bracket.items():
-        for q, gcoeff in gser.items():
-            e = p + q
-            if e > -2 or e % 2:
-                continue
-            k1 = (-e - 2) // 2
-            value = (poly * gcoeff).scale(Fraction(2 * _KERNEL_SIGN, _df(k1)))
-            _accumulate(result, (k1, ext), value)
-
-    # convert external powers to the xi-basis
-    table: dict[tuple[int, ...], FormalPolynomial] = {}
-    for (k1, ext), poly in result.items():
-        if any(x > -2 or x % 2 for x in ext):
-            raise ExactCoreError(
-                f"non-odd differential produced at ({g}, {n}): ext powers {ext}"
-            )
-        ks = tuple((-x - 2) // 2 for x in ext)
-        for ki in ks:
-            poly = poly.scale(Fraction(1, _df(ki)))
-        _accumulate(table, (k1,) + ks, poly)
-    return table
+    gser = _g_series(label, order)
+    top = _support_bound(-min(gser) // 2, g, n)
+    values: dict[tuple[int, ...], FormalPolynomial] = {}
+    for rest in _index_vectors(n - 1, top):
+        bracket = _bracket(label, order, g, rest)
+        for k1 in range(top - sum(rest) + 1):
+            value = FormalPolynomial()
+            for p, poly in bracket.items():
+                q = -2 * k1 - 2 - p
+                if q in gser:
+                    value = value + poly * gser[q]
+            value = value.scale(Fraction(2 * _KERNEL_SIGN, _df(k1)))
+            key = tuple(sorted(rest + (k1,)))
+            if values.setdefault(key, value) != value:
+                raise ExactCoreError(f"asymmetric correlator at ({g}, {n}): {key}")
+    return {k: v for k, v in values.items() if not v.is_zero()}
 
 
 def tr_correlators(curve: SpectralCurve, gmax: int, nmax: int) -> OddDifferentialTable:
@@ -364,25 +345,14 @@ def tr_correlators(curve: SpectralCurve, gmax: int, nmax: int) -> OddDifferentia
 
     Output entries are keyed by (g, sorted k-vector); the value is the
     coefficient of the ordered basis monomial prod xi_{k_i}(z_i), a
-    symmetric function of the k_i (symmetry of the output is asserted -
-    the recursion distinguishes leg 1, so this is a strong check).
+    symmetric function of the k_i (asserted per entry by `_omega_cached`).
     """
     out = OddDifferentialTable(engine=f"tr-{curve.label}")
     for g in range(gmax + 1):
         for n in range(1, nmax + 1):
-            if 2 * g - 2 + n <= 0:
-                continue
-            ordered = _omega_ordered(curve, g, n)
-            for kvec, poly in ordered.items():
-                skey = tuple(sorted(kvec))
-                if (g, skey) in out.entries:
-                    continue
-                for perm in set(permutations(kvec)):
-                    if ordered.get(perm, FormalPolynomial()) != poly:
-                        raise ExactCoreError(
-                            f"asymmetric correlator at ({g}, {n}): {kvec}"
-                        )
-                out.entries[(g, skey)] = poly
+            if 2 * g - 2 + n > 0:
+                for k, poly in _omega_cached(curve.label, curve.order, g, n).items():
+                    out.entries[(g, k)] = poly
     return out
 
 

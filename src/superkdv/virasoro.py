@@ -55,7 +55,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 from .exactcore import (
     ExactCoreError,
@@ -64,6 +63,7 @@ from .exactcore import (
     double_factorial,
     fixed_sum_multisets,
     free_energy_series,
+    labelled_splits,
 )
 from .tables import CorrelatorTable
 
@@ -137,18 +137,6 @@ def _admissible_sums(model: str, work: Truncation, g: int, n: int) -> list[int]:
 # the correlator store
 
 
-def _labelled_splits(k: tuple[int, ...]) -> list[tuple[tuple, tuple, int]]:
-    """(I, J, number of labelled splittings of k into I and J), per sub-multiset I."""
-    out = [((), (), 1)]
-    for idx, e in sorted(Counter(k).items()):
-        out = [
-            (left + (idx,) * c, right + (idx,) * (e - c), w * comb(e, c))
-            for left, right, w in out
-            for c in range(e + 1)
-        ]
-    return out
-
-
 def _with(k: tuple[int, ...], *extra: int) -> tuple[int, ...]:
     return tuple(sorted(k + extra))
 
@@ -190,7 +178,7 @@ def _recursion(model: str, g: int, k: tuple[int, ...], kstar: int) -> Fraction:
             p = rest.index(kj)
             lowered = _with(rest[:p] + rest[p + 1:], kj + m)
             val += e * spec.linear_coefficient(kj, m) * _correlator(model, g, lowered)
-    splits = _labelled_splits(rest) if m >= 1 else []
+    splits = labelled_splits(rest) if m >= 1 else []
     for i in range(m):
         j = m - 1 - i
         piece = _correlator(model, g - 1, _with(rest, i, j))
@@ -276,13 +264,22 @@ def apply_virasoro_oracle(F: GradedSeries, spec: VirasoroSpec, m: int) -> Graded
     if m < spec.mmin:
         raise ExactCoreError(f"m={m} below model minimum {spec.mmin}")
     tr = F.trunc
-    res = F.derive(m + spec.offset).scale(spec.lhs_coefficient(m))
-    for i in range(m):
+    derived: dict[int, GradedSeries] = {}
+
+    def d(i: int) -> GradedSeries:
+        if i not in derived:
+            derived[i] = F.derive(i)
+        return derived[i]
+
+    res = d(m + spec.offset).scale(spec.lhs_coefficient(m))
+    # the (i, j) and (j, i) terms are equal: form each unordered pair once
+    for i in range((m + 1) // 2):
         j = m - 1 - i
-        second = F.derive(i).derive(j) + F.derive(i) * F.derive(j)
-        res = res - second.shift(dh=1).scale(Fraction(spec.quadratic_coefficient(i, j), 2))
+        second = d(i).derive(j) + d(i) * d(j)
+        weight = Fraction(spec.quadratic_coefficient(i, j), 2 if i == j else 1)
+        res = res - second.shift(dh=1).scale(weight)
     for i in range(max(-m, 0), tr.kmax - m + 1):
-        res = res - F.derive(i + m).times_t(i).scale(spec.linear_coefficient(i, m))
+        res = res - d(i + m).times_t(i).scale(spec.linear_coefficient(i, m))
     if m == 0:
         res = res - GradedSeries.term(tr, Fraction(1, 8))
         if spec.model == "gBGW":

@@ -94,6 +94,7 @@ class TestComputeCommands:
         assert invoke(runner, ["correlators", "cubic"]).exit_code == 2
         assert invoke(runner, ["volume", "--g", "1", "--n", "0"]).exit_code == 2
         assert invoke(runner, ["volume", "--g", "1", "--n", "1", "--smax", "3"]).exit_code == 2
+        assert invoke(runner, ["tr", "--curve", "cns", "--gmax", "4", "--nmax", "1", "--order", "4"]).exit_code == 2
 
 
 class TestVerify:

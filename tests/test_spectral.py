@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from superkdv import spectral
 from superkdv.exactcore import ExactCoreError, FormalPolynomial
 from superkdv.spectral import (
     CURVE_LABELS,
@@ -87,10 +88,38 @@ class TestTrTables:
         assert slice0 == bes.entries
 
     def test_order_stability(self):
+        # --order truncates y; G is still exact for airy, bessel and ck,
+        # and cns at order 4 holds every G coefficient up to (3,1)
         for label in CURVE_LABELS:
-            small = tr_correlators(spectral_curve(label, 16), 2, 2)
-            big = tr_correlators(spectral_curve(label, 32), 2, 2)
-            assert small.entries == big.entries
+            for gmax, nmax in ((3, 1), (2, 3)):
+                big = tr_correlators(spectral_curve(label, 40), gmax, nmax)
+                for order in (4, 16):
+                    small = tr_correlators(spectral_curve(label, order), gmax, nmax)
+                    assert small.entries == big.entries, (label, order, gmax, nmax)
+
+    def test_cns_insufficient_order(self):
+        # (4,1) needs the z^6 coefficient of G; order 4 holds it to z^4
+        with pytest.raises(ExactCoreError, match="insufficient series order"):
+            tr_correlators(spectral_curve("cns", 4), 4, 1)
+
+    def test_corrupted_bracket_is_asymmetric(self, monkeypatch):
+        # <tau_0 tau_2>_1 is read with first leg 0 and with first leg 2;
+        # a change to the bracket behind one of them must be caught
+        original = spectral._bracket
+
+        def corrupted(label, order, g, rest):
+            out = dict(original(label, order, g, rest))
+            if (g, rest) == (1, (2,)):
+                out[0] = out.get(0, FormalPolynomial()) + FormalPolynomial.const(1)
+            return out
+
+        monkeypatch.setattr(spectral, "_bracket", corrupted)
+        spectral._omega_cached.cache_clear()
+        try:
+            with pytest.raises(ExactCoreError, match="asymmetric correlator"):
+                tr_correlators(spectral_curve("airy", 16), 1, 2)
+        finally:
+            spectral._omega_cached.cache_clear()
 
     def test_json_roundtrip(self):
         t = tr_correlators(spectral_curve("ck", 16), 1, 2)
