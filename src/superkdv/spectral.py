@@ -23,10 +23,15 @@ bracket depends only on (g, rest) and is built from lower tables
 (`_bracket`).  With G reaching down to z^{-2c}, every nonzero
 omega_{g,n} entry has |k| <= (1+2c)(g-1) + c n (`_omega_cached`).  G is
 exact for airy, bessel and ck, and B is never truncated, so the series
-order matters only for cns.  The overall residue orientation is
-calibrated once so that the airy (0,3) coefficient is 1; after that
-every cross-check against the symbolic correlator tables is a genuine
-test.
+order matters only for cns, and only cns keys the caches by it.  The
+overall residue orientation is calibrated once so that the airy (0,3)
+coefficient is 1; after that every cross-check against the symbolic
+correlator tables is a genuine test.
+
+Inside the recursion a coefficient sum_e c_e P^e is a sparse {e: c_e} in
+the curve's one parameter P (s^2 for ck, pi^2 for cns, none for airy and
+bessel); the recursion carries e, so the s-power checks stay genuine.
+Tables leave the module as `FormalPolynomial`s (`_poly`).
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product as iproduct
 from math import factorial
 
 from .exactcore import (
@@ -62,6 +66,9 @@ CURVE_LABELS = ("airy", "bessel", "ck", "cns")
 #: coefficient to equal 1 (the kernel carries a leading minus sign)
 _KERNEL_SIGN = -1
 
+#: {power e of the curve's parameter: coefficient}, zero terms dropped
+Coeff = dict[int, Fraction]
+
 
 # ---------------------------------------------------------------------------
 # spectral curves
@@ -75,9 +82,16 @@ class SpectralCurve:
     order: int
 
     @property
+    def series_order(self) -> int:
+        """The order the caches are keyed by: G is exact from order 4 on
+        every curve but cns."""
+        return self.order if self.label == "cns" else 4
+
+    @property
     def g_series(self) -> dict[int, FormalPolynomial]:
         """G(z) = 1/(4 z y(z)), the even kernel prefactor."""
-        return _g_series(self.label, self.order)
+        gser = _g_series(self.label, self.series_order)
+        return {p: _poly(self.label, c) for p, c in gser.items()}
 
 
 def spectral_curve(label: str, order: int = 40) -> SpectralCurve:
@@ -88,82 +102,61 @@ def spectral_curve(label: str, order: int = 40) -> SpectralCurve:
     return SpectralCurve(label, order)
 
 
-@lru_cache(maxsize=None)
-def _y_series(label: str, order: int) -> dict[int, FormalPolynomial]:
-    one = FormalPolynomial.const(1)
+def _poly(label: str, coeff: Coeff) -> FormalPolynomial:
+    """A coefficient as a FormalPolynomial in the curve's parameter."""
+    name = {"ck": S2, "cns": PI2}.get(label)
+    return FormalPolynomial({((name, e),) if e else (): c for e, c in coeff.items()})
+
+
+def _dot(pairs) -> Coeff:
+    """sum x y over the coefficient pairs (x, y), zero terms dropped."""
+    acc = {}
+    for x, y in pairs:
+        for e1, c1 in x.items():
+            for e2, c2 in y.items():
+                acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in acc.items() if c}
+
+
+def _y_series(label: str, order: int) -> dict[int, Coeff]:
     if label == "airy":
-        return {1: one}
+        return {1: {0: Fraction(1)}}
     if label == "bessel":
-        return {-1: one}
+        return {-1: {0: Fraction(1)}}
     if label == "ck":
         # z/(z^2+s^2) expanded at z = oo
-        return {
-            -2 * j - 1: FormalPolynomial.symbol(S2, j).scale(Fraction((-1) ** j))
-            if j
-            else one
-            for j in range(order // 2 + 1)
-        }
+        return {-2 * j - 1: {j: Fraction((-1) ** j)} for j in range(order // 2 + 1)}
     if label == "cns":
         # cos(2 pi z)/z with (2 pi)^{2j} stored as 4^j (pi^2)^j
-        out = {}
-        for j in range(order // 2 + 1):
-            c = Fraction((-1) ** j * 4**j, factorial(2 * j))
-            out[2 * j - 1] = FormalPolynomial.symbol(PI2, j).scale(c) if j else one
-        return out
+        return {2 * j - 1: {j: Fraction((-4) ** j, factorial(2 * j))} for j in range(order // 2 + 1)}
     raise ExactCoreError(f"unknown curve {label!r}")
 
 
-def _accumulate(d: dict, key, value: FormalPolynomial) -> None:
-    """d[key] += value, dropping the key when the sum is zero."""
-    old = d.get(key)
-    w = value if old is None else old + value
-    if w.is_zero():
-        d.pop(key, None)
-    else:
-        d[key] = w
-
-
-def _invert_series(a: dict[int, FormalPolynomial], order: int) -> dict[int, FormalPolynomial]:
+def _invert_series(a: dict[int, Coeff], order: int) -> dict[int, Coeff]:
     """1/a for a Laurent series whose terms sit on one side of a leading
-    monomial c z^d with constant c; truncated `order` powers past d."""
-    # the leading exponent sits at one end of the support and must have
-    # a constant (invertible) coefficient
-    powers = sorted(a)
-    d = None
-    for cand in (powers[0], powers[-1]):
-        coeff = a[cand]
-        if coeff == coeff.constant() and coeff.constant():
-            d = cand
+    monomial c z^d with constant c; truncated `order` powers past d.
+
+    With a_j the coefficient j powers past d and b_m that of 1/a at m
+    powers past -d, the division recurrence is b_0 = 1/a_0 and
+    b_m = sum_{j>=1} r_j b_{m-j} with r_j = -a_j/a_0.
+    """
+    for d, step in ((min(a), 1), (max(a), -1)):
+        if set(a[d]) == {0}:
             break
-    if d is None:
+    else:
         raise ExactCoreError("series has no invertible leading term")
-    c0 = a[d].constant()
-    # z^d/a = c0^{-1} sum_j (-r)^j with r = a/(c0 z^d) - 1
-    neg_r = {p - d: v.scale(-1 / c0) for p, v in a.items() if p != d}
-    out = {0: FormalPolynomial.const(1 / c0)}
-    power = {0: FormalPolynomial.const(1 / c0)}
-    for _ in range(order):
-        nxt: dict[int, FormalPolynomial] = {}
-        for p1, v1 in power.items():
-            for p2, v2 in neg_r.items():
-                p = p1 + p2
-                if abs(p) > order:
-                    continue
-                _accumulate(nxt, p, v1 * v2)
-        if not nxt:
-            break
-        power = nxt
-        for p, v in nxt.items():
-            _accumulate(out, p, v)
-    return {p - d: v for p, v in out.items()}
+    inv = 1 / a[d][0]
+    r = {step * (p - d): {e: -c * inv for e, c in v.items()} for p, v in a.items() if p != d}
+    b = [{0: inv}]
+    for m in range(1, order + 1):
+        b.append(_dot((r.get(j, {}), b[m - j]) for j in range(1, m + 1)))
+    return {step * m - d: bm for m, bm in enumerate(b) if bm}
 
 
 @lru_cache(maxsize=None)
-def _g_series(label: str, order: int) -> dict[int, FormalPolynomial]:
-    y = _y_series(label, order)
-    zy = {p + 1: v for p, v in y.items()}
-    inv = _invert_series(zy, order)
-    return {p: v.scale(Fraction(1, 4)) for p, v in inv.items()}
+def _g_series(label: str, order: int) -> dict[int, Coeff]:
+    four_zy = {p + 1: {e: 4 * c for e, c in v.items()} for p, v in _y_series(label, order).items()}
+    return _invert_series(four_zy, order)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +218,7 @@ def _support_bound(c: int, g: int, n: int) -> int:
     return (1 + 2 * c) * (g - 1) + c * n
 
 
-def _bracket(label: str, order: int, g: int, rest: tuple[int, ...]) -> dict[int, FormalPolynomial]:
+def _bracket(label: str, order: int, g: int, rest: tuple[int, ...]) -> dict[int, Coeff]:
     """{p: coefficient of z^p prod xi_rest dz^2} in the bracket
 
         omega_{g-1,n+1}(z, -z, J) + sum' omega_{g1}(z, I) omega_{g2}(-z, J \\ I)
@@ -239,54 +232,55 @@ def _bracket(label: str, order: int, g: int, rest: tuple[int, ...]) -> dict[int,
     Only p <= 2c - 2, the powers the residue against G can see, are kept.
     `_omega_cached` builds each bracket once, for every entry it serves.
     """
-    gser = _g_series(label, order)
-    c = -min(gser) // 2
+    c = -min(_g_series(label, order)) // 2
     n = len(rest) + 1
-    out: dict[int, FormalPolynomial] = {}
+    acc = {}  # (p, e) -> coefficient
 
-    def add(p: int, value: FormalPolynomial) -> None:
-        if p <= 2 * c - 2:
-            _accumulate(out, p, value)
+    def add(key: tuple[int, int], value: Fraction) -> None:
+        got = acc.get(key)
+        acc[key] = value if got is None else got + value
 
-    def leg(gi: int, legs: tuple[int, ...]) -> dict[int, FormalPolynomial]:
-        """{a: (2a+1)!! omega_{gi}[a, legs]}: the z^{-2a-2} dz coefficients
-        of omega_{gi,|legs|+1}(z, legs)."""
-        table = _omega_cached(label, order, gi, len(legs) + 1)
-        top = _support_bound(c, gi, len(legs) + 1) - sum(legs)
-        coeffs = {a: table.get(tuple(sorted((a,) + legs))) for a in range(top + 1)}
-        return {a: v.scale(_df(a)) for a, v in coeffs.items() if v is not None}
+    def rows(gi: int, legs: tuple[int, ...]):
+        return _omega_cached(label, order, gi, len(legs) + 1)[1].get(legs, ())
 
     if (g, n) == (1, 1):
         # omega_{0,2}(z, -z) = -dz^2/(4 z^2)
-        add(-2, FormalPolynomial.const(Fraction(-1, 4)))
+        add((-2, 0), Fraction(-1, 4))
     elif g >= 1:
         for b in range(_support_bound(c, g - 1, n + 1) - sum(rest) + 1):
-            for a, v in leg(g - 1, rest + (b,)).items():
-                add(-2 * a - 2 * b - 4, v.scale(-_df(b)))
+            w = -_df(b)
+            for a, e, v in rows(g - 1, tuple(sorted(rest + (b,)))):
+                add((-2 * a - 2 * b - 4, e), w * v)
 
     for left, right, weight in labelled_splits(rest):
         for g1 in range(g + 1):
             g2 = g - g1
-            if 2 * g1 + len(left) <= 1 or 2 * g2 + len(right) <= 1:
+            # a split and its mirror (g2, right; g1, left) give equal terms
+            if (g1, left) > (g2, right) or 2 * g1 + len(left) <= 1 or 2 * g2 + len(right) <= 1:
                 continue
-            f2 = leg(g2, right)
-            for a, v1 in leg(g1, left).items():
-                for b, v2 in f2.items():
-                    add(-2 * a - 2 * b - 4, (v1 * v2).scale(-weight))
+            weight2 = -weight if (g1, left) == (g2, right) else -2 * weight
+            row2 = rows(g2, right)
+            for a, e1, v1 in rows(g1, left):
+                w = weight2 * v1
+                for b, e2, v2 in row2:
+                    add((-2 * a - 2 * b - 4, e1 + e2), w * v2)
 
     if (g, n) == (0, 3):
         # B(z, z_2) B(-z, z_3) and its mirror, at even powers of z_2 and z_3
         m2, m3 = rest
-        w = Fraction(-2 * (2 * m2 + 1) * (2 * m3 + 1), _df(m2) * _df(m3))
-        add(2 * m2 + 2 * m3, FormalPolynomial.const(w))
+        add((2 * m2 + 2 * m3, 0), Fraction(-2 * (2 * m2 + 1) * (2 * m3 + 1), _df(m2) * _df(m3)))
     elif n >= 2:
-        for m, e in Counter(rest).items():
+        for m, mult in Counter(rest).items():
             others = list(rest)
             others.remove(m)
-            w = Fraction(-2 * e * (2 * m + 1), _df(m))
-            for b, v in leg(g, tuple(others)).items():
-                add(2 * m - 2 * b - 2, v.scale(w))
+            w = Fraction(-2 * mult * (2 * m + 1), _df(m))
+            for b, e, v in rows(g, tuple(others)):
+                add((2 * m - 2 * b - 2, e), w * v)
 
+    out = {}
+    for (p, e), v in acc.items():
+        if v and p <= 2 * c - 2:
+            out.setdefault(p, {})[e] = v
     # only the cns series is truncated: its G holds z^q for q <= order
     if label == "cns" and out and -2 - min(out) > order:
         raise ExactCoreError("insufficient series order for the requested correlators")
@@ -294,9 +288,11 @@ def _bracket(label: str, order: int, g: int, rest: tuple[int, ...]) -> dict[int,
 
 
 @lru_cache(maxsize=None)
-def _omega_cached(label: str, order: int, g: int, n: int) -> dict[tuple[int, ...], FormalPolynomial]:
-    """{sorted k: coefficient of prod xi_{k_i}(z_i)} of omega_{g,n}, nonzero
-    entries only.
+def _omega_cached(label: str, order: int, g: int, n: int) -> tuple[dict, dict]:
+    """({sorted k: coefficient of prod xi_{k_i}(z_i)}, leg rows) of
+    omega_{g,n}, nonzero entries only.  The leg rows {sorted rest:
+    [(k_1, e, (2k_1+1)!! c)]} hold the z^{-2k_1-2} dz coefficients c P^e of
+    omega_{g,n}(z, rest), which is how `_bracket` reads lower tables.
 
     The kernel K(z_1, z) = 2 sum_k xi_k(z_1) z^{2k+1} G(z)/((2k+1)!! dz)
     turns the residue into coefficient form:
@@ -324,20 +320,20 @@ def _omega_cached(label: str, order: int, g: int, n: int) -> dict[tuple[int, ...
         raise ExactCoreError(f"({g}, {n}) is not stable")
     gser = _g_series(label, order)
     top = _support_bound(-min(gser) // 2, g, n)
-    values: dict[tuple[int, ...], FormalPolynomial] = {}
+    values: dict[tuple[int, ...], Coeff] = {}
+    rows: dict[tuple[int, ...], list] = {}
     for rest in _index_vectors(n - 1, top):
         bracket = _bracket(label, order, g, rest)
+        rows[rest] = []
         for k1 in range(top - sum(rest) + 1):
-            value = FormalPolynomial()
-            for p, poly in bracket.items():
-                q = -2 * k1 - 2 - p
-                if q in gser:
-                    value = value + poly * gser[q]
-            value = value.scale(Fraction(2 * _KERNEL_SIGN, _df(k1)))
+            total = _dot((row, gser.get(-2 * k1 - 2 - p, {})) for p, row in bracket.items())
+            rows[rest].extend((k1, e, 2 * _KERNEL_SIGN * v) for e, v in total.items())
+            scale = Fraction(2 * _KERNEL_SIGN, _df(k1))
+            value = {e: scale * v for e, v in total.items()}
             key = tuple(sorted(rest + (k1,)))
             if values.setdefault(key, value) != value:
                 raise ExactCoreError(f"asymmetric correlator at ({g}, {n}): {key}")
-    return {k: v for k, v in values.items() if not v.is_zero()}
+    return {k: v for k, v in values.items() if v}, rows
 
 
 def tr_correlators(curve: SpectralCurve, gmax: int, nmax: int) -> OddDifferentialTable:
@@ -351,8 +347,8 @@ def tr_correlators(curve: SpectralCurve, gmax: int, nmax: int) -> OddDifferentia
     for g in range(gmax + 1):
         for n in range(1, nmax + 1):
             if 2 * g - 2 + n > 0:
-                for k, poly in _omega_cached(curve.label, curve.order, g, n).items():
-                    out.entries[(g, k)] = poly
+                for k, coeff in _omega_cached(curve.label, curve.series_order, g, n)[0].items():
+                    out.entries[(g, k)] = _poly(curve.label, coeff)
     return out
 
 
@@ -424,12 +420,8 @@ def compare_to_tables(curve: SpectralCurve, chi_bound: int = 4) -> dict:
 
 
 def _graded_const(value, a: int) -> FormalPolynomial:
-    """value * s^{2a} as a polynomial (plain constant at a = 0)."""
-    if not value:
-        return FormalPolynomial()
-    if a == 0:
-        return FormalPolynomial.const(value)
-    return FormalPolynomial.symbol(S2, a).scale(value)
+    """value * s^{2a} as a polynomial."""
+    return _poly("ck", {a: Fraction(value)} if value else {})
 
 
 def _index_vectors(n: int, total: int, exact: bool = False):
@@ -453,34 +445,30 @@ def eta_reexpand(table: OddDifferentialTable, smax: int) -> OddDifferentialTable
     """
     if table.engine != "tr-ck":
         raise ExactCoreError("eta re-expansion applies to the ck table")
-    out = OddDifferentialTable(engine="tr-ck-eta")
     jmax = smax // 2
+    acc = {}  # (g, target, s-power) -> coefficient
     for (g, k), poly in table.entries.items():
-        n = len(k)
-        for kvec in set(permutations(k)):
-            for jvec in iproduct(range(jmax + 1), repeat=n):
-                target = tuple(ki + ji for ki, ji in zip(kvec, jvec))
-                if target != tuple(sorted(target)):
-                    continue
-                jtot = sum(jvec)
-                scale = Fraction(1)
-                for j in jvec:
-                    scale /= 2**j * factorial(j)
-                shifted = (
-                    poly * FormalPolynomial.symbol(S2, jtot)
-                    if jtot
-                    else poly
-                ).scale(scale)
-                shifted = FormalPolynomial(
-                    {
-                        m: v
-                        for m, v in shifted.terms.items()
-                        if dict(m).get(S2, 0) <= jmax
-                    }
-                )
-                if shifted.is_zero():
-                    continue
-                _accumulate(out.entries, (g, target), shifted)
+        coeff = {dict(mono).get(S2, 0): v for mono, v in poly.terms.items()}
+        budget = jmax - min(coeff, default=jmax)
+        # place the distinct orderings of k one leg at a time, leg v at
+        # v + j with den = prod 2^j j!, while |j| <= budget and the targets
+        # (after a leading 0) stay sorted
+        stack = [((0,), Counter(k), 0, 1)]
+        while stack:
+            target, legs, jtot, den = stack.pop()
+            for v in legs:
+                for j in range(max(0, target[-1] - v), budget - jtot + 1):
+                    den_j = den * 2**j * factorial(j)
+                    stack.append((target + (v + j,), legs - Counter((v,)), jtot + j, den_j))
+            if not legs:
+                for e, c in coeff.items():
+                    if e + jtot <= jmax:
+                        key = (g, target[1:], e + jtot)
+                        acc[key] = acc.get(key, 0) + Fraction(c, den)
+    out = OddDifferentialTable(engine="tr-ck-eta")
+    for (g, target, e), v in acc.items():
+        if v:
+            out.entries[g, target] = out.get(g, target) + _poly("ck", {e: v})
     return out
 
 

@@ -6,6 +6,8 @@ correlator tables or a frozen literature constant.
 """
 
 from fractions import Fraction
+from itertools import permutations, product
+from math import factorial
 
 import pytest
 
@@ -55,6 +57,22 @@ class TestCurves:
         assert g[0] == Fraction(1, 4)
         assert g[2] == pi2poly(Fraction(1, 2))
         assert g[4] == pi2poly(Fraction(5, 6), 2)
+
+    @pytest.mark.parametrize("order", [4, 40, 120])
+    @pytest.mark.parametrize("label", CURVE_LABELS)
+    def test_kernel_prefactor_inverts_4zy(self, label, order):
+        # G * 4 z y = 1 at every power within `order` of z^0, whatever the
+        # inversion algorithm; coefficients are {parameter power: value}
+        out = {}
+        for p1, g1 in spectral._g_series(label, order).items():
+            for p2, y2 in spectral._y_series(label, order).items():
+                for e1, c1 in g1.items():
+                    for e2, c2 in y2.items():
+                        row = out.setdefault(p1 + p2 + 1, {})
+                        row[e1 + e2] = row.get(e1 + e2, 0) + 4 * c1 * c2
+        for p in range(-order, order + 1):
+            nonzero = {e: c for e, c in out.get(p, {}).items() if c}
+            assert nonzero == ({0: 1} if p == 0 else {}), (label, order, p)
 
 
 class TestTrTables:
@@ -110,7 +128,10 @@ class TestTrTables:
         def corrupted(label, order, g, rest):
             out = dict(original(label, order, g, rest))
             if (g, rest) == (1, (2,)):
-                out[0] = out.get(0, FormalPolynomial()) + FormalPolynomial.const(1)
+                # {z power: {parameter power: coefficient}}
+                row = dict(out.get(0, {}))
+                row[0] = row.get(0, 0) + 1
+                out[0] = row
             return out
 
         monkeypatch.setattr(spectral, "_bracket", corrupted)
@@ -120,6 +141,18 @@ class TestTrTables:
                 tr_correlators(spectral_curve("airy", 16), 1, 2)
         finally:
             spectral._omega_cached.cache_clear()
+
+    def test_caches_keyed_by_order_only_for_cns(self):
+        # G is exact on airy, bessel and ck, so a sweep over --order must
+        # neither grow the caches nor change a table
+        caches = (spectral._omega_cached, spectral._g_series)
+        for label in ("airy", "bessel", "ck"):
+            first = tr_correlators(spectral_curve(label, 5), 2, 3)
+            sizes = [f.cache_info().currsize for f in caches]
+            for order in range(6, 105):
+                again = tr_correlators(spectral_curve(label, order), 2, 3)
+                assert again.entries == first.entries, (label, order)
+            assert [f.cache_info().currsize for f in caches] == sizes, label
 
     def test_json_roundtrip(self):
         t = tr_correlators(spectral_curve("ck", 16), 1, 2)
@@ -166,6 +199,32 @@ class TestEtaReexpansion:
         rep = eta_spin_compare(spectral_curve("ck", 24), chi_bound=3, smax=4)
         assert rep["mismatches"] == []
         assert rep["compared"] >= 15
+
+    @pytest.mark.parametrize("gmax, nmax, smax", [(2, 3, 6), (3, 4, 8)])
+    def test_matches_brute_force(self, gmax, nmax, smax):
+        # every ordering of each key times every j-vector in [0, smax/2]^n,
+        # kept when the shifted key is sorted: the sum the walk prunes
+        table = tr_correlators(spectral_curve("ck", 40), gmax, nmax)
+        jmax = smax // 2
+        ref = {}
+        for (g, k), poly in table.entries.items():
+            for kvec in set(permutations(k)):
+                for jvec in product(range(jmax + 1), repeat=len(k)):
+                    target = tuple(a + j for a, j in zip(kvec, jvec))
+                    if list(target) != sorted(target):
+                        continue
+                    den = 1
+                    for j in jvec:
+                        den *= 2**j * factorial(j)
+                    kept = {}
+                    for mono, v in poly.terms.items():
+                        e = dict(mono).get("s2", 0) + sum(jvec)
+                        if e <= jmax:
+                            kept[(("s2", e),) if e else ()] = v / den
+                    ref[(g, target)] = ref.get((g, target), FormalPolynomial()) + FormalPolynomial(kept)
+        expect = OddDifferentialTable("tr-ck-eta", {k: v for k, v in ref.items() if not v.is_zero()})
+        got = eta_reexpand(table, smax)
+        assert canonical_bytes(got.to_json()) == canonical_bytes(expect.to_json())
 
     def test_rejects_wrong_engine(self):
         t = tr_correlators(spectral_curve("airy", 16), 1, 1)
