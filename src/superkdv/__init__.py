@@ -4,7 +4,6 @@ and topological recursion on their spectral curves."""
 from .exactcore import (
     FormalPolynomial,
     GradedSeries,
-    Rational,
     Truncation,
     bernoulli,
     double_factorial,
@@ -16,7 +15,6 @@ __all__ = [
     "CorrelatorTable",
     "FormalPolynomial",
     "GradedSeries",
-    "Rational",
     "Truncation",
     "bernoulli",
     "double_factorial",

@@ -31,6 +31,7 @@ from .kappa import (
     zk_free_energy,
 )
 from .spectral import (
+    CURVE_LABELS,
     cns_laplace_check,
     eta_reexpand,
     spectral_curve,
@@ -279,7 +280,7 @@ def volume(ctx, g, n, smax, fmt):
 
 
 @main.command()
-@click.option("--curve", type=click.Choice(["airy", "bessel", "ck", "cns"]), required=True)
+@click.option("--curve", type=click.Choice(CURVE_LABELS), required=True)
 @click.option("--gmax", default=2, show_default=True)
 @click.option("--nmax", default=2, show_default=True)
 @click.option("--order", default=40, show_default=True)
@@ -360,6 +361,10 @@ def _verify_kdv(trunc: Truncation) -> dict:
 
 
 def _verify_homogeneity(trunc: Truncation) -> dict:
+    # at genus 0 the first nonzero KW residual key, from <tau_0^3>_0, has
+    # t-degree 2, which a certified degree dmax - 1 <= 1 does not hold
+    if trunc.gmax == 0 and trunc.dmax <= 2:
+        raise ExactCoreError("the KW negative control needs gmax >= 1 or dmax >= 3")
     kw_trunc = Truncation(trunc.gmax, trunc.kmax, trunc.dmax, 0)
     bgw = check_homogeneity(free_energy("gBGW", trunc).restrict(trunc)).is_zero()
     spin = check_homogeneity(

@@ -39,8 +39,6 @@ class ExactCoreError(ValueError):
     """Raised for domain violations in the exact-arithmetic layer."""
 
 
-Rational = Fraction
-
 TMono = tuple[tuple[int, int], ...]  # sorted ((index, exponent), ...)
 Key = tuple[int, int, TMono]  # (h, a, t-monomial)
 
@@ -128,21 +126,12 @@ def euler_characteristic_constant(g: int) -> Fraction:
     return (-1) ** g * bernoulli(2 * g) / (2 * g * (2 * g - 2))
 
 
-def chi_series_coefficient(g: int) -> Fraction:
-    """Positive coefficient of hbar^(g-1) in chi(hbar), i.e. |chi(M_g)|."""
-    return -euler_characteristic_constant(g)
-
-
 # ---------------------------------------------------------------------------
 # rational serialization
 
 
 def rational_to_str(v: Fraction) -> str:
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
-def rational_from_str(s: str) -> Fraction:
-    return Fraction(s)
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +253,6 @@ class Truncation:
 
     def to_json(self) -> dict:
         return {"gmax": self.gmax, "kmax": self.kmax, "dmax": self.dmax, "smax": self.smax}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "Truncation":
-        return cls(d["gmax"], d["kmax"], d["dmax"], d["smax"])
 
 
 # ---------------------------------------------------------------------------
@@ -716,19 +701,6 @@ class FormalPolynomial:
 
     def coefficient(self, mono: PMono) -> Fraction:
         return self.terms.get(tuple(sorted(mono)), Fraction(0))
-
-    def constant(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
-
-    def evaluate(self, values: dict[str, object]):
-        """Substitute numbers (Fraction, float, mpf...) for every symbol."""
-        total = 0
-        for m, v in self.terms.items():
-            x = v
-            for s, e in m:
-                x = x * values[s] ** e
-            total = total + x
-        return total
 
     def __repr__(self) -> str:  # pragma: no cover
         if not self.terms:

@@ -39,7 +39,6 @@ from .exactcore import (
     free_energy_series,
     mono_from_dict,
     partitions,
-    rational_to_str,
     useries_exp_poly,
     useries_log,
 )
@@ -73,19 +72,6 @@ def k_polynomials(N: int) -> tuple[FormalPolynomial, ...]:
         FormalPolynomial.symbol(f"k{i}").scale(sigma[i - 1]) for i in range(1, N + 1)
     ]
     return tuple(useries_exp_poly(gen, order=N))
-
-
-def k_polynomial_json(m: int) -> dict:
-    """JSON form of K_m: {"m": m, "terms": [{"kappa": [[j, exp]...], "v": "p/q"}]}."""
-    poly = k_polynomials(m)[m]
-    terms = [
-        {
-            "kappa": [[int(name[1:]), e] for name, e in mono],
-            "v": rational_to_str(v),
-        }
-        for mono, v in sorted(poly.terms.items())
-    ]
-    return {"m": m, "terms": terms}
 
 
 @lru_cache(maxsize=None)
@@ -284,11 +270,10 @@ def zk_free_energy(
     )
 
 
-def zk_partition_function(
-    trunc: Truncation, graded: bool = True, vacuum: bool = True
-) -> GradedSeries:
-    """exp of the kappa-class free energy, on the z-ready window."""
-    return zk_free_energy(trunc, graded, vacuum).with_window(trunc.z_window()).exp()
+def zk_partition_function(trunc: Truncation) -> GradedSeries:
+    """exp of the graded kappa-class free energy with its vacuum terms, on
+    the z-ready window."""
+    return zk_free_energy(trunc).with_window(trunc.z_window()).exp()
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ from .exactcore import (
     double_factorial,
     fixed_sum_multisets,
     labelled_splits,
-    rational_from_str,
     rational_to_str,
 )
 from .kappa import _zk_route_kappa
@@ -86,12 +85,6 @@ class SpectralCurve:
         """The order the caches are keyed by: G is exact from order 4 on
         every curve but cns."""
         return self.order if self.label == "cns" else 4
-
-    @property
-    def g_series(self) -> dict[int, FormalPolynomial]:
-        """G(z) = 1/(4 z y(z)), the even kernel prefactor."""
-        gser = _g_series(self.label, self.series_order)
-        return {p: _poly(self.label, c) for p, c in gser.items()}
 
 
 def spectral_curve(label: str, order: int = 40) -> SpectralCurve:
@@ -155,6 +148,7 @@ def _invert_series(a: dict[int, Coeff], order: int) -> dict[int, Coeff]:
 
 @lru_cache(maxsize=None)
 def _g_series(label: str, order: int) -> dict[int, Coeff]:
+    """G(z) = 1/(4 z y(z)), the even kernel prefactor."""
     four_zy = {p + 1: {e: 4 * c for e, c in v.items()} for p, v in _y_series(label, order).items()}
     return _invert_series(four_zy, order)
 
@@ -188,19 +182,6 @@ class OddDifferentialTable:
             )
             rows.append({"g": g, "k": list(k), "coeff": coeff})
         return {"engine": self.engine, "entries": rows}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "OddDifferentialTable":
-        table = cls(d["engine"])
-        for row in d["entries"]:
-            poly = FormalPolynomial()
-            for s2p, pi2p, v in row["coeff"]:
-                mono = tuple(
-                    (name, p) for name, p in ((S2, s2p), (PI2, pi2p)) if p
-                )
-                poly = poly + FormalPolynomial({mono: rational_from_str(v)})
-            table.entries[(row["g"], tuple(row["k"]))] = poly
-        return table
 
 
 def _df(k: int) -> int:
@@ -343,6 +324,8 @@ def tr_correlators(curve: SpectralCurve, gmax: int, nmax: int) -> OddDifferentia
     coefficient of the ordered basis monomial prod xi_{k_i}(z_i), a
     symmetric function of the k_i (asserted per entry by `_omega_cached`).
     """
+    if gmax < 0 or nmax < 0:
+        raise ExactCoreError("gmax and nmax must be nonnegative")
     out = OddDifferentialTable(engine=f"tr-{curve.label}")
     for g in range(gmax + 1):
         for n in range(1, nmax + 1):
@@ -445,6 +428,8 @@ def eta_reexpand(table: OddDifferentialTable, smax: int) -> OddDifferentialTable
     """
     if table.engine != "tr-ck":
         raise ExactCoreError("eta re-expansion applies to the ck table")
+    if smax < 0 or smax % 2:
+        raise ExactCoreError("smax must be even and nonnegative (only s**2 ever appears)")
     jmax = smax // 2
     acc = {}  # (g, target, s-power) -> coefficient
     for (g, k), poly in table.entries.items():
@@ -510,7 +495,7 @@ def eta_spin_compare(curve: SpectralCurve, chi_bound: int = 3, smax: int = 4) ->
 _LAPLACE_SIGN = -1
 
 
-def cns_laplace_check(g: int, n: int, order: int = 40) -> dict:
+def cns_laplace_check(g: int, n: int) -> dict:
     """Check omega^{cns}_{g,n} = prod d/dz_i of the Laplace transform of
     the s = 0 volume polynomial, as an identity in Q[pi^2].
 
@@ -521,7 +506,7 @@ def cns_laplace_check(g: int, n: int, order: int = 40) -> dict:
     """
     if 2 * g - 2 + n <= 0:
         raise ExactCoreError(f"({g}, {n}) is not stable")
-    curve = spectral_curve("cns", order)
+    curve = spectral_curve("cns")
     table = tr_correlators(curve, g, n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

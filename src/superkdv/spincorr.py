@@ -31,8 +31,7 @@ from .exactcore import (
     ExactCoreError,
     GradedSeries,
     Truncation,
-    chi_series_coefficient,
-    fixed_sum_multisets,
+    euler_characteristic_constant,
     free_energy_series,
 )
 from .kappa import bracket_psi_correlators, zk_partition_function
@@ -44,11 +43,10 @@ from .virasoro import partition_function
 # genus-0 slice: seeds, TRR, closed form
 
 
-def two_point_seed(k: int) -> Fraction:
-    """<tau_k tau_0>_0 = 1/(2^{k+1} (k+1)!)."""
-    if k < 0:
-        raise ExactCoreError("index must be nonnegative")
-    return Fraction(1, 2 ** (k + 1) * factorial(k + 1))
+def alpha_coefficient(m: int) -> Fraction:
+    """alpha_m = (s^2/2)^{m+1} / (m+1)! as the rational prefactor; it is
+    also the two-point seed <tau_m tau_0>_0."""
+    return Fraction(1, 2 ** (m + 1) * factorial(m + 1))
 
 
 @lru_cache(maxsize=None)
@@ -58,7 +56,7 @@ def _spin_genus0(k: tuple[int, ...]) -> Fraction:
     if n == 2:
         if min(k) != 0:
             raise ExactCoreError(f"two-point correlator {k} is not a seed")
-        return two_point_seed(max(k))
+        return alpha_coefficient(max(k))
     if n == 3 and k == (0, 0, 0):
         return Fraction(1)
     if k[-1] == 0:
@@ -79,16 +77,6 @@ def _spin_genus0(k: tuple[int, ...]) -> Fraction:
             f2 = _spin_genus0(tuple(sorted((0, k2, k3) + other)))
             total += f1 * f2
     return total
-
-
-def genus0_spin_trr(trunc: Truncation) -> CorrelatorTable:
-    """Genus-0 spin correlators for n >= 3 from the TRR and its seeds."""
-    table = CorrelatorTable("spin", trunc)
-    for n in range(3, trunc.dmax + 1):
-        for total in range(0, n * trunc.kmax + 1):
-            for k in fixed_sum_multisets(n, total, trunc.kmax):
-                table.set(0, k, _spin_genus0(k))
-    return table
 
 
 def genus0_closed_form(m) -> Fraction:
@@ -155,14 +143,10 @@ def f01_series(trunc: Truncation) -> GradedSeries:
     """One-point genus-0 series: sum <tau_m>_0 t_m at s^{2m+2}, h = -1."""
     terms = {}
     for m in range(trunc.kmax + 1):
-        if trunc.amin <= m + 1 <= trunc.amax:
-            terms[(-1, m + 1, ((m, 1),))] = genus0_closed_form((m,))
+        key = (-1, m + 1, ((m, 1),))
+        if trunc.contains(*key):
+            terms[key] = genus0_closed_form((m,))
     return GradedSeries(trunc, terms)
-
-
-def alpha_coefficient(m: int) -> Fraction:
-    """alpha_m = (s^2/2)^{m+1} / (m+1)! as the rational prefactor."""
-    return Fraction(1, 2 ** (m + 1) * factorial(m + 1))
 
 
 def f02_series(trunc: Truncation) -> GradedSeries:
@@ -172,14 +156,10 @@ def f02_series(trunc: Truncation) -> GradedSeries:
     terms = {}
     for m1 in range(trunc.kmax + 1):
         for m2 in range(m1, trunc.kmax + 1):
-            a = m1 + m2 + 1
-            if not trunc.amin <= a <= trunc.amax:
-                continue
-            v = genus0_closed_form((m1, m2))
-            if m1 == m2:
-                terms[(-1, a, ((m1, 2),))] = v
-            else:
-                terms[(-1, a, ((m1, 1), (m2, 1)))] = 2 * v
+            key = (-1, m1 + m2 + 1, ((m1, 2),) if m1 == m2 else ((m1, 1), (m2, 1)))
+            if trunc.contains(*key):
+                v = genus0_closed_form((m1, m2))
+                terms[key] = v if m1 == m2 else 2 * v
     return GradedSeries(trunc, terms)
 
 
@@ -209,11 +189,11 @@ def _chi_series(trunc: Truncation) -> GradedSeries:
     terms = {}
     for g in range(2, trunc.gmax + 1):
         if trunc.amin <= 1 - g <= trunc.amax:
-            terms[(g - 1, 1 - g, ())] = chi_series_coefficient(g)
+            terms[(g - 1, 1 - g, ())] = -euler_characteristic_constant(g)
     return GradedSeries(trunc, terms)
 
 
-def d_operator_apply(zk: GradedSeries, target: Truncation | None = None) -> GradedSeries:
+def d_operator_apply(zk: GradedSeries, target: Truncation) -> GradedSeries:
     """Apply D = e^chi e^{S_alpha/hbar} e^{(s^2/2) L_{-1}} to Z^K.
 
     The input must carry the vacuum normalization zk(t=0) =
@@ -229,8 +209,6 @@ def d_operator_apply(zk: GradedSeries, target: Truncation | None = None) -> Grad
     window of interest.
     """
     tr = zk.trunc
-    if target is None:
-        target = tr
     expected = (-_chi_series(tr)).exp()
     actual = {key: v for key, v in zk.terms.items() if not key[2]}
     if actual != dict(expected.terms):
@@ -283,8 +261,7 @@ def triple_route_compare(trunc: Truncation) -> dict:
     z_bgw = partition_function("gBGW", trunc)
     z_omega = assemble_z_omega(trunc)
     wide = replace(trunc, a_hi=trunc.amax + trunc.gmax - 1 + trunc.dmax)
-    z_k = zk_partition_function(wide, graded=True, vacuum=True)
-    d_zk = d_operator_apply(z_k, target=trunc)
+    d_zk = d_operator_apply(zk_partition_function(wide), trunc)
     cut = trunc.gmax - 1
     mism = series_mismatches(z_bgw, z_omega) + [
         item

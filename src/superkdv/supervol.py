@@ -121,7 +121,7 @@ def volume_polynomial(g: int, n: int, smax: int) -> VolumePolynomial:
         raise ExactCoreError("g, n, smax must be nonnegative")
     if smax % 2:
         raise ExactCoreError("smax must be even")
-    if n == 0 or (g == 0 and n > 2 and 2 * g - 2 + n <= 0):
+    if n == 0:
         raise ExactCoreError(f"(g, n) = ({g}, {n}) is not supported")
     vp = VolumePolynomial(g, n, smax)
     amax = smax // 2
@@ -156,7 +156,7 @@ def volume_polynomial(g: int, n: int, smax: int) -> VolumePolynomial:
 # exact route: Virasoro constraints on the spin tau function
 
 
-def translated_virasoro_check(trunc: Truncation, mmax: int | None = None) -> dict:
+def translated_virasoro_check(trunc: Truncation) -> dict:
     """Exact residuals of the Virasoro constraints on Z^Omega.
 
     The Stanford-Witten recursion is the conjugation of these
@@ -165,12 +165,12 @@ def translated_virasoro_check(trunc: Truncation, mmax: int | None = None) -> dic
     proven-equivalent form.  The residual is the constraint conjugated
     by e^F and read on F = log Z^Omega, with no exponential.  The
     assembly is padded so every slot a key of `trunc` reads is present:
-    two t-degrees for the second derivatives and mmax indices for d/dt_m
-    and t_i d/dt_{i+m}.  One more s^2-power keeps F_i F_j complete
-    against a term at s^{-2}, which log Z^Omega should not have.
+    two t-degrees for the second derivatives and mmax = min(kmax, 3)
+    indices for d/dt_m and t_i d/dt_{i+m}, m = 0..mmax.  One more
+    s^2-power keeps F_i F_j complete against a term at s^{-2}, which
+    log Z^Omega should not have.
     """
-    if mmax is None:
-        mmax = min(trunc.kmax, 3)
+    mmax = min(trunc.kmax, 3)
     spec = VirasoroSpec("gBGW")
     work = Truncation(
         trunc.gmax,

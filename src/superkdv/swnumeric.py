@@ -28,16 +28,6 @@ from .exactcore import ExactCoreError
 from .supervol import _TRANSLATION_SYMBOL, VolumePolynomial, volume_polynomial
 
 
-def evaluate_volume(vp: VolumePolynomial, s, L) -> mp.mpf:
-    """Numeric value of V_{g,n} at real s and L = (L_1..L_n), pi^2 at mp precision."""
-    if len(L) != vp.n:
-        raise ExactCoreError(f"expected {vp.n} boundary lengths")
-    s = mp.mpf(s)
-    return mp.fsum(
-        coeff * s ** (2 * a) for (a, _), coeff in _slot_terms(vp, 0, L).items()
-    )
-
-
 # ---------------------------------------------------------------------------
 # Stanford-Witten kernels and quadrature
 
@@ -254,21 +244,3 @@ def _residual_orders_impl(g, n, L, smax, include_v01, include_v02, method):
 #: Determined empirically: the unique flag setting whose residuals
 #: vanish (< 1e-10) through s^4 at (0,1), (1,1), (0,3) and (1,2).
 PASSING_CONVENTION = {"include_v01": True, "include_v02": True}
-
-
-def recursion_residual(
-    g: int,
-    n: int,
-    s,
-    L,
-    smax: int = 4,
-    include_v01: bool = True,
-    include_v02: bool = True,
-    method: str = "tanh-sinh",
-):
-    """|LHS - RHS| of the Stanford-Witten recursion at numeric arguments."""
-    orders = recursion_residual_orders(
-        g, n, L, smax, include_v01, include_v02, method
-    )
-    s = mp.mpf(s)
-    return abs(mp.fsum(v * s ** (2 * a) for a, v in orders.items()))

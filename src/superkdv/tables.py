@@ -6,21 +6,12 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactcore import (
-    ExactCoreError,
-    Truncation,
-    rational_from_str,
-    rational_to_str,
-)
+from .exactcore import Truncation, rational_to_str
 
 
 def canonical_bytes(payload: dict) -> bytes:
     """The one byte form of a JSON payload: sorted keys, no whitespace."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-
-
-# engines whose entries carry the implicit s-power 2 - 2g + 2|k|
-S_GRADED_ENGINES = {"bgw", "spin", "zk", "zk-bracket"}
 
 
 @dataclass
@@ -39,22 +30,9 @@ class CorrelatorTable:
         if value:
             self.entries[self.key(g, k)] = value
 
-    def spower(self, g: int, k) -> int:
-        """Implicit s-power of an entry for the s-graded engines."""
-        if self.engine not in S_GRADED_ENGINES:
-            raise ExactCoreError(f"engine {self.engine!r} carries no s-grading")
-        return 2 - 2 * g + 2 * sum(k)
-
     def to_json(self) -> dict:
         rows = [
             {"g": g, "k": list(k), "v": rational_to_str(v)}
             for (g, k), v in sorted(self.entries.items())
         ]
         return {"engine": self.engine, "trunc": self.trunc.to_json(), "entries": rows}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "CorrelatorTable":
-        table = cls(d["engine"], Truncation.from_json(d["trunc"]))
-        for row in d["entries"]:
-            table.entries[(row["g"], tuple(row["k"]))] = rational_from_str(row["v"])
-        return table

@@ -317,12 +317,14 @@ def check_homogeneity(F: GradedSeries) -> GradedSeries:
     Complete on keys with one t-degree of margin; restricted accordingly.
     """
     tr = F.trunc
+    if tr.dmax < 1:
+        raise ExactCoreError("truncation too small to certify any homogeneity order")
     res = F.derive(0)
     for k in range(tr.kmax + 1):
         res = res - F.derive(k).times_t(k).scale(2 * k + 1)
     res = res - GradedSeries.term(tr, Fraction(1, 2), h=-1, a=1)
     res = res - GradedSeries.term(tr, Fraction(1, 8))
-    cert = Truncation(tr.gmax, tr.kmax, max(tr.dmax - 1, 0), tr.smax)
+    cert = Truncation(tr.gmax, tr.kmax, tr.dmax - 1, tr.smax)
     return res.restrict(cert)
 
 

@@ -95,6 +95,14 @@ class TestComputeCommands:
         assert invoke(runner, ["volume", "--g", "1", "--n", "0"]).exit_code == 2
         assert invoke(runner, ["volume", "--g", "1", "--n", "1", "--smax", "3"]).exit_code == 2
         assert invoke(runner, ["tr", "--curve", "cns", "--gmax", "4", "--nmax", "1", "--order", "4"]).exit_code == 2
+        assert invoke(runner, ["tr", "--curve", "airy", "--gmax", "-1"]).exit_code == 2
+        assert invoke(runner, ["tr", "--curve", "airy", "--nmax", "-1"]).exit_code == 2
+        assert invoke(runner, ["tr", "--curve", "ck", "--eta", "--smax", "3"]).exit_code == 2
+        # dmax 0 certifies no homogeneity order; at gmax 0 and dmax <= 2
+        # the KW negative control has no key that can be nonzero
+        assert invoke(runner, ["verify", "homogeneity", "--gmax", "1", "--dmax", "0"]).exit_code == 2
+        result = invoke(runner, ["verify", "homogeneity", "--gmax", "0", "--dmax", "2"])
+        assert result.exit_code == 2 and "KW negative control" in result.output
 
 
 class TestVerify:

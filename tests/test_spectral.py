@@ -30,10 +30,6 @@ def s2poly(c, power=1):
     return FormalPolynomial.symbol("s2", power).scale(Fraction(c))
 
 
-def pi2poly(c, power=1):
-    return FormalPolynomial.symbol("pi2", power).scale(Fraction(c))
-
-
 class TestCurves:
     def test_bad_inputs(self):
         with pytest.raises(ExactCoreError):
@@ -43,20 +39,17 @@ class TestCurves:
 
     def test_kernel_prefactor_exact(self):
         # G = 1/(4 z y): airy 1/(4z^2), bessel 1/4, ck 1/4 + s^2/(4z^2)
-        assert spectral_curve("airy", 12).g_series == {-2: FormalPolynomial.const(Fraction(1, 4))}
-        assert spectral_curve("bessel", 12).g_series == {0: FormalPolynomial.const(Fraction(1, 4))}
-        ck = spectral_curve("ck", 12).g_series
-        assert ck == {
-            0: FormalPolynomial.const(Fraction(1, 4)),
-            -2: s2poly(Fraction(1, 4)),
-        }
+        # as {power of z: {power of the curve's parameter: coefficient}}
+        assert spectral._g_series("airy", 12) == {-2: {0: Fraction(1, 4)}}
+        assert spectral._g_series("bessel", 12) == {0: {0: Fraction(1, 4)}}
+        assert spectral._g_series("ck", 12) == {0: {0: Fraction(1, 4)}, -2: {1: Fraction(1, 4)}}
 
     def test_cns_prefactor_series(self):
         # (1/4) sec(2 pi z) = 1/4 + (pi^2/2) z^2 + (5 pi^4/6) z^4 + ...
-        g = spectral_curve("cns", 12).g_series
-        assert g[0] == Fraction(1, 4)
-        assert g[2] == pi2poly(Fraction(1, 2))
-        assert g[4] == pi2poly(Fraction(5, 6), 2)
+        g = spectral._g_series("cns", 12)
+        assert g[0] == {0: Fraction(1, 4)}
+        assert g[2] == {1: Fraction(1, 2)}
+        assert g[4] == {2: Fraction(5, 6)}
 
     @pytest.mark.parametrize("order", [4, 40, 120])
     @pytest.mark.parametrize("label", CURVE_LABELS)
@@ -100,7 +93,7 @@ class TestTrTables:
         bes = tr_correlators(spectral_curve("bessel", 16), 2, 2)
         slice0 = {}
         for key, poly in ck.entries.items():
-            const = poly.constant()
+            const = poly.coefficient(())
             if const:
                 slice0[key] = FormalPolynomial.const(const)
         assert slice0 == bes.entries
@@ -154,13 +147,6 @@ class TestTrTables:
                 assert again.entries == first.entries, (label, order)
             assert [f.cache_info().currsize for f in caches] == sizes, label
 
-    def test_json_roundtrip(self):
-        t = tr_correlators(spectral_curve("ck", 16), 1, 2)
-        again = OddDifferentialTable.from_json(t.to_json())
-        assert again.engine == t.engine
-        assert again.entries == t.entries
-        assert canonical_bytes(again.to_json()) == canonical_bytes(t.to_json())
-
 
 class TestTableComparison:
     def test_airy_matches_psi_intersections(self):
@@ -193,7 +179,7 @@ class TestEtaReexpansion:
         ck = tr_correlators(spectral_curve("ck", 16), 1, 2)
         eta = eta_reexpand(ck, smax=4)
         for key, poly in ck.entries.items():
-            assert eta.entries[key].constant() == poly.constant()
+            assert eta.entries[key].coefficient(()) == poly.coefficient(())
 
     def test_matches_spin_correlators(self):
         rep = eta_spin_compare(spectral_curve("ck", 24), chi_bound=3, smax=4)

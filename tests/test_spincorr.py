@@ -12,19 +12,19 @@ from itertools import combinations_with_replacement
 import pytest
 
 from superkdv.exactcore import ExactCoreError, GradedSeries, Truncation
-from superkdv.kappa import zk_partition_function
+from superkdv.kappa import zk_free_energy
 from superkdv.spincorr import (
+    _spin_genus0,
     alpha_coefficient,
     assemble_z_omega,
     d_operator_apply,
+    f01_series,
     f02_series,
     genus0_closed_form,
-    genus0_spin_trr,
     series_mismatches,
     spin_correlators,
     spin_free_energy,
     triple_route_compare,
-    two_point_seed,
 )
 from superkdv.virasoro import bgw_correlators
 
@@ -38,15 +38,14 @@ def spin_table():
 
 class TestGenusZero:
     def test_seeds(self):
-        assert two_point_seed(0) == Fraction(1, 2)
-        assert two_point_seed(1) == Fraction(1, 8)
-        assert two_point_seed(2) == Fraction(1, 48)
+        assert alpha_coefficient(0) == Fraction(1, 2)
+        assert alpha_coefficient(1) == Fraction(1, 8)
+        assert alpha_coefficient(2) == Fraction(1, 48)
 
     def test_recursion_values(self):
-        table = genus0_spin_trr(Truncation(gmax=0, kmax=3, dmax=4, smax=6))
-        assert table.get(0, (0, 0, 0)) == 1
-        assert table.get(0, (0, 0, 1)) == Fraction(1, 2)
-        assert table.get(0, (0, 0, 0, 0)) == 3
+        assert _spin_genus0((0, 0, 0)) == 1
+        assert _spin_genus0((0, 0, 1)) == Fraction(1, 2)
+        assert _spin_genus0((0, 0, 0, 0)) == 3
 
     def test_one_point_closed_form(self):
         assert genus0_closed_form((0,)) == Fraction(1, 2)
@@ -54,11 +53,9 @@ class TestGenusZero:
 
     def test_two_point_closed_form_matches_seeds(self):
         for k in range(5):
-            assert genus0_closed_form((0, k)) == two_point_seed(k)
+            assert genus0_closed_form((0, k)) == alpha_coefficient(k)
 
     def test_closed_form_vs_trr_batch(self):
-        from superkdv.spincorr import _spin_genus0
-
         checked = 0
         for n in range(3, 6):
             for m in combinations_with_replacement(range(5), n):
@@ -132,9 +129,9 @@ class TestAssembly:
         assert Z.terms[(-1, 1, ((0, 1),))] == Fraction(1, 2)
 
     def test_d_operator_rejects_unnormalized_input(self):
-        bare = zk_partition_function(TRS, graded=True, vacuum=False)
+        bare = zk_free_energy(TRS, vacuum=False).with_window(TRS.z_window()).exp()
         with pytest.raises(ExactCoreError):
-            d_operator_apply(bare)
+            d_operator_apply(bare, TRS)
 
 
 class TestTripleRoute:
@@ -142,6 +139,16 @@ class TestTripleRoute:
         report = triple_route_compare(TRS)
         assert report["mismatches"] == []
         assert report["nonzero"] > 50
+
+    def test_windows_below_the_two_point_degree(self):
+        # the unstable series keep only keys their window holds, so the
+        # assembly works where t-degree 1 or 2 lies outside it
+        for dmax in (0, 1):
+            trunc = Truncation(gmax=1, kmax=2, dmax=dmax, smax=4)
+            for series in (f01_series(trunc), f02_series(trunc)):
+                assert all(trunc.contains(*key) for key in series.terms)
+        report = triple_route_compare(Truncation(gmax=1, kmax=1, dmax=1, smax=2))
+        assert (report["compared"], report["nonzero"], report["mismatches"]) == (4, 4, [])
 
     def test_comparator_detects_perturbation(self):
         Z = assemble_z_omega(TRS)

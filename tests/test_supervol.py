@@ -20,9 +20,7 @@ from superkdv.spincorr import spin_correlators, spin_free_energy
 from superkdv.supervol import spin_value, translated_virasoro_check, volume_polynomial
 from superkdv.swnumeric import (
     PASSING_CONVENTION,
-    evaluate_volume,
     kernel_moment,
-    recursion_residual,
     recursion_residual_orders,
 )
 from superkdv.virasoro import VirasoroSpec, apply_virasoro_oracle
@@ -99,16 +97,6 @@ class TestVolumePolynomial:
         assert entry["k"] == [0]
         assert entry["pi2"] == [[0, "1/8"]]
 
-    def test_evaluate(self):
-        vp = volume_polynomial(1, 1, 2)
-        value = evaluate_volume(vp, 1.0, [2.0])
-        expected = (
-            mp.mpf(1) / 8
-            + mp.mpf(5) / 96 * 4
-            + mp.mpf(5) / 8 * mp.pi**2
-        )
-        assert abs(value - expected) < mp.mpf(10) ** -12
-
 
 class TestExactRoute:
     def test_translated_virasoro_all_zero(self):
@@ -171,9 +159,6 @@ class TestKernelMoments:
 
 
 class TestRecursionResidual:
-    def test_one_one_at_s_zero(self):
-        assert recursion_residual(1, 1, 0.0, [1.0], smax=2) < mp.mpf(10) ** -9
-
     def test_zero_one_delta_identity(self):
         orders = recursion_residual_orders(0, 1, [1.3], smax=2)
         assert abs(orders[1]) < mp.mpf(10) ** -9
@@ -193,10 +178,6 @@ class TestRecursionResidual:
             1, 1, [1.0], smax=2, include_v01=False, include_v02=False
         )
         assert abs(orders[1]) > 1
-
-    def test_residual_combines_orders(self):
-        r = recursion_residual(1, 1, 0.5, [1.0], smax=4, **PASSING_CONVENTION)
-        assert r < mp.mpf(10) ** -8
 
     def test_genus0_four_points_has_no_handle_term(self, monkeypatch):
         # the handle-splitting term would need genus -1; at smax = 0 every

@@ -119,7 +119,7 @@ class TestBGWValues:
 
     def test_s_grading(self, bgw_table):
         for (g, k) in bgw_table.entries:
-            assert 0 <= bgw_table.spower(g, k) <= TR.smax
+            assert 0 <= 2 - 2 * g + 2 * sum(k) <= TR.smax
 
     def test_dilaton_factor(self, bgw_table):
         # m=0 constraint at correlator level: factor n + 2|k|.  The store
@@ -148,7 +148,7 @@ class TestStore:
             (g, k): v
             for (g, k), v in large.entries.items()
             if g <= 1 and len(k) <= 3 and max(k) <= 3
-            and (model == "KW" or large.spower(g, k) <= 4)
+            and (model == "KW" or 2 - 2 * g + 2 * sum(k) <= 4)
         }
         assert small.entries and small.entries == inside
 
@@ -302,11 +302,3 @@ class TestKdV:
             small = Truncation(1, 2, 4, 0)
             kdv_residual(free_energy("KW", small).restrict(small))
 
-
-class TestTableSerialization:
-    def test_roundtrip(self, kw_table):
-        from superkdv.tables import CorrelatorTable, canonical_bytes
-
-        again = CorrelatorTable.from_json(kw_table.to_json())
-        assert again.entries == kw_table.entries
-        assert canonical_bytes(again.to_json()) == canonical_bytes(kw_table.to_json())
