@@ -8,8 +8,10 @@ Every symbolic computation in this package happens over `Fraction`
     s**2 (tracked by its integer power a, possibly negative),
     t_0, t_1, ..., t_K (tracked by a sorted exponent monomial),
 
-supporting ring arithmetic, exp/log, differentiation in t_k and
-substitution t_k -> series.  A product scales each operand once to int
+supporting ring arithmetic, exp/log, differentiation in t_k and the
+index shift t_k -> sum_j (s**2)^j t_{k+j} / (2^j j!) (`substitute`, which
+expands each t-monomial leg by leg with `shift_expansion` and forms no
+series product).  A product scales each operand once to int
 numerators over the lcm of its denominators, grouped by t-monomial in
 increasing t-degree, so the inner loop multiplies ints, stops at dmax
 and builds one Fraction per output key.
@@ -17,9 +19,9 @@ and builds one Fraction per output key.
 `exp` shares that int kernel: it runs the t-degree recurrence
 n Z_n = sum_k k x_k Z_{n-k} from Z_0 = exp(t-free part), and each Z_m
 keeps only the keys that the remaining dmax - m t-degrees can still
-bring into the window.  Only the t-free part, `log` and `substitute`
-work in a padded window (`_exp_pad`) and restrict at the end; `log`
-keeps its power series as an independent check of `exp`.
+bring into the window.  Only the t-free part and `log` work in a
+padded window (`_exp_pad`) and restrict at the end; `log` keeps its
+power series as an independent check of `exp`.
 
 `FormalPolynomial` is a small sparse polynomial ring over Fraction in a
 user-chosen alphabet of symbols (kappa classes, pi^2, translation
@@ -80,6 +82,28 @@ def labelled_splits(k: tuple[int, ...]) -> list[tuple[tuple, tuple, int]]:
             for left, right, w in out
             for c in range(e + 1)
         ]
+    return out
+
+
+def shift_expansion(legs: tuple[int, ...], budget: int, cap: int | None = None) -> dict:
+    """prod_i sum_j s^{2j} t_{k_i+j} / (2^j j!) over the legs k_i, expanded.
+
+    Returns {(sorted target, |j|): n}: the term s^{2|j|} t_target has
+    coefficient n / (2^|j| |j|!), the int n summing the multinomials
+    |j|! / prod j_i!.  Only |j| <= budget is kept, and every target index
+    stays <= cap when a cap is given.  The legs are placed one at a time
+    and equal keys merge after each leg, so the orderings of a target
+    are never walked one by one.
+    """
+    out = {((), 0): 1}
+    for v in legs:
+        top = budget if cap is None else min(budget, cap - v)
+        step: dict = {}
+        for (target, jtot), n in out.items():
+            for j in range(min(top, budget - jtot) + 1):
+                key = (tuple(sorted(target + (v + j,))), jtot + j)
+                step[key] = step.get(key, 0) + n * comb(jtot + j, j)
+        out = step
     return out
 
 
@@ -409,13 +433,13 @@ class GradedSeries:
             return GradedSeries(self.trunc)
         return GradedSeries(self.trunc, {k: c * v for k, v in self.terms.items()})
 
-    def shift(self, dh: int = 0, da: int = 0) -> "GradedSeries":
-        """Multiply by hbar^dh * (s**2)^da."""
+    def shift(self, dh: int) -> "GradedSeries":
+        """Multiply by hbar^dh."""
         tr = self.trunc
         out = {}
         for (h, a, t), v in self.terms.items():
-            if tr.contains(h + dh, a + da, t):
-                out[(h + dh, a + da, t)] = v
+            if tr.contains(h + dh, a, t):
+                out[(h + dh, a, t)] = v
         return GradedSeries(tr, out)
 
     # -- multiplicative ops ------------------------------------------------
@@ -442,21 +466,21 @@ class GradedSeries:
             out[(h, a, mono_from_dict(d))] = v * e
         return GradedSeries(self.trunc, out)
 
-    def times_t(self, k: int, power: int = 1) -> "GradedSeries":
-        """Multiply by t_k**power."""
+    def times_t(self, k: int) -> "GradedSeries":
+        """Multiply by t_k."""
         tr = self.trunc
         out = {}
         for (h, a, t), v in self.terms.items():
-            t2 = mono_mul(t, ((k, power),))
+            t2 = mono_mul(t, ((k, 1),))
             if tr.contains(h, a, t2):
                 out[(h, a, t2)] = v
         return GradedSeries(tr, out)
 
     def _exp_pad(self) -> int:
-        # Partial products inside log, substitute and the t-free part of
-        # exp can leave the h/a window and re-enter it: an hbar^{-1}
-        # factor carries t-degree >= 1, so at most dmax of them act, and
-        # each t-free factor has h >= 1 or a >= 1 bounded by the window.
+        # Partial products inside log and the t-free part of exp can leave
+        # the h/a window and re-enter it: an hbar^{-1} factor carries
+        # t-degree >= 1, so at most dmax of them act, and each t-free
+        # factor has h >= 1 or a >= 1 bounded by the window.
         # A pad linear in dmax covers every excursion that can return.
         # (The t-graded part of exp keeps its own per-degree bounds.)
         tr = self.trunc
@@ -557,47 +581,32 @@ class GradedSeries:
             raise ExactCoreError("log failed to terminate")
         return result.restrict(base)
 
-    def substitute(self, images: dict[int, "GradedSeries"]) -> "GradedSeries":
-        """Replace t_k by images[k] (indices absent from the map are fixed).
-
-        Images with a bare constant part (t-free, hbar^0, s^0) are only
-        admitted for k >= 2: such shifts are the dimension-weighted
-        translations, whose insertion sums terminate; a bare constant at
-        t_0 or t_1 would not.
+    def substitute(self, s2_step: int) -> "GradedSeries":
+        """Apply t_k -> sum_j (s**2)^{s2_step j} t_{k+j} / (2^j j!) for every k:
+        s2_step = 1 for the shift in the operator D, 0 for the same shift
+        at s = 1.  Each t-monomial is expanded once (`shift_expansion`) and
+        read off inside the window; no series product is formed.
         """
-        for k, img in images.items():
-            self._require_same(img)
-            if k < 2:
-                for (h, a, t) in img.terms:
-                    if mono_degree(t) == 0 and h <= 0 and a <= 0:
-                        raise ExactCoreError(
-                            f"substitution into t_{k} has a weightless constant "
-                            "term; insertion sums would not terminate"
-                        )
-        base = self.trunc
-        work = base.padded(self._exp_pad())
-        cache: dict[tuple[int, int], GradedSeries] = {}
-
-        def image_power(k: int, e: int) -> GradedSeries:
-            got = cache.get((k, e))
-            if got is None:
-                if e == 1:
-                    got = images[k].with_window(work)
-                else:
-                    got = image_power(k, e - 1) * image_power(k, 1)
-                cache[(k, e)] = got
-            return got
-
-        out = GradedSeries.zero(work)
+        tr = self.trunc
+        top = tr.dmax * tr.kmax  # no shift inside the window moves further
+        unit = 2**top * factorial(top)
+        den = lcm(*(v.denominator for v in self.terms.values()))
+        groups: dict[TMono, list[tuple[int, int, int]]] = {}
         for (h, a, t), v in self.terms.items():
-            piece = GradedSeries.term(work, v, h, a)
-            for k, e in t:
-                if k in images:
-                    piece = piece * image_power(k, e)
-                else:
-                    piece = piece.times_t(k, e)
-            out = out + piece
-        return out.restrict(base)
+            groups.setdefault(t, []).append((h, a, v.numerator * (den // v.denominator)))
+        acc: dict[Key, int] = {}
+        for t, hs in groups.items():
+            legs = tuple(k for k, e in t for _ in range(e))
+            budget = tr.amax - min(a for _, a, _ in hs) if s2_step else top
+            for (target, jt), n in shift_expansion(legs, budget, tr.kmax).items():
+                n *= unit // (2**jt * factorial(jt))
+                mono = mono_from_dict(Counter(target))
+                for h, a, m in hs:
+                    a += s2_step * jt
+                    if a <= tr.amax:
+                        acc[h, a, mono] = acc.get((h, a, mono), 0) + n * m
+        den *= unit
+        return GradedSeries(tr, {k: Fraction(n, den) for k, n in acc.items() if n})
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GradedSeries({len(self.terms)} terms, trunc={self.trunc})"
@@ -635,8 +644,8 @@ class FormalPolynomial:
         return cls({(): v} if v else {})
 
     @classmethod
-    def symbol(cls, name: str, power: int = 1) -> "FormalPolynomial":
-        return cls({((name, power),): Fraction(1)})
+    def symbol(cls, name: str) -> "FormalPolynomial":
+        return cls({((name, 1),): Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.terms

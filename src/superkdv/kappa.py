@@ -297,23 +297,6 @@ def bracket_expansion(k: tuple[int, ...], value) -> Fraction:
     return total
 
 
-def _bracket_route_shift(trunc: Truncation) -> GradedSeries:
-    """Apply t_k -> sum_m t_{k+m} / (2^m m!) to the s = 1 free energy."""
-    # the images sit at hbar^0, outside a gmax-0 window (hmax = -1), so
-    # build them and substitute on a window one step wider
-    work = trunc.padded(1)
-    F = zk_free_energy(trunc, graded=False).with_window(work)
-    shifts = {}
-    for k in range(trunc.kmax + 1):
-        img = GradedSeries.zero(work)
-        for m in range(trunc.kmax - k + 1):
-            img = img + GradedSeries.term(
-                work, Fraction(1, 2**m * factorial(m)), t=((k + m, 1),)
-            )
-        shifts[k] = img
-    return F.substitute(shifts).restrict(trunc)
-
-
 def bracket_psi_correlators(trunc: Truncation) -> CorrelatorTable:
     """Kappa-class correlators in the bracketed-psi basis.
 
@@ -322,7 +305,7 @@ def bracket_psi_correlators(trunc: Truncation) -> CorrelatorTable:
     routes must agree on every entry.
     """
     zk = zk_correlators(trunc)
-    shifted = _bracket_route_shift(trunc)
+    shifted = zk_free_energy(trunc, graded=False).substitute(0)
     table = CorrelatorTable("zk-bracket", trunc)
     for g in range(trunc.gmax + 1):
         for n in range(1, trunc.dmax + 1):

@@ -23,7 +23,8 @@ bracket depends only on (g, rest) and is built from lower tables
 (`_bracket`).  With G reaching down to z^{-2c}, every nonzero
 omega_{g,n} entry has |k| <= (1+2c)(g-1) + c n (`_omega_cached`).  G is
 exact for airy, bessel and ck, and B is never truncated, so the series
-order matters only for cns, and only cns keys the caches by it.  The
+order matters only for cns, which keys the caches by the order the
+requested genus needs (`SpectralCurve.series_order`).  The
 overall residue orientation is calibrated once so that the airy (0,3)
 coefficient is 1; after that every cross-check against the symbolic
 correlator tables is a genuine test.
@@ -47,10 +48,12 @@ from .exactcore import (
     ExactCoreError,
     FormalPolynomial,
     Truncation,
+    automorphism_factor,
     double_factorial,
     fixed_sum_multisets,
     labelled_splits,
     rational_to_str,
+    shift_expansion,
 )
 from .kappa import _zk_route_kappa
 from .supervol import spin_value, volume_polynomial
@@ -80,11 +83,19 @@ class SpectralCurve:
     label: str
     order: int
 
-    @property
-    def series_order(self) -> int:
-        """The order the caches are keyed by: G is exact from order 4 on
-        every curve but cns."""
-        return self.order if self.label == "cns" else 4
+    def series_order(self, gmax: int) -> int:
+        """The order the caches are keyed by for tables up to genus gmax.
+
+        G is exact from order 4 on every curve but cns.  On cns (c = 0,
+        so omega_{g,n} has |k| <= g - 1) the genus-g residue reads
+        G_{-2k_1-2-p} with p >= -2g: a pair term sits at p = -2a-2b-4 with
+        a + b <= g - 2, and a B term at p = 2m-2b-2 with b <= g - 1.  So G
+        is read up to z^{2g-2}, and order max(4, 2 gmax - 2) gives the
+        tables of every higher order.
+        """
+        if self.label != "cns":
+            return 4
+        return min(self.order, max(4, 2 * gmax - 2))
 
 
 def spectral_curve(label: str, order: int = 40) -> SpectralCurve:
@@ -327,10 +338,11 @@ def tr_correlators(curve: SpectralCurve, gmax: int, nmax: int) -> OddDifferentia
     if gmax < 0 or nmax < 0:
         raise ExactCoreError("gmax and nmax must be nonnegative")
     out = OddDifferentialTable(engine=f"tr-{curve.label}")
+    order = curve.series_order(gmax)
     for g in range(gmax + 1):
         for n in range(1, nmax + 1):
             if 2 * g - 2 + n > 0:
-                for k, coeff in _omega_cached(curve.label, curve.series_order, g, n)[0].items():
+                for k, coeff in _omega_cached(curve.label, order, g, n)[0].items():
                     out.entries[(g, k)] = _poly(curve.label, coeff)
     return out
 
@@ -434,22 +446,17 @@ def eta_reexpand(table: OddDifferentialTable, smax: int) -> OddDifferentialTable
     acc = {}  # (g, target, s-power) -> coefficient
     for (g, k), poly in table.entries.items():
         coeff = {dict(mono).get(S2, 0): v for mono, v in poly.terms.items()}
+        aut_k = automorphism_factor(Counter(k).values())
         budget = jmax - min(coeff, default=jmax)
-        # place the distinct orderings of k one leg at a time, leg v at
-        # v + j with den = prod 2^j j!, while |j| <= budget and the targets
-        # (after a leading 0) stay sorted
-        stack = [((0,), Counter(k), 0, 1)]
-        while stack:
-            target, legs, jtot, den = stack.pop()
-            for v in legs:
-                for j in range(max(0, target[-1] - v), budget - jtot + 1):
-                    den_j = den * 2**j * factorial(j)
-                    stack.append((target + (v + j,), legs - Counter((v,)), jtot + j, den_j))
-            if not legs:
-                for e, c in coeff.items():
-                    if e + jtot <= jmax:
-                        key = (g, target[1:], e + jtot)
-                        acc[key] = acc.get(key, 0) + Fraction(c, den)
+        # the expansion is that of t^k; one ordered monomial of the target
+        # carries Aut(target)/Aut(k) times its t^target coefficient
+        for (target, jtot), n in shift_expansion(k, budget).items():
+            aut = automorphism_factor(Counter(target).values())
+            w = Fraction(n * aut, aut_k * 2**jtot * factorial(jtot))
+            for e, c in coeff.items():
+                if e + jtot <= jmax:
+                    key = (g, target, e + jtot)
+                    acc[key] = acc.get(key, 0) + c * w
     out = OddDifferentialTable(engine="tr-ck-eta")
     for (g, target, e), v in acc.items():
         if v:

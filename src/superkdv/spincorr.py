@@ -198,7 +198,8 @@ def d_operator_apply(zk: GradedSeries, target: Truncation) -> GradedSeries:
 
     The input must carry the vacuum normalization zk(t=0) =
     exp(-chi(hbar s^{-2})); the shift part acts as
-    t_k -> sum_m (s^2/2)^m t_{k+m} / m!, and the quadratic part of the
+    t_k -> sum_m (s^2/2)^m t_{k+m} / m! (`GradedSeries.substitute` with
+    one s^2 per step), and the quadratic part of the
     conjugated shift contributes the factor e^{F02/(2 hbar)}.
 
     The chi factors carry negative s-powers, so coefficients of the
@@ -214,15 +215,7 @@ def d_operator_apply(zk: GradedSeries, target: Truncation) -> GradedSeries:
     if actual != dict(expected.terms):
         raise ExactCoreError("input is not normalized to exp(-chi) at t = 0")
     work = tr.padded(tr.dmax + tr.gmax + 2)
-    shifts = {}
-    for k in range(tr.kmax + 1):
-        img = GradedSeries.zero(work)
-        for m in range(tr.kmax - k + 1):
-            img = img + GradedSeries.term(
-                work, Fraction(1, 2**m * factorial(m)), a=m, t=((k + m, 1),)
-            )
-        shifts[k] = img
-    shifted = zk.with_window(work).substitute(shifts)
+    shifted = zk.with_window(work).substitute(1)
     # S_alpha / hbar = sum alpha_m t_m / (2m+1) / hbar is the one-point series
     exponent = (
         _chi_series(tr) + f01_series(tr) + f02_series(tr).scale(Fraction(1, 2))

@@ -2,7 +2,8 @@
 
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,10 +19,11 @@ from superkdv.exactcore import (
     double_factorial,
     euler_characteristic_constant,
     mono_from_dict,
+    shift_expansion,
     useries_exp_poly,
     useries_log,
 )
-from superkdv.kappa import zk_free_energy
+from superkdv.kappa import zk_free_energy, zk_partition_function
 from superkdv.spincorr import _chi_series
 from superkdv.virasoro import free_energy, solve_truncation
 
@@ -217,18 +219,6 @@ class TestGradedSeries:
         with pytest.raises(ExactCoreError):
             GradedSeries.term(TR, 2).log()
 
-    def test_substitute_constant_shift(self):
-        # t_2 -> t_2 + 3 applied to t_2 gives t_2 + 3
-        shift = GradedSeries.term(TR, 1, t=((2, 1),)) + GradedSeries.term(TR, 3)
-        s = GradedSeries.term(TR, 1, t=((2, 1),))
-        assert s.substitute({2: shift}) == shift
-
-    def test_substitute_rejects_weightless_low_index(self):
-        shift = GradedSeries.term(TR, 1, t=((0, 1),)) + GradedSeries.term(TR, 3)
-        s = GradedSeries.term(TR, 1, t=((0, 1),))
-        with pytest.raises(ExactCoreError):
-            s.substitute({0: shift})
-
     # Ring identities hold exactly once all arithmetic happens in a window
     # wide enough that nothing real is pruned mid-computation; compute in a
     # padded window, then compare restricted to the original one.
@@ -283,6 +273,29 @@ def reference_exp(x: GradedSeries, pad: int) -> GradedSeries:
     return total.restrict(x.trunc)
 
 
+def reference_substitute(x: GradedSeries, s2_step: int) -> GradedSeries:
+    """t_k -> sum_m (s^2)^{s2_step m} t_{k+m} / (2^m m!) by series products:
+    each t_k^e becomes the e-th power of its image, summed in a padded
+    window and restricted back."""
+    tr = x.trunc
+    work = tr.padded(x._exp_pad())
+    images = {}
+    for k in range(tr.kmax + 1):
+        images[k] = GradedSeries.zero(work)
+        for m in range(tr.kmax - k + 1):
+            images[k] = images[k] + GradedSeries.term(
+                work, Fraction(1, 2**m * factorial(m)), a=s2_step * m, t=((k + m, 1),)
+            )
+    out = GradedSeries.zero(work)
+    for (h, a, t), v in x.terms.items():
+        piece = GradedSeries.term(work, v, h, a)
+        for k, e in t:
+            for _ in range(e):
+                piece = piece * images[k]
+        out = out + piece
+    return out.restrict(tr)
+
+
 def solved_free_energy(model, trunc):
     """log Z as the store solves it, on the z-window of its solve window."""
     return free_energy(model, trunc).with_window(solve_truncation(model, trunc).z_window())
@@ -290,6 +303,46 @@ def solved_free_energy(model, trunc):
 
 def zk_vacuum(trunc):
     return zk_free_energy(trunc, vacuum=True).with_window(trunc.z_window())
+
+
+class TestSubstitute:
+    """`substitute` expands each t-monomial once; the reference multiplies
+    the images of its legs as series."""
+
+    ZK, ZK0 = Truncation(2, 4, 4, 6), Truncation(0, 4, 4, 4)
+    CASES = {
+        "Z^K": lambda: zk_partition_function(TestSubstitute.ZK),
+        "Z^K on the D window": lambda: zk_partition_function(TestSubstitute.ZK).with_window(
+            TestSubstitute.ZK.padded(TestSubstitute.ZK.dmax + TestSubstitute.ZK.gmax + 2)
+        ),
+        "F^K graded": lambda: zk_free_energy(TestSubstitute.ZK),
+        "F^K at s = 1": lambda: zk_free_energy(TestSubstitute.ZK, graded=False),
+        "Z^K gmax 0": lambda: zk_partition_function(TestSubstitute.ZK0),
+        "F^K gmax 0 at s = 1": lambda: zk_free_energy(TestSubstitute.ZK0, graded=False),
+    }
+
+    @pytest.mark.parametrize("s2_step", [0, 1])
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_series_products(self, case, s2_step):
+        x = self.CASES[case]()
+        got = x.substitute(s2_step)
+        assert got == reference_substitute(x, s2_step)
+        assert got != x
+
+    def test_shift_expansion_matches_j_vectors(self):
+        # every j-vector with |j| <= budget and legs kept <= cap
+        legs, budget, cap = (0, 1, 1, 3), 4, 4
+        ref = {}
+        for jvec in product(range(budget + 1), repeat=len(legs)):
+            target = tuple(sorted(k + j for k, j in zip(legs, jvec)))
+            if sum(jvec) <= budget and max(target) <= cap:
+                w = Fraction(1)
+                for j in jvec:
+                    w /= 2**j * factorial(j)
+                key = (target, sum(jvec))
+                ref[key] = ref.get(key, 0) + w
+        got = shift_expansion(legs, budget, cap)
+        assert {k: Fraction(n, 2**k[1] * factorial(k[1])) for k, n in got.items()} == ref
 
 
 class TestExp:

@@ -27,7 +27,7 @@ from superkdv.tables import canonical_bytes
 
 
 def s2poly(c, power=1):
-    return FormalPolynomial.symbol("s2", power).scale(Fraction(c))
+    return (FormalPolynomial.symbol("s2") ** power).scale(Fraction(c))
 
 
 class TestCurves:
@@ -135,15 +135,21 @@ class TestTrTables:
         finally:
             spectral._omega_cached.cache_clear()
 
-    def test_caches_keyed_by_order_only_for_cns(self):
-        # G is exact on airy, bessel and ck, so a sweep over --order must
-        # neither grow the caches nor change a table
+    def test_caches_keyed_by_needed_order(self):
+        # G is exact on airy, bessel and ck, and cns reads G only up to
+        # z^{2g-2}, so a sweep over --order past what the request needs
+        # must neither grow the caches nor change a table
         caches = (spectral._omega_cached, spectral._g_series)
-        for label in ("airy", "bessel", "ck"):
-            first = tr_correlators(spectral_curve(label, 5), 2, 3)
+        for label, orders in (
+            ("airy", range(5, 105)),
+            ("bessel", range(5, 105)),
+            ("ck", range(5, 105)),
+            ("cns", range(8, 108)),
+        ):
+            first = tr_correlators(spectral_curve(label, orders[0]), 3, 3)
             sizes = [f.cache_info().currsize for f in caches]
-            for order in range(6, 105):
-                again = tr_correlators(spectral_curve(label, order), 2, 3)
+            for order in orders[1:]:
+                again = tr_correlators(spectral_curve(label, order), 3, 3)
                 assert again.entries == first.entries, (label, order)
             assert [f.cache_info().currsize for f in caches] == sizes, label
 

@@ -27,7 +27,7 @@ from superkdv.virasoro import VirasoroSpec, apply_virasoro_oracle
 
 
 def pi2_poly(c: Fraction, power: int = 1) -> FormalPolynomial:
-    return FormalPolynomial.symbol("pi2", power).scale(c)
+    return (FormalPolynomial.symbol("pi2") ** power).scale(c)
 
 
 class TestSpinValue:

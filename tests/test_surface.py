@@ -8,6 +8,11 @@ matched loosely (any `x.name` counts for every method `name`), so the
 check can miss dead code but never flags code the package uses.
 Imports do not count as uses, so a name that is only imported and
 re-exported is not live.
+
+A parameter with a default is likewise dead when no call in the package
+sets it: by keyword, by position, or by `*`/`**` forwarding.  A call
+`Class(...)` is a call of `Class.__init__`, and calls are matched by
+name as loosely as above.
 """
 
 import ast
@@ -47,11 +52,15 @@ def _is_root(qualname: str, node) -> bool:
     )
 
 
+def _modules():
+    return [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+
+
 def unreached_definitions() -> list[str]:
     defs = {}  # qualname -> (node, the nodes whose names it uses)
     names = set()  # names used by module-level code
-    for path in sorted(SRC.glob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
+    for module in _modules():
+        for stmt in module.body:
             if isinstance(stmt, ast.FunctionDef):
                 defs[stmt.name] = (stmt, [stmt])
             elif isinstance(stmt, ast.ClassDef):
@@ -76,3 +85,52 @@ def unreached_definitions() -> list[str]:
 
 def test_no_definition_is_reached_only_by_tests():
     assert unreached_definitions() == []
+
+
+def unset_defaults() -> list[str]:
+    """`qualname(parameter)` for each defaulted parameter of a top-level
+    function or method, allowlisted ones aside, that no package call sets."""
+    params = {}  # callee name -> [(qualname, positional index or None, parameter)]
+    calls = []
+    for module in _modules():
+        for stmt in module.body:
+            if isinstance(stmt, ast.FunctionDef):
+                defs = [(stmt.name, stmt.name, stmt, 0)]
+            elif isinstance(stmt, ast.ClassDef):
+                defs = [
+                    (stmt.name if m.name == "__init__" else m.name, f"{stmt.name}.{m.name}", m, 1)
+                    for m in stmt.body
+                    if isinstance(m, ast.FunctionDef)
+                ]
+            else:
+                defs = []
+            for callee, qualname, node, bound in defs:
+                if qualname in ALLOWED:
+                    continue
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                for i in range(first, len(positional)):
+                    params.setdefault(callee, []).append((qualname, i - bound, positional[i].arg))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        params.setdefault(callee, []).append((qualname, None, arg.arg))
+        calls += [node for node in ast.walk(module) if isinstance(node, ast.Call)]
+    unset = {(qualname, name) for entries in params.values() for qualname, _, name in entries}
+    for call in calls:
+        func = call.func
+        callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        forwarded = any(isinstance(a, ast.Starred) for a in call.args)
+        keywords = {k.arg for k in call.keywords}
+        for qualname, index, name in params.get(callee, ()):
+            if (
+                None in keywords
+                or name in keywords
+                or index is not None and (forwarded or index < len(call.args))
+            ):
+                unset.discard((qualname, name))
+    return sorted(f"{qualname}({name})" for qualname, name in unset)
+
+
+def test_no_default_is_set_only_by_tests():
+    assert unset_defaults() == []

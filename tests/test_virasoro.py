@@ -234,9 +234,9 @@ def z_level_residual(Z: GradedSeries, spec: VirasoroSpec, m: int) -> GradedSerie
     if m == 0:
         res = res - Z.scale(Fraction(1, 8))
         if spec.model == "gBGW":
-            res = res - Z.shift(dh=-1, da=1).scale(Fraction(1, 2))
+            res = res - (Z * GradedSeries.term(Z.trunc, 1, h=-1, a=1)).scale(Fraction(1, 2))
     if m == -1:
-        res = res - Z.times_t(0, 2).shift(dh=-1).scale(Fraction(1, 2))
+        res = res - Z.times_t(0).times_t(0).shift(dh=-1).scale(Fraction(1, 2))
     return res
 
 
