@@ -329,6 +329,10 @@ def _wrap(compute):
 
 def _verify_theorem1(trunc: Truncation) -> dict:
     report = triple_route_compare(trunc)
+    if not report["compared"]:
+        raise ExactCoreError(
+            "the theorem1 window compares no coefficient of Z^BGW, Z^Omega or D Z^K"
+        )
     return {
         "trunc": report["trunc"],
         "compared": report["compared"],

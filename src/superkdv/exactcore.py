@@ -708,9 +708,6 @@ class FormalPolynomial:
             out = out * self
         return out
 
-    def coefficient(self, mono: PMono) -> Fraction:
-        return self.terms.get(tuple(sorted(mono)), Fraction(0))
-
     def __repr__(self) -> str:  # pragma: no cover
         if not self.terms:
             return "0"

@@ -6,17 +6,18 @@ exp(-sum sigma_i t^i) to equal the alternating double-factorial series
 sum (-1)^k (2k+1)!! t^k.
 
 Mixed numbers int kappa_1^{a_1} kappa_2^{a_2} ... prod psi_i^{k_i} are
-computed by translating the Kontsevich-Witten correlators: shifting
-t_j -> t_j + p_{j-1}(b) for j >= 2, where the p_j are the weighted
-homogeneous polynomials of 1 - exp(-sum b_i z^i), and extracting the
-coefficient of the b-monomial matching the kappa exponents.  The sum is
-finite because each extra insertion tau_j costs translation weight
-j - 1 and the total weight equals the kappa degree.
+computed by the pushforward recursion: int kappa_a Y = int psi^{a+1}
+pullback(Y) on one more point, with kappa_b pulling back to
+kappa_b - psi^b, trades one kappa factor at a time for a psi power on a
+new point until only a Kontsevich-Witten correlator is left.
 
 Two correlator tables are exposed: the "zk" table of integrals of the
 full kappa class against psi monomials, and the "zk-bracket" table in
 the bracketed-psi basis psi^{(k)} = sum_j psi^{k-j} / (2^j j!).  Each is
-computed by two independent routes that must agree exactly.
+computed by two independent routes that must agree exactly; for "zk"
+they are (a) the pushforward recursion on the kappa monomials of K_m and
+(b) the constant translation t_j -> t_j + (-1)^j (2j-1)!! of the KW
+correlators.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .exactcore import (
     useries_log,
 )
 from .tables import CorrelatorTable
-from .virasoro import kw_correlators
+from .virasoro import _correlator
 
 # ---------------------------------------------------------------------------
 # generating polynomials
@@ -74,31 +75,15 @@ def k_polynomials(N: int) -> tuple[FormalPolynomial, ...]:
     return tuple(useries_exp_poly(gen, order=N))
 
 
-@lru_cache(maxsize=None)
-def translation_polynomials(N: int) -> tuple[FormalPolynomial, ...]:
-    """p_0..p_N with 1 - exp(-sum b_i z^i) = sum p_j z^j.
-
-    p_j is weighted homogeneous of degree j in b_1..b_j (weight i for
-    "bi"); p_0 = 0.
-    """
-    if N < 0:
-        raise ExactCoreError("translation_polynomials requires N >= 0")
-    gen = [FormalPolynomial()] + [
-        FormalPolynomial.symbol(f"b{i}").scale(-1) for i in range(1, N + 1)
-    ]
-    e = useries_exp_poly(gen, order=N)
-    return tuple(FormalPolynomial() if j == 0 else -p for j, p in enumerate(e))
-
-
 # ---------------------------------------------------------------------------
 # mixed kappa-psi numbers
 
 
-@lru_cache(maxsize=None)
-def _kw_table(g: int, npoints: int) -> CorrelatorTable:
-    """KW correlators on up to `npoints` insertions at genus g."""
-    kmax = max(3 * g - 3 + npoints, 0)
-    return kw_correlators(Truncation(g, kmax, npoints, 0))
+def _kw_table(g: int, k) -> Fraction:
+    """<prod tau_{k_i}>_g from the KW correlator store, for indices in any
+    order: the one KW read of both kappa routes.  The name stays because
+    `perfbench/tracer.py` binds it."""
+    return _correlator("KW", g, tuple(sorted(k)))
 
 
 def _kappa_weight(kappa: tuple[int, ...]) -> int:
@@ -137,55 +122,22 @@ def kappa_psi_number(g: int, n: int, kappa_exponents, psi_exponents=()) -> Fract
 
 @lru_cache(maxsize=None)
 def _kappa_psi(g: int, kappa: tuple[int, ...], psi: tuple[int, ...]) -> Fraction:
-    n = len(psi)
-    w = _kappa_weight(kappa)
-    if n == 0:
-        # push one kappa_a forward: int kappa_a Y = int psi^{a+1} pullback(Y)
-        # on one more point, with kappa_b pulling back to kappa_b - psi^b
-        # (psi powers of the other points are unaffected under the
-        # integral against a positive power of the new psi)
-        return _pushforward_step(g, kappa, psi)
-    table = _kw_table(g, n + w)
-    target = tuple(
-        sorted((f"b{i + 1}", e) for i, e in enumerate(kappa) if e)
-    )
-    total = Fraction(0)
-    for parts in partitions(w):
-        coeff = _translation_product(parts).coefficient(target)
-        if not coeff:
-            continue
-        insertions = tuple(x + 1 for x in parts)
-        total += (
-            coeff
-            * table.get(g, psi + insertions)
-            / automorphism_factor(Counter(parts).values())
-        )
-    return total * automorphism_factor(kappa)
-
-
-@lru_cache(maxsize=4096)
-def _translation_product(parts: tuple[int, ...]) -> FormalPolynomial:
-    """prod p_x over a nondecreasing tuple of parts, from its prefix's product."""
-    if not parts:
-        return FormalPolynomial.const(1)
-    x = parts[-1]
-    return _translation_product(parts[:-1]) * translation_polynomials(x)[x]
-
-
-def _pushforward_step(g: int, kappa: tuple[int, ...], psi: tuple[int, ...]) -> Fraction:
-    """Trade the highest kappa factor for a psi power on a new point."""
+    """The KW entry when no kappa is left; otherwise push the highest kappa
+    factor forward: int kappa_a Y = int psi^{a+1} pullback(Y) on one more
+    point, with kappa_b pulling back to kappa_b - psi^b (psi powers of the
+    other points are unaffected under the integral against a positive
+    power of the new psi)."""
+    if not kappa:
+        return _kw_table(g, psi)
     a = len(kappa)  # kappa normalized: last exponent positive
     remaining = list(kappa)
     remaining[a - 1] -= 1
     total = Fraction(0)
-    ranges = [range(e + 1) for e in remaining]
-    for choice in iproduct(*ranges):
+    for choice in iproduct(*[range(e + 1) for e in remaining]):
         coeff = 1
         for e, c in zip(remaining, choice):
             coeff *= comb(e, c) * (-1) ** c
-        reduced = _normalize_kappa(
-            e - c for e, c in zip(remaining, choice)
-        )
+        reduced = _normalize_kappa(e - c for e, c in zip(remaining, choice))
         extra = a + 1 + sum((b + 1) * c for b, c in enumerate(choice))
         total += coeff * _kappa_psi(g, reduced, tuple(sorted(psi + (extra,))))
     return total
@@ -197,18 +149,20 @@ def _pushforward_step(g: int, kappa: tuple[int, ...], psi: tuple[int, ...]) -> F
 
 @lru_cache(maxsize=None)
 def _zk_route_kappa(g: int, n: int, m: int, k: tuple[int, ...]) -> Fraction:
-    """Route (a): expand K_m into kappa monomials and integrate each."""
+    """Route (a): expand K_m into kappa monomials and integrate each by the
+    pushforward recursion."""
     if m < 0:
         return Fraction(0)
     return k_m_integral(g, n, m, psi_exponents=k)
 
 
 def _zk_route_shift(g: int, n: int, k: tuple[int, ...]) -> Fraction:
-    """Route (b): constant shift t_j -> t_j + (-1)^j (2j-1)!! for j >= 2."""
+    """Route (b): the constant translation t_j -> t_j + (-1)^j (2j-1)!! for
+    j >= 2 of the KW correlators, summed over the partitions of the kappa
+    degree m into extra insertions tau_{x+1}."""
     m = 3 * g - 3 + n - sum(k)
     if m < 0:
         return Fraction(0)
-    table = _kw_table(g, n + m)
     total = Fraction(0)
     for parts in partitions(m):
         insertions = tuple(x + 1 for x in parts)
@@ -216,7 +170,7 @@ def _zk_route_shift(g: int, n: int, k: tuple[int, ...]) -> Fraction:
         for j in insertions:
             weight *= (-1) ** j * double_factorial(2 * j - 1)
         weight /= automorphism_factor(Counter(parts).values())
-        total += weight * table.get(g, k + insertions)
+        total += weight * _kw_table(g, k + insertions)
     return total
 
 
@@ -225,8 +179,9 @@ def zk_correlators(trunc: Truncation) -> CorrelatorTable:
     """Integrals of the full kappa class against psi monomials.
 
     Entry (g, k) is int K_m prod psi^{k_i} with m = 3g - 3 + n - |k|,
-    computed by two independent routes (kappa-monomial expansion and the
-    constant variable shift) that must agree.  Vacuum entries (g, ())
+    computed by two independent routes that must agree: (a) the
+    pushforward recursion on each kappa monomial of K_m and (b) the
+    constant translation of the KW correlators.  Vacuum entries (g, ())
     for g >= 2 hold int K_{3g-3} over the unpointed space, equal to the
     negated absolute orbifold Euler characteristic.
     """

@@ -103,6 +103,12 @@ class TestComputeCommands:
         assert invoke(runner, ["verify", "homogeneity", "--gmax", "1", "--dmax", "0"]).exit_code == 2
         result = invoke(runner, ["verify", "homogeneity", "--gmax", "0", "--dmax", "2"])
         assert result.exit_code == 2 and "KW negative control" in result.output
+        # a window with no key to compare would pass vacuously
+        result = invoke(
+            runner,
+            ["verify", "theorem1", "--gmax", "0", "--kmax", "0", "--dmax", "0", "--smax", "0"],
+        )
+        assert result.exit_code == 2 and "compares no coefficient" in result.output
 
 
 class TestVerify:

@@ -406,7 +406,7 @@ class TestFormalPolynomial:
         k2 = FormalPolynomial.symbol("k2")
         p = (k1 + k2) * (k1 - k2)
         assert p == k1 * k1 - k2 * k2
-        assert p.coefficient((("k1", 2),)) == 1
+        assert p.terms[(("k1", 2),)] == 1
 
     def test_pow(self):
         x = FormalPolynomial.symbol("x")
@@ -438,4 +438,4 @@ class TestUnivariateSeries:
         l = useries_log(a, order=3)
         lp = [FormalPolynomial.const(c) for c in l]
         back = useries_exp_poly(lp, order=3)
-        assert [c.coefficient(()) for c in back] == a
+        assert [c.terms.get((), 0) for c in back] == a

@@ -1,14 +1,14 @@
 """Tests for the kappa-class machinery.
 
-Frozen values come from independent sources: the pushforward recursion
-(kappa_a = pi_* psi^{a+1} with the comparison of cotangent lines under
-the forgetful map), literature constants for low-genus kappa volumes,
-and the orbifold Euler characteristics of the unpointed moduli spaces.
+Frozen values come from independent sources: the Arbarello-Cornalba
+identity between psi powers on forgotten points and kappa classes,
+literature constants for low-genus kappa volumes, and the orbifold Euler
+characteristics of the unpointed moduli spaces.
 """
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, product as iproduct
-from math import comb
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -19,19 +19,16 @@ from superkdv.exactcore import (
     euler_characteristic_constant,
 )
 from superkdv.kappa import (
-    _kw_table,
-    _normalize_kappa,
     bracket_psi_correlators,
     k_m_integral,
     k_polynomials,
     kappa_psi_number,
     sigma_coefficients,
-    translation_polynomials,
     vanishing_check,
     zk_correlators,
     zk_free_energy,
 )
-from superkdv.virasoro import kdv_residual
+from superkdv.virasoro import kdv_residual, kw_correlators
 
 TRK = Truncation(gmax=2, kmax=3, dmax=3, smax=6)
 
@@ -46,29 +43,20 @@ def bracket_table():
     return bracket_psi_correlators(TRK)
 
 
-def pullback_number(g, kappa, psi):
-    """Independent oracle: trade each kappa factor for a psi power.
-
-    int kappa_a Y = int psi_new^{a+1} pullback(Y) on one more point,
-    with kappa_b pulling back to kappa_b - psi_new^b and the psi powers
-    of the old points unchanged against psi_new^{a+1}.
-    """
-    kappa = _normalize_kappa(kappa)
-    psi = tuple(sorted(psi))
-    if not kappa:
-        return _kw_table(g, len(psi)).get(g, psi)
-    a = len(kappa)
-    rem = list(kappa)
-    rem[a - 1] -= 1
-    total = Fraction(0)
-    for choice in iproduct(*[range(e + 1) for e in rem]):
-        coeff = 1
-        for e, c in zip(rem, choice):
-            coeff *= comb(e, c) * (-1) ** c
-        reduced = tuple(e - c for e, c in zip(rem, choice))
-        extra = a + 1 + sum((b + 1) * c for b, c in enumerate(choice))
-        total += coeff * pullback_number(g, reduced, psi + (extra,))
-    return total
+def cycle_kappa(a, perm):
+    """Kappa exponents of prod over the cycles c of perm of kappa_{sum_{j in c} a_j}."""
+    weights = Counter()
+    seen = set()
+    for start in range(len(perm)):
+        if start in seen:
+            continue
+        j, w = start, 0
+        while j not in seen:
+            seen.add(j)
+            w += a[j]
+            j = perm[j]
+        weights[w] += 1
+    return tuple(weights[i] for i in range(1, max(weights) + 1))
 
 
 class TestGeneratingPolynomials:
@@ -88,7 +76,7 @@ class TestGeneratingPolynomials:
         ]
         back = useries_exp_poly(gen, order=N)
         for k in range(N + 1):
-            assert back[k].coefficient(()) == (-1) ** k * double_factorial(2 * k + 1)
+            assert back[k].terms.get((), 0) == (-1) ** k * double_factorial(2 * k + 1)
 
     def test_k_polynomials_displayed(self):
         K = k_polynomials(4)
@@ -112,16 +100,6 @@ class TestGeneratingPolynomials:
         for m, poly in enumerate(k_polynomials(6)):
             for mono in poly.terms:
                 assert sum(int(name[1:]) * e for name, e in mono) == m
-
-    def test_translation_polynomials(self):
-        p = translation_polynomials(3)
-        b1 = FormalPolynomial.symbol("b1")
-        b2 = FormalPolynomial.symbol("b2")
-        b3 = FormalPolynomial.symbol("b3")
-        assert p[0].is_zero()
-        assert p[1] == b1
-        assert p[2] == b2 - (b1 * b1).scale(Fraction(1, 2))
-        assert p[3] == b3 - b1 * b2 + (b1**3).scale(Fraction(1, 6))
 
 
 class TestKappaPsiNumbers:
@@ -152,27 +130,33 @@ class TestKappaPsiNumbers:
         with pytest.raises(ExactCoreError):
             kappa_psi_number(1, 0, ())
 
-    def test_against_pushforward_recursion(self):
+    def test_arbarello_cornalba_identity(self):
+        # <prod tau_{k_i} prod_{j<=m} tau_{a_j+1}>_g equals the sum over the
+        # permutations sigma of S_m of int psi^k prod_{cycles c of sigma}
+        # kappa_{sum_{j in c} a_j}, for a_j >= 1
+        kw = kw_correlators(Truncation(gmax=3, kmax=12, dmax=6, smax=0))
         checked = 0
-        for g in (0, 1, 2):
-            for n in range(1, 5):
+        for g in range(4):
+            for n in range(4):
                 if 2 * g - 2 + n <= 0:
                     continue
                 dim = 3 * g - 3 + n
-                for kappa in [(1,), (2,), (0, 1), (1, 1), (3,), (0, 0, 1)]:
-                    rest = dim - sum((i + 1) * e for i, e in enumerate(kappa))
-                    if rest < 0:
-                        continue
-                    for psi in set(
-                        tuple(sorted(p))
-                        for p in combinations_with_replacement(range(rest + 1), n)
-                        if sum(p) == rest
-                    ):
-                        assert kappa_psi_number(g, n, kappa, psi) == pullback_number(
-                            g, kappa, psi
-                        ), (g, n, kappa, psi)
-                        checked += 1
-        assert checked > 50
+                for m in (1, 2, 3):
+                    for a in combinations_with_replacement(range(1, 5), m):
+                        rest = dim - sum(a)
+                        if rest < 0:
+                            continue
+                        for psi in combinations_with_replacement(range(rest + 1), n):
+                            if sum(psi) != rest:
+                                continue
+                            lhs = kw.get(g, psi + tuple(x + 1 for x in a))
+                            rhs = sum(
+                                kappa_psi_number(g, n, cycle_kappa(a, perm), psi)
+                                for perm in permutations(range(m))
+                            )
+                            assert lhs == rhs, (g, psi, a)
+                            checked += 1
+        assert checked == 284
 
 
 class TestZkTable:

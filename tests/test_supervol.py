@@ -8,6 +8,7 @@ D(x, u, 0) = (sech((x-u)/4) - sech((x+u)/4)) / 2.
 """
 
 from fractions import Fraction
+import hashlib
 import warnings
 from itertools import permutations
 
@@ -23,6 +24,7 @@ from superkdv.swnumeric import (
     kernel_moment,
     recursion_residual_orders,
 )
+from superkdv.tables import canonical_bytes
 from superkdv.virasoro import VirasoroSpec, apply_virasoro_oracle
 
 
@@ -89,6 +91,21 @@ class TestVolumePolynomial:
             volume_polynomial(1, 0, 4)
         with pytest.raises(ExactCoreError):
             volume_polynomial(1, 1, 3)
+
+    @pytest.mark.parametrize(
+        "g, n, smax, digest",
+        [
+            (3, 1, 6, "d5f30901df08efc9536e4112cafbfb6e37819b98a3e27cbbaa7eb9751197e86f"),
+            (3, 2, 4, "f6e57cd65f8d181245ee9bc9c444ce189382eb619aaf43ef59b4ab641bd39de5"),
+            (4, 1, 4, "0b0ff6bf63975eb6deda139b4f0fdd290eeb2862ffae5d72d12c63c0d788f755"),
+        ],
+        ids=["3-1-6", "3-2-4", "4-1-4"],
+    )
+    def test_frozen_bytes_genus_3_and_4(self, g, n, smax, digest):
+        # sha256 of the canonical JSON bytes, frozen when mixed kappa-psi
+        # numbers were still computed by the symbolic translation
+        payload = canonical_bytes(volume_polynomial(g, n, smax).to_json())
+        assert hashlib.sha256(payload).hexdigest() == digest
 
     def test_json_schema(self):
         data = volume_polynomial(1, 1, 2).to_json()
