@@ -371,11 +371,8 @@ def _verify_homogeneity(trunc: Truncation) -> dict:
         raise ExactCoreError("the KW negative control needs gmax >= 1 or dmax >= 3")
     kw_trunc = Truncation(trunc.gmax, trunc.kmax, trunc.dmax, 0)
     bgw = check_homogeneity(free_energy("gBGW", trunc).restrict(trunc)).is_zero()
-    spin = check_homogeneity(
-        spin_free_energy(
-            Truncation(trunc.gmax, min(trunc.kmax, 3), min(trunc.dmax, 4), min(trunc.smax, 6))
-        )
-    ).is_zero()
+    spin_trunc = Truncation(trunc.gmax, min(trunc.kmax, 3), min(trunc.dmax, 4), min(trunc.smax, 6))
+    spin = check_homogeneity(spin_free_energy(spin_trunc)).is_zero()
     kw = check_homogeneity(free_energy("KW", kw_trunc).restrict(kw_trunc)).is_zero()
     return {
         "trunc": trunc.to_json(),
@@ -390,9 +387,7 @@ def _verify_virasoro(trunc: Truncation) -> dict:
     mmax = 4
     cases = {}
     for model, mlo in (("KW", -1), ("gBGW", 0)):
-        tr_model = trunc if model == "gBGW" else Truncation(
-            trunc.gmax, trunc.kmax, trunc.dmax, 0
-        )
+        tr_model = trunc if model == "gBGW" else Truncation(trunc.gmax, trunc.kmax, trunc.dmax, 0)
         cases[model] = {
             str(m): virasoro_oracle_residual(model, tr_model, m).is_zero()
             for m in range(mlo, mmax + 1)
@@ -489,6 +484,8 @@ VERIFY_IMPL = {
     "laplace": _verify_laplace,
     "recursion": _verify_recursion,
 }
+# suites that read no window: one cache entry serves every --gmax/--kmax/--dmax/--smax
+WINDOWLESS = ("vanishing", "trr", "laplace")
 
 
 @main.command()
@@ -498,7 +495,8 @@ VERIFY_IMPL = {
 def verify(ctx, suite, gmax, kmax, dmax, smax):
     """Run one verification suite; exit 0 only if everything passes."""
     trunc = Truncation(gmax, kmax, dmax, smax)
-    request = {"command": "verify", "suite": suite, "trunc": trunc.to_json()}
+    window = {} if suite in WINDOWLESS else {"trunc": trunc.to_json()}
+    request = {"command": "verify", "suite": suite, **window}
 
     def compute():
         report = VERIFY_IMPL[suite](trunc)

@@ -11,13 +11,17 @@ pullback(Y) on one more point, with kappa_b pulling back to
 kappa_b - psi^b, trades one kappa factor at a time for a psi power on a
 new point until only a Kontsevich-Witten correlator is left.
 
-Two correlator tables are exposed: the "zk" table of integrals of the
-full kappa class against psi monomials, and the "zk-bracket" table in
-the bracketed-psi basis psi^{(k)} = sum_j psi^{k-j} / (2^j j!).  Each is
-computed by two independent routes that must agree exactly; for "zk"
-they are (a) the pushforward recursion on the kappa monomials of K_m and
-(b) the constant translation t_j -> t_j + (-1)^j (2j-1)!! of the KW
-correlators.
+Two correlator tables are exposed, each computed by two independent
+routes that must agree exactly.  The "zk" table integrates the full
+kappa class against psi monomials, by (a) the pushforward recursion on
+the kappa monomials of K_m and (b) the constant translation
+t_j -> t_j + (-1)^j (2j-1)!! of the KW correlators.  The "zk-bracket"
+table is in the bracketed-psi basis psi^{(k)} = sum_j psi^{k-j}/(2^j j!),
+by (a) `bracket_expansion` of each entry and (b) the index shift of the
+free energy.  Route (a) places the slots one at a time and merges equal
+sorted partial targets, with int weights over prod 2^{k_i} k_i!; it
+drops a target whose index sum passes the budget 3g-3+n, since later
+slots only add and every kappa-class correlator above the dimension is 0.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
 from itertools import product as iproduct
 
 from .exactcore import (
@@ -86,10 +90,6 @@ def _kw_table(g: int, k) -> Fraction:
     return _correlator("KW", g, tuple(sorted(k)))
 
 
-def _kappa_weight(kappa: tuple[int, ...]) -> int:
-    return sum((i + 1) * e for i, e in enumerate(kappa))
-
-
 def _normalize_kappa(kappa_exponents) -> tuple[int, ...]:
     kappa = tuple(int(e) for e in kappa_exponents)
     if any(e < 0 for e in kappa):
@@ -115,7 +115,7 @@ def kappa_psi_number(g: int, n: int, kappa_exponents, psi_exponents=()) -> Fract
         raise ExactCoreError("psi exponents must be nonnegative")
     if 2 * g - 2 + n <= 0:
         raise ExactCoreError(f"(g, n) = ({g}, {n}) is unstable")
-    if _kappa_weight(kappa) + sum(psi) != 3 * g - 3 + n:
+    if sum((i + 1) * e for i, e in enumerate(kappa)) + sum(psi) != 3 * g - 3 + n:
         return Fraction(0)
     return _kappa_psi(g, kappa, psi)
 
@@ -166,10 +166,8 @@ def _zk_route_shift(g: int, n: int, k: tuple[int, ...]) -> Fraction:
     total = Fraction(0)
     for parts in partitions(m):
         insertions = tuple(x + 1 for x in parts)
-        weight = Fraction(1)
-        for j in insertions:
-            weight *= (-1) ** j * double_factorial(2 * j - 1)
-        weight /= automorphism_factor(Counter(parts).values())
+        signed = prod((-1) ** j * double_factorial(2 * j - 1) for j in insertions)
+        weight = Fraction(signed, automorphism_factor(Counter(parts).values()))
         total += weight * _kw_table(g, k + insertions)
     return total
 
@@ -206,9 +204,7 @@ def zk_correlators(trunc: Truncation) -> CorrelatorTable:
     return table
 
 
-def zk_free_energy(
-    trunc: Truncation, graded: bool = True, vacuum: bool = True
-) -> GradedSeries:
+def zk_free_energy(trunc: Truncation, graded: bool = True, vacuum: bool = True) -> GradedSeries:
     """log of the kappa-class tau function.
 
     With `graded` the entries carry their s-powers 2 - 2g + 2|k| (the
@@ -235,21 +231,22 @@ def zk_partition_function(trunc: Truncation) -> GradedSeries:
 # bracketed-psi basis
 
 
-def bracket_expansion(k: tuple[int, ...], value) -> Fraction:
-    """Expand each psi^{(k_i)} = sum_j psi^{k_i-j} / (2^j j!) and combine.
-
-    `value` maps an index tuple (in slot order, not sorted) to its
-    correlator; the caller chooses where those correlators come from.
-    """
-    total = Fraction(0)
-    for drops in iproduct(*[range(ki + 1) for ki in k]):
-        v = value(tuple(ki - j for ki, j in zip(k, drops)))
-        if v:
-            weight = 1
-            for j in drops:
-                weight *= 2**j * factorial(j)
-            total += Fraction(1, weight) * v
-    return total
+def bracket_expansion(k: tuple[int, ...], value, budget: int) -> Fraction:
+    """Expand each psi^{(k_i)} = sum_j psi^{k_i-j} / (2^j j!) and combine,
+    by the int walk of the module docstring: drop j in slot k_i weighs
+    2^{k_i-j} k_i!/j!, and targets past `budget` are dropped.  `value`
+    maps each distinct sorted target to its correlator, read once."""
+    level, den = {(): 1}, 1
+    for ki in k:
+        den *= 2**ki * factorial(ki)
+        weights = [2 ** (ki - j) * factorial(ki) // factorial(j) for j in range(ki + 1)]
+        merged = {}
+        for target, w in level.items():
+            for j in range(max(0, ki - budget + sum(target)), ki + 1):
+                t = tuple(sorted(target + (ki - j,)))
+                merged[t] = merged.get(t, 0) + w * weights[j]
+        level = merged
+    return Fraction(sum(w * value(t) for t, w in level.items()), den)
 
 
 def bracket_psi_correlators(trunc: Truncation) -> CorrelatorTable:
@@ -263,6 +260,10 @@ def bracket_psi_correlators(trunc: Truncation) -> CorrelatorTable:
     shifted = zk_free_energy(trunc, graded=False).substitute(0)
     table = CorrelatorTable("zk-bracket", trunc)
     for g in range(trunc.gmax + 1):
+        # route (a) sums ints: the genus-g entries over their lcm denominator
+        here = {d: v for (h, d), v in zk.entries.items() if h == g}
+        den = lcm(*(v.denominator for v in here.values()))
+        ints = {d: v.numerator * (den // v.denominator) for d, v in here.items()}
         for n in range(1, trunc.dmax + 1):
             if 2 * g - 2 + n <= 0:
                 continue
@@ -270,14 +271,13 @@ def bracket_psi_correlators(trunc: Truncation) -> CorrelatorTable:
             # over the dimension and the kappa class fills a deficit
             for total in range(0, n * trunc.kmax + 1):
                 for k in fixed_sum_multisets(n, total, trunc.kmax):
-                    va = bracket_expansion(k, lambda d: zk.get(g, d))
+                    va = bracket_expansion(k, lambda d: ints.get(d, 0), 3 * g - 3 + n) / den
                     counts = Counter(k)
-                    aut = automorphism_factor(counts.values())
                     vb = shifted.coefficient(g - 1, 0, mono_from_dict(counts))
-                    if va != vb * aut:
+                    vb *= automorphism_factor(counts.values())
+                    if va != vb:
                         raise ExactCoreError(
-                            f"bracket route disagreement at (g={g}, k={k}):"
-                            f" {va} != {vb * aut}"
+                            f"bracket route disagreement at (g={g}, k={k}): {va} != {vb}"
                         )
                     table.set(g, k, va)
         if g >= 2:

@@ -63,9 +63,8 @@ def spin_value(g: int, k: tuple[int, ...]) -> Fraction:
     if g == 0:
         return genus0_closed_form(k)
     n = len(k)
-    return bracket_expansion(
-        k, lambda d: _zk_route_kappa(g, n, 3 * g - 3 + n - sum(d), tuple(sorted(d)))
-    )
+    dim = 3 * g - 3 + n
+    return bracket_expansion(k, lambda d: _zk_route_kappa(g, n, dim - sum(d), d), dim)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ d_i Z / Z = F_i and d_i d_j Z / Z = F_ij + F_i F_j.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -272,10 +272,13 @@ def apply_virasoro_oracle(F: GradedSeries, spec: VirasoroSpec, m: int) -> Graded
         return derived[i]
 
     res = d(m + spec.offset).scale(spec.lhs_coefficient(m))
+    # F_i F_j only on the degrees the result is exact on; padded(0) pins
+    # the h and a windows, whose defaults follow dmax
+    low = replace(tr.padded(0), dmax=max(tr.dmax - 2, 0))
     # the (i, j) and (j, i) terms are equal: form each unordered pair once
     for i in range((m + 1) // 2):
         j = m - 1 - i
-        second = d(i).derive(j) + d(i) * d(j)
+        second = d(i).derive(j) + (d(i).restrict(low) * d(j).restrict(low)).with_window(tr)
         weight = Fraction(spec.quadratic_coefficient(i, j), 2 if i == j else 1)
         res = res - second.shift(dh=1).scale(weight)
     for i in range(max(-m, 0), tr.kmax - m + 1):

@@ -308,6 +308,15 @@ class TestCache:
         assert "V[1,1]" not in result.stdout  # json format requested
         assert json.loads(result.stdout)["g"] == 1
 
+    def test_windowless_suite_has_one_entry(self, runner, tmp_path):
+        # verify trr reads no window, so --gmax must not split its cache key
+        first = invoke(runner, ["verify", "trr", "--gmax", "1"], tmp_path)
+        second = invoke(runner, ["verify", "trr", "--gmax", "3"], tmp_path)
+        assert "# cache fresh" in first.stderr
+        assert "# cache hit" in second.stderr
+        assert first.stdout == second.stdout
+        assert len(list(tmp_path.glob("*.json"))) == 1
+
     def test_env_var_override(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("SUPERKDV_CACHE_DIR", str(tmp_path / "envcache"))
         result = runner.invoke(cli.main, self.ARGS)

@@ -6,9 +6,11 @@ literature constants for low-genus kappa volumes, and the orbifold Euler
 characteristics of the unpointed moduli spaces.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
+from math import factorial
 
 import pytest
 
@@ -19,6 +21,7 @@ from superkdv.exactcore import (
     euler_characteristic_constant,
 )
 from superkdv.kappa import (
+    bracket_expansion,
     bracket_psi_correlators,
     k_m_integral,
     k_polynomials,
@@ -209,6 +212,58 @@ class TestBracketTable:
             + zk_table.get(1, (0,)) / 8
         )
         assert bracket_table.get(1, (2,)) == expected
+
+
+def ordered_drop_reference(k, value):
+    """The bracket expansion as one lookup per ordered drop vector."""
+    total = Fraction(0)
+    for drops in product(*[range(ki + 1) for ki in k]):
+        v = value(tuple(ki - j for ki, j in zip(k, drops)))
+        if v:
+            weight = 1
+            for j in drops:
+                weight *= 2**j * factorial(j)
+            total += Fraction(1, weight) * v
+    return total
+
+
+def fraction_lookup(d):
+    d = sorted(d)
+    return Fraction(sum((i + 2) * x * x for i, x in enumerate(d)) - 7, 3 + len(d) + sum(d))
+
+
+def int_lookup(d):
+    d = sorted(d)
+    return sum(x ** (i + 1) for i, x in enumerate(d)) - 5 * len(d)
+
+
+class TestBracketExpansion:
+    """The merged int walk against one lookup per ordered drop vector."""
+
+    SLOTS = [(0,), (6,), (6, 0, 3), (2, 5, 1, 6, 0), (6, 6, 6, 6, 6)] + [
+        tuple(random.Random(seed).choices(range(7), k=1 + seed % 5)) for seed in range(30)
+    ]
+
+    @pytest.mark.parametrize("value", [fraction_lookup, int_lookup])
+    def test_matches_ordered_drops(self, value):
+        for k in self.SLOTS:
+            # the budget sum(k) prunes nothing
+            assert bracket_expansion(k, value, sum(k)) == ordered_drop_reference(k, value), k
+
+    @pytest.mark.parametrize("value", [fraction_lookup, int_lookup])
+    def test_pruning_at_the_budget_is_exact(self, value):
+        for k in self.SLOTS:
+            for budget in (0, sum(k) // 3, sum(k) // 2, sum(k) - 1):
+                # zero above the budget, as a correlator is above the dimension
+                def capped(d):
+                    return value(d) if sum(d) <= budget else 0
+
+                got = bracket_expansion(k, capped, budget)
+                assert got == ordered_drop_reference(k, capped), (k, budget)
+
+    def test_int_lookup_gives_a_fraction(self):
+        # bracket_psi_correlators divides the result by an int denominator
+        assert isinstance(bracket_expansion((2, 1), int_lookup, 3), Fraction)
 
 
 class TestVanishing:

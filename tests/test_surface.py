@@ -134,3 +134,29 @@ def unset_defaults() -> list[str]:
 
 def test_no_default_is_set_only_by_tests():
     assert unset_defaults() == []
+
+
+def kappa_reach(name: str) -> set[str]:
+    """Names loaded by the `kappa` function `name` and by every `kappa`
+    function it reaches by name."""
+    module = ast.parse((SRC / "kappa.py").read_text())
+    defs = {s.name: s for s in module.body if isinstance(s, ast.FunctionDef)}
+    seen, todo, loaded = set(), [name], set()
+    while todo:
+        current = todo.pop()
+        if current in seen:
+            continue
+        seen.add(current)
+        names = _loaded_names([defs[current]])
+        loaded |= names
+        todo += [n for n in names if n in defs]
+    return loaded
+
+
+def test_bracket_route_a_is_independent_of_route_b():
+    # route (b) of the bracket check shifts the free energy through
+    # shift_expansion / substitute; route (a) must not, or the check
+    # compares one computation with itself
+    route_b = {"shift_expansion", "substitute"}
+    assert route_b & kappa_reach("bracket_psi_correlators")  # the scan sees route (b)
+    assert not route_b & kappa_reach("bracket_expansion")
