@@ -14,7 +14,6 @@ import json
 import os
 import tempfile
 import warnings
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -22,7 +21,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .exactcore import ExactCoreError, Truncation
+from .exactcore import ExactCoreError, Truncation, euler_characteristic_constant
 from .kappa import (
     bracket_psi_correlators,
     k_m_integral,
@@ -248,7 +247,7 @@ def main(ctx, cache_dir, no_cache):
 @click.pass_context
 def correlators(ctx, engine, gmax, kmax, dmax, smax, fmt):
     """Exact correlator table for one engine."""
-    trunc = Truncation(gmax, kmax, dmax, smax)
+    trunc = _wrap(Truncation)(gmax, kmax, dmax, smax)
     request = {"command": "correlators", "engine": engine, "trunc": trunc.to_json()}
 
     def compute():
@@ -314,9 +313,9 @@ def tr(ctx, curve, gmax, nmax, order, eta, smax, fmt):
 def _wrap(compute):
     """Turn ExactCoreError from bad parameters into a usage error (exit 2)."""
 
-    def run():
+    def run(*args):
         try:
-            return compute()
+            return compute(*args)
         except ExactCoreError as exc:
             raise click.UsageError(str(exc)) from exc
 
@@ -351,7 +350,7 @@ def _verify_kdv(trunc: Truncation) -> dict:
     builders = {
         "kw": lambda: free_energy("KW", kw).restrict(kw),
         "bgw": lambda: free_energy("gBGW", trunc).restrict(trunc),
-        "zk": lambda: zk_free_energy(trunc, graded=False, vacuum=False),
+        "zk": lambda: zk_free_energy(trunc, graded=False),
         "spin": lambda: spin_free_energy(spin),
     }
     for name, build in builders.items():
@@ -403,7 +402,7 @@ def _verify_vanishing(trunc: Truncation) -> dict:
     checks = {
         "genus2_one_point": vanishing_check(2, 1, 4, psi_exponents=(0,)) == 0,
         "genus3_kappa": vanishing_check(3, 0, 5, companion_kappa=(1,)) == 0,
-        "exceptional_value": k_m_integral(2, 0, 3) == Fraction(-1, 240),
+        "exceptional_value": k_m_integral(2, 0, 3) == euler_characteristic_constant(2),
     }
     try:
         vanishing_check(2, 0, 3)
@@ -494,7 +493,7 @@ WINDOWLESS = ("vanishing", "trr", "laplace")
 @click.pass_context
 def verify(ctx, suite, gmax, kmax, dmax, smax):
     """Run one verification suite; exit 0 only if everything passes."""
-    trunc = Truncation(gmax, kmax, dmax, smax)
+    trunc = _wrap(Truncation)(gmax, kmax, dmax, smax)
     window = {} if suite in WINDOWLESS else {"trunc": trunc.to_json()}
     request = {"command": "verify", "suite": suite, **window}
 

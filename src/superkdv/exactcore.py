@@ -16,11 +16,11 @@ numerators over the lcm of its denominators, grouped by t-monomial in
 increasing t-degree, so the inner loop multiplies ints, stops at dmax
 and builds one Fraction per output key.
 
-`exp` shares that int kernel: it runs the t-degree recurrence
-n Z_n = sum_k k x_k Z_{n-k} from Z_0 = exp(t-free part), and each Z_m
-keeps only the keys that the remaining dmax - m t-degrees can still
-bring into the window.  Only the t-free part and `log` work in a
-padded window (`_exp_pad`) and restrict at the end; `log` keeps its
+`exp` shares that int kernel: it takes series whose every term has
+t-degree >= 1, runs the t-degree recurrence n Z_n = sum_k k x_k Z_{n-k}
+from Z_0 = 1, and each Z_m keeps only the keys that the remaining
+dmax - m t-degrees can still bring into the window.  Only `log` works
+in a padded window (`_exp_pad`) and restricts at the end; it keeps its
 power series as an independent check of `exp`.
 
 `FormalPolynomial` is a small sparse polynomial ring over Fraction in a
@@ -245,10 +245,12 @@ class Truncation:
         Products of positive-hbar free-energy terms push h above
         gmax - 1; each such term carries t-degree >= 1, so dmax extra
         levels suffice.  Every s-graded free-energy term satisfies
-        a >= -h, an invariant products preserve, so the a window must
-        reach down to -hmax or high-h vacuum powers get clipped and
-        later products against hbar^{-1} factors lose exact
-        cancellations.
+        a >= -h, an invariant products preserve, so the a window reaches
+        down to -hmax: a high-h product at a < 0 is kept for the later
+        products against hbar^{-1} factors.  In the kappa-class and spin
+        series every such key is zero only by the vanishing theorem, and
+        the window does not assume it, so a failure of the theorem shows
+        as a mismatch instead of being cut away.
         """
         h_hi = self.hmax + self.dmax
         return Truncation(
@@ -391,9 +393,6 @@ class GradedSeries:
             and self.terms == other.terms
         )
 
-    def __hash__(self):  # pragma: no cover - identity hashing not needed
-        raise TypeError("GradedSeries is unhashable")
-
     def restrict(self, trunc: Truncation) -> "GradedSeries":
         """Drop every key outside `trunc` and adopt it as the new window."""
         return GradedSeries(
@@ -477,40 +476,33 @@ class GradedSeries:
         return GradedSeries(tr, out)
 
     def _exp_pad(self) -> int:
-        # Partial products inside log and the t-free part of exp can leave
-        # the h/a window and re-enter it: an hbar^{-1} factor carries
-        # t-degree >= 1, so at most dmax of them act, and each t-free
-        # factor has h >= 1 or a >= 1 bounded by the window.
-        # A pad linear in dmax covers every excursion that can return.
-        # (The t-graded part of exp keeps its own per-degree bounds.)
+        # Partial products inside log can leave the h/a window and
+        # re-enter it: an hbar^{-1} factor carries t-degree >= 1, so at
+        # most dmax of them act, and each t-free factor has h >= 1 or
+        # a >= 1 bounded by the window.  A pad linear in dmax covers
+        # every excursion that can return.  (exp needs no pad: its
+        # per-degree bounds keep every key that can still return.)
         tr = self.trunc
         return tr.dmax * max(tr.gmax - 1, 1) + 2
 
     def exp(self) -> "GradedSeries":
-        """exp of a series with no (hbar^0 s^0 t-free) constant term.
+        """exp of a series whose every term has t-degree >= 1.
 
-        Termination needs each term to be nilpotent under truncation:
-        positive t-degree, positive hbar-power or positive s**2-power.
-
-        With x = x_0 + x_1 + ... graded by t-degree, Z = exp(x) obeys
-        n Z_n = sum_{k=1..n} k x_k Z_{n-k}.  A product of x-terms of total
-        t-degree D moves h within D times the extreme slopes h/deg of x's
-        t-graded terms (a likewise), so Z_m keeps only the keys that
-        D <= dmax - m can still bring into the window; a dropped key only
-        ever feeds keys that are dropped in turn.  Z_0 = exp(x_0) is the
-        power series of the t-free part, summed in a padded window around
-        the keys it keeps.
+        With x = x_1 + x_2 + ... graded by t-degree, Z = exp(x) obeys
+        n Z_n = sum_{k=1..n} k x_k Z_{n-k} from Z_0 = 1.  A product of
+        x-terms of total t-degree D moves h within D times the extreme
+        slopes h/deg of x's terms (a likewise), so Z_m keeps only the
+        keys that D <= dmax - m can still bring into the window; a
+        dropped key only ever feeds keys that are dropped in turn.
         """
         for (h, a, t) in self.terms:
-            if mono_degree(t) == 0 and h <= 0 and a <= 0:
+            if not t:
                 raise ExactCoreError(
-                    "exp requires every t-free term to carry a positive power "
-                    f"of hbar or s**2; offending key {(h, a, t)}"
+                    f"exp requires every term to carry a t-variable; offending key {(h, a, t)}"
                 )
         base = self.trunc
-        graded = {k: v for k, v in self.terms.items() if k[2]}
-        sh = [Fraction(h, mono_degree(t)) for h, _, t in graded] or [0]
-        sa = [Fraction(a, mono_degree(t)) for _, a, t in graded] or [0]
+        sh = [Fraction(h, mono_degree(t)) for h, _, t in self.terms] or [0]
+        sa = [Fraction(a, mono_degree(t)) for _, a, t in self.terms] or [0]
 
         def reach(m: int) -> tuple[int, int, int, int]:
             # (hmin, hmax, amin, amax) of the keys of Z_m worth keeping
@@ -522,22 +514,8 @@ class GradedSeries:
                 base.amax + max(0, floor(-r * min(sa))),
             )
 
-        # Z_0 must hold every key of reach(0); its partial products need the pad
-        keep = Truncation(base.gmax, base.kmax, base.dmax, base.smax, *reach(0))
-        work = keep.padded(self._exp_pad())
-        x0 = GradedSeries(work, {k: v for k, v in self.terms.items() if not k[2]})
-        z0 = GradedSeries.one(work)
-        power = GradedSeries.one(work)
-        for p in range(1, 10_000):
-            power = (power * x0).scale(Fraction(1, p))
-            if power.is_zero():
-                break
-            z0 = z0 + power
-        else:  # pragma: no cover - bounded by truncation nilpotency
-            raise ExactCoreError("exp failed to terminate")
-
-        zs = [_int_groups(z0.restrict(keep).terms)]
-        d_x, x_groups = _int_groups(graded)
+        zs = [(1, [(0, (), [(0, 0, 1)])])]  # Z_0 = 1, as (den, groups)
+        d_x, x_groups = _int_groups(self.terms)
         slices: dict[int, list] = {}
         for group in x_groups:
             slices.setdefault(group[0], []).append(group)
@@ -654,9 +632,6 @@ class FormalPolynomial:
         if isinstance(other, (int, Fraction)):
             other = FormalPolynomial.const(other)
         return isinstance(other, FormalPolynomial) and self.terms == other.terms
-
-    def __hash__(self):  # pragma: no cover
-        raise TypeError("FormalPolynomial is unhashable")
 
     def __add__(self, other: "FormalPolynomial") -> "FormalPolynomial":
         out = dict(self.terms)

@@ -39,7 +39,6 @@ from .exactcore import (
     Truncation,
     automorphism_factor,
     double_factorial,
-    euler_characteristic_constant,
     fixed_sum_multisets,
     free_energy_series,
     mono_from_dict,
@@ -179,13 +178,14 @@ def zk_correlators(trunc: Truncation) -> CorrelatorTable:
     Entry (g, k) is int K_m prod psi^{k_i} with m = 3g - 3 + n - |k|,
     computed by two independent routes that must agree: (a) the
     pushforward recursion on each kappa monomial of K_m and (b) the
-    constant translation of the KW correlators.  Vacuum entries (g, ())
-    for g >= 2 hold int K_{3g-3} over the unpointed space, equal to the
-    negated absolute orbifold Euler characteristic.
+    constant translation of the KW correlators.  The loop starts at
+    n = 0, so the vacuum entries (g, ()) for g >= 2 are int K_{3g-3}
+    over the unpointed space, computed like every other entry; they
+    equal the orbifold Euler characteristic chi(M_g) (Harer-Zagier).
     """
     table = CorrelatorTable("zk", trunc)
     for g in range(trunc.gmax + 1):
-        for n in range(1, trunc.dmax + 1):
+        for n in range(trunc.dmax + 1):
             if 2 * g - 2 + n <= 0:
                 continue
             dim = 3 * g - 3 + n
@@ -199,31 +199,28 @@ def zk_correlators(trunc: Truncation) -> CorrelatorTable:
                             f" {va} != {vb}"
                         )
                     table.set(g, k, va)
-        if g >= 2:
-            table.set(g, (), euler_characteristic_constant(g))
     return table
 
 
-def zk_free_energy(trunc: Truncation, graded: bool = True, vacuum: bool = True) -> GradedSeries:
-    """log of the kappa-class tau function.
+def zk_free_energy(trunc: Truncation, graded: bool = True) -> GradedSeries:
+    """log of the kappa-class tau function, without t-free terms.
 
     With `graded` the entries carry their s-powers 2 - 2g + 2|k| (the
     reconstruction from the s = 1 specialisation); without it the series
     is the s = 1 specialisation itself, every entry at s-power zero.
-    Without `vacuum` the t-free normalization constants are dropped;
-    they multiply Z by a t-free factor, so nothing that depends on log Z
-    only through t-derivatives (such as the KdV residual) changes.
+    The vacuum entries (g, ()) are left out: they would only multiply Z
+    by the t-free factor exp(chi(hbar s^{-2})), which the operator D
+    removes again.
     """
     entries = zk_correlators(trunc).entries.items()
     return free_energy_series(
-        trunc,
-        ((g, k, 1 - g + sum(k) if graded else 0, v) for (g, k), v in entries if k or vacuum),
+        trunc, ((g, k, 1 - g + sum(k) if graded else 0, v) for (g, k), v in entries if k)
     )
 
 
 def zk_partition_function(trunc: Truncation) -> GradedSeries:
-    """exp of the graded kappa-class free energy with its vacuum terms, on
-    the z-ready window."""
+    """Z^K = exp of the graded kappa-class free energy on the z-ready
+    window, normalized to Z^K(0) = 1."""
     return zk_free_energy(trunc).with_window(trunc.z_window()).exp()
 
 

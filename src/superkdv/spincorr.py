@@ -13,15 +13,16 @@ series; Z^Omega(t=0) = 1.  The operator chain D maps the kappa-class
 tau function to the same object:
 
     D Z^K = e^chi * e^{S_alpha / hbar} * e^{F02 / (2 hbar)}
-            * Z^K(t_k -> sum_m (s^2/2)^m t_{k+m} / m!),
+            * Z^K(t_k -> sum_m (s^2/2)^m t_{k+m} / m!).
 
-and the three-way comparison with the Virasoro-solved BGW tau function
-is exposed as a report.
+The factor e^chi only cancels the t-free vacuum exp(-chi) of the full
+kappa-class tau function, so D is applied to Z^K normalized to
+Z^K(0) = 1 and neither is formed.  The three-way comparison with the
+Virasoro-solved BGW tau function is exposed as a report.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -31,7 +32,6 @@ from .exactcore import (
     ExactCoreError,
     GradedSeries,
     Truncation,
-    euler_characteristic_constant,
     free_energy_series,
 )
 from .kappa import bracket_psi_correlators, zk_partition_function
@@ -184,44 +184,22 @@ def assemble_z_omega(trunc: Truncation) -> GradedSeries:
 # the operator chain D
 
 
-def _chi_series(trunc: Truncation) -> GradedSeries:
-    """chi(hbar s^{-2}) = sum |chi(M_g)| hbar^{g-1} s^{-2(g-1)}."""
-    terms = {}
-    for g in range(2, trunc.gmax + 1):
-        if trunc.amin <= 1 - g <= trunc.amax:
-            terms[(g - 1, 1 - g, ())] = -euler_characteristic_constant(g)
-    return GradedSeries(trunc, terms)
-
-
 def d_operator_apply(zk: GradedSeries, target: Truncation) -> GradedSeries:
-    """Apply D = e^chi e^{S_alpha/hbar} e^{(s^2/2) L_{-1}} to Z^K.
+    """Apply D = e^{S_alpha/hbar} e^{(s^2/2) L_{-1}} to Z^K with Z^K(0) = 1.
 
-    The input must carry the vacuum normalization zk(t=0) =
-    exp(-chi(hbar s^{-2})); the shift part acts as
-    t_k -> sum_m (s^2/2)^m t_{k+m} / m! (`GradedSeries.substitute` with
-    one s^2 per step), and the quadratic part of the
-    conjugated shift contributes the factor e^{F02/(2 hbar)}.
-
-    The chi factors carry negative s-powers, so coefficients of the
-    result inside `target` pair factor terms against input terms ABOVE
-    the target s-window.  For a faithful result the input should be
-    built on a window whose a_hi exceeds the target's by the h-reach of
-    the vacuum powers (gmax - 1 + dmax); `target` then selects the
-    window of interest.
+    The shift part acts as t_k -> sum_m (s^2/2)^m t_{k+m} / m!
+    (`GradedSeries.substitute` with one s^2 per step), and the
+    quadratic part of the conjugated shift contributes the factor
+    e^{F02/(2 hbar)}.  Each term of the factor has an hbar-power
+    between minus its t-degree and 0 and a nonnegative s-power, so a key
+    of `target` reads the input only at hbar-powers up to hmax + dmax
+    and at s-powers up to its own: the product is formed on the input's
+    z-window, and `target` selects the window of interest.
     """
     tr = zk.trunc
-    expected = (-_chi_series(tr)).exp()
-    actual = {key: v for key, v in zk.terms.items() if not key[2]}
-    if actual != dict(expected.terms):
-        raise ExactCoreError("input is not normalized to exp(-chi) at t = 0")
-    work = tr.padded(tr.dmax + tr.gmax + 2)
-    shifted = zk.with_window(work).substitute(1)
     # S_alpha / hbar = sum alpha_m t_m / (2m+1) / hbar is the one-point series
-    exponent = (
-        _chi_series(tr) + f01_series(tr) + f02_series(tr).scale(Fraction(1, 2))
-    )
-    factor = exponent.with_window(work).exp()
-    return (factor * shifted).restrict(target)
+    factor = (f01_series(tr) + f02_series(tr).scale(Fraction(1, 2))).exp()
+    return (factor * zk.substitute(1)).restrict(target)
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +221,15 @@ def triple_route_compare(trunc: Truncation) -> dict:
     """Exact three-way comparison Z^BGW = Z^Omega = D Z^K.
 
     The BGW and spin assemblies exponentiate identically truncated free
-    energies, so they are compared on the whole exp window.  D mixes
-    hbar slots and s slots (its hbar^{-1} prefactors pull data down
-    from above, its chi factors pull data in from higher s-powers), so
-    the kappa tau function is built on an s-widened window and the D
-    leg is compared on the genus-complete slots h <= gmax - 1.  Returns
+    energies, so they are compared on the whole exp window.  D's
+    hbar^{-1} prefactors pull data down from higher hbar-powers, so the
+    D leg is compared on the genus-complete slots h <= gmax - 1.  Returns
     a report with the number of keys compared, the number of nonzero
     coefficients among them, and any mismatching keys (expected none).
     """
     z_bgw = partition_function("gBGW", trunc)
     z_omega = assemble_z_omega(trunc)
-    wide = replace(trunc, a_hi=trunc.amax + trunc.gmax - 1 + trunc.dmax)
-    d_zk = d_operator_apply(zk_partition_function(wide), trunc)
+    d_zk = d_operator_apply(zk_partition_function(trunc), trunc)
     cut = trunc.gmax - 1
     mism = series_mismatches(z_bgw, z_omega) + [
         item

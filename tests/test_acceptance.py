@@ -158,9 +158,7 @@ def test_c05_kdv_residuals():
         "bgw": lambda: free_energy("gBGW", Truncation(2, 6, 5, 6)).restrict(
             Truncation(2, 6, 5, 6)
         ),
-        "zk": lambda: zk_free_energy(
-            Truncation(2, 6, 5, 0), graded=False, vacuum=False
-        ),
+        "zk": lambda: zk_free_energy(Truncation(2, 6, 5, 0), graded=False),
         "spin": lambda: spin_free_energy(Truncation(2, 2, 5, 6)),
     }
     for name, build in builders.items():

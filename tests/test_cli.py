@@ -98,6 +98,9 @@ class TestComputeCommands:
         assert invoke(runner, ["tr", "--curve", "airy", "--gmax", "-1"]).exit_code == 2
         assert invoke(runner, ["tr", "--curve", "airy", "--nmax", "-1"]).exit_code == 2
         assert invoke(runner, ["tr", "--curve", "ck", "--eta", "--smax", "3"]).exit_code == 2
+        # a bad window is a usage error, not a failed check (exit 1)
+        assert invoke(runner, ["verify", "kdv", "--smax", "3"]).exit_code == 2
+        assert invoke(runner, ["correlators", "kw", "--gmax", "-1"]).exit_code == 2
         # dmax 0 certifies no homogeneity order; at gmax 0 and dmax <= 2
         # the KW negative control has no key that can be nonzero
         assert invoke(runner, ["verify", "homogeneity", "--gmax", "1", "--dmax", "0"]).exit_code == 2

@@ -24,7 +24,6 @@ from superkdv.exactcore import (
     useries_log,
 )
 from superkdv.kappa import zk_free_energy, zk_partition_function
-from superkdv.spincorr import _chi_series
 from superkdv.virasoro import free_energy, solve_truncation
 
 
@@ -65,7 +64,6 @@ class TestConstants:
     def test_euler_characteristic(self):
         assert euler_characteristic_constant(2) == Fraction(-1, 240)
         assert euler_characteristic_constant(3) == Fraction(-1, 1008)
-        assert _chi_series(Truncation(2, 0, 0, 0)).terms == {(1, -1, ()): Fraction(1, 240)}
         with pytest.raises(ExactCoreError):
             euler_characteristic_constant(1)
 
@@ -97,13 +95,9 @@ def sparse_series(trunc=TRSMALL, max_terms=4):
     return st.lists(st.tuples(keys, values), max_size=max_terms).map(build)
 
 
-def no_constant(series):
-    # strip any weightless t-free key so exp/log are defined
-    bad = [k for k in series.terms if not k[2] and k[0] <= 0 and k[1] <= 0]
-    cleaned = dict(series.terms)
-    for k in bad:
-        del cleaned[k]
-    return GradedSeries(series.trunc, cleaned)
+def t_graded(series):
+    # keep only the keys with t-degree >= 1, the series exp is defined on
+    return GradedSeries(series.trunc, {k: v for k, v in series.terms.items() if k[2]})
 
 
 # a small window with negative h and a, so random keys often sit on its
@@ -207,13 +201,17 @@ class TestGradedSeries:
 
     def test_exp_log_roundtrip_simple(self):
         s = GradedSeries.term(TR, 2, t=((1, 1),)) + GradedSeries.term(
-            TR, Fraction(-1, 3), h=1
+            TR, Fraction(-1, 3), h=1, t=((0, 1),)
         )
         assert s.exp().log() == s
 
     def test_exp_rejects_weightless_constant(self):
-        with pytest.raises(ExactCoreError):
-            GradedSeries.term(TR, 1).exp()
+        # exp takes t-graded series only: any t-free term is rejected,
+        # whatever its hbar- and s-power
+        t0 = GradedSeries.term(TR, 1, t=((0, 1),))
+        for h, a in ((0, 0), (1, 0), (0, 1), (1, -1), (-1, 1)):
+            with pytest.raises(ExactCoreError):
+                (t0 + GradedSeries.term(TR, 1, h=h, a=a)).exp()
 
     def test_log_requires_unit(self):
         with pytest.raises(ExactCoreError):
@@ -227,7 +225,7 @@ class TestGradedSeries:
     @settings(max_examples=25, deadline=None)
     def test_exp_is_homomorphism(self, a, b):
         work = TRSMALL.padded(TRSMALL.dmax + 2)
-        a, b = no_constant(a).with_window(work), no_constant(b).with_window(work)
+        a, b = t_graded(a).with_window(work), t_graded(b).with_window(work)
         lhs = (a + b).exp().restrict(TRSMALL)
         rhs = (a.exp() * b.exp()).restrict(TRSMALL)
         assert lhs == rhs
@@ -247,7 +245,7 @@ class TestGradedSeries:
     @settings(max_examples=25, deadline=None)
     def test_log_exp_roundtrip(self, a):
         work = TRSMALL.padded(TRSMALL.dmax + 2)
-        a = no_constant(a).with_window(work)
+        a = t_graded(a).with_window(work)
         assert a.exp().log().restrict(TRSMALL) == a.restrict(TRSMALL)
 
     def test_truncation_monotonicity(self):
@@ -301,8 +299,6 @@ def solved_free_energy(model, trunc):
     return free_energy(model, trunc).with_window(solve_truncation(model, trunc).z_window())
 
 
-def zk_vacuum(trunc):
-    return zk_free_energy(trunc, vacuum=True).with_window(trunc.z_window())
 
 
 class TestSubstitute:
@@ -351,14 +347,14 @@ class TestExp:
     twice as wide as the padding `exp` itself uses."""
 
     KW2, BGW2, ZK3 = Truncation(2, 2, 4, 0), Truncation(2, 2, 4, 6), Truncation(3, 3, 3, 6)
-    # name -> (series, a window its exp(x) exp(-x) is complete on); the
-    # zk free energy has t-free vacuum terms at negative s-powers, and
-    # chi has no t-graded terms at all
+    # name -> (series, a window its exp(x) exp(-x) is complete on)
     CASES = {
         "KW genus 2": lambda: (solved_free_energy("KW", TestExp.KW2), TestExp.KW2),
         "gBGW genus 2, smax 6": lambda: (solved_free_energy("gBGW", TestExp.BGW2), TestExp.BGW2),
-        "zk with vacuum": lambda: (zk_vacuum(TestExp.ZK3), TestExp.ZK3),
-        "minus chi": lambda: (-_chi_series(TestExp.ZK3.z_window()), TestExp.ZK3),
+        "zk genus 3": lambda: (
+            zk_free_energy(TestExp.ZK3).with_window(TestExp.ZK3.z_window()),
+            TestExp.ZK3,
+        ),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -369,8 +365,8 @@ class TestExp:
 
     @pytest.mark.parametrize("case", CASES)
     def test_inverse(self, case):
-        # the zk vacuum terms lower the s-power, so terms above the
-        # window's s-bound come back into it: multiply on a wider window
+        # hbar^{-1} factors bring terms above the window's hbar-bound
+        # back into it: multiply on a wider window
         x, cert = self.CASES[case]()
         x = x.with_window(x.trunc.padded(x._exp_pad()))
         assert (x.exp() * (-x).exp()).restrict(cert) == GradedSeries.one(cert)
@@ -378,25 +374,19 @@ class TestExp:
     @given(sparse_series(max_terms=5))
     @settings(max_examples=50, deadline=None)
     def test_random_series_match_reference(self, a):
-        a = no_constant(a)
+        a = t_graded(a)
         assert a.exp() == reference_exp(a, 2 * a._exp_pad())
 
     # hbar^-4 t_0^2 and s^-4 t_0^2 leave the window at t-degree 2, and one
-    # more factor brings them back; s^4 t_0^3 in the third needs the term
-    # s^16 of exp(s^2), beyond the pad of the t-free part
+    # more factor brings them back
     @given(window_series())
     @settings(max_examples=100, deadline=None)
     @example(GradedSeries(TREDGE, {(-2, 0, ((0, 1),)): Fraction(1), (2, 0, ((1, 1),)): Fraction(1)}))
     @example(GradedSeries(TREDGE, {(0, -2, ((0, 1),)): Fraction(1), (0, 2, ((1, 1),)): Fraction(1)}))
-    @example(GradedSeries(TREDGE, {(0, 1, ()): Fraction(1), (0, -2, ((0, 1),)): Fraction(1)}))
     def test_edge_series_match_reference(self, a):
         # t-graded keys anywhere on TREDGE, so Z_m keys leave the window on
-        # every side and must come back; t-free keys kept at h, a >= 0 so
-        # that both sums terminate
-        a = GradedSeries(a.trunc, {
-            (h, s, t): v for (h, s, t), v in a.terms.items()
-            if t or (h >= 0 and s >= 0 and h + s > 0)
-        })
+        # every side and must come back
+        a = t_graded(a)
         assert a.exp() == reference_exp(a, 2 * a._exp_pad())
 
 

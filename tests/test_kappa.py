@@ -172,6 +172,16 @@ class TestZkTable:
         assert zk_table.get(2, ()) == Fraction(-1, 240)
         assert zk_table.get(2, ()) == euler_characteristic_constant(2)
 
+    def test_vacuum_entries_are_euler_characteristics(self):
+        # a window with no t-variable holds only the vacuum entries
+        # int K_{3g-3} over M_g, computed by both routes (Harer-Zagier)
+        table = zk_correlators(Truncation(4, 0, 0, 0))
+        assert table.entries == {(g, ()): euler_characteristic_constant(g) for g in (2, 3, 4)}
+
+    def test_free_energy_has_no_t_free_term(self, zk_table):
+        F = zk_free_energy(zk_table.trunc)
+        assert zk_table.get(2, ()) and all(t for _, _, t in F.terms)
+
     def test_vanishing_entry(self, zk_table):
         # the degree-4 part of the kappa class already vanishes on the
         # one-point genus-2 space
@@ -192,7 +202,7 @@ class TestZkTable:
 
     def test_kdv(self):
         tr = Truncation(gmax=1, kmax=2, dmax=5, smax=0)
-        F = zk_free_energy(tr, graded=False, vacuum=False)
+        F = zk_free_energy(tr, graded=False)
         res, deg = kdv_residual(F)
         assert deg == 0
         assert res.is_zero()

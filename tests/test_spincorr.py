@@ -6,13 +6,14 @@ the Virasoro-solved BGW tau function and the operator image of the
 kappa tau function.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
-from superkdv.exactcore import ExactCoreError, GradedSeries, Truncation
-from superkdv.kappa import zk_free_energy
+from superkdv.exactcore import GradedSeries, Truncation, euler_characteristic_constant
+from superkdv.kappa import zk_correlators, zk_free_energy, zk_partition_function
 from superkdv.spincorr import (
     _spin_genus0,
     alpha_coefficient,
@@ -27,6 +28,7 @@ from superkdv.spincorr import (
     triple_route_compare,
 )
 from superkdv.virasoro import bgw_correlators
+from test_exactcore import reference_exp
 
 TRS = Truncation(gmax=2, kmax=3, dmax=3, smax=6)
 
@@ -128,10 +130,25 @@ class TestAssembly:
         assert Z.terms[(0, 0, ())] == 1
         assert Z.terms[(-1, 1, ((0, 1),))] == Fraction(1, 2)
 
-    def test_d_operator_rejects_unnormalized_input(self):
-        bare = zk_free_energy(TRS, vacuum=False).with_window(TRS.z_window()).exp()
-        with pytest.raises(ExactCoreError):
-            d_operator_apply(bare, TRS)
+    @pytest.mark.parametrize("trunc", [Truncation(2, 3, 2, 4), Truncation(2, 3, 3, 6)])
+    def test_d_operator_matches_the_literal_chain(self, trunc):
+        # the paper's D = e^chi e^{S_alpha/hbar} e^{F02/(2 hbar)} e^{(s^2/2) L_{-1}}
+        # on Z^K with its vacuum exp(-chi) put back, every exp summed as a
+        # power series; chi lowers the s-power, so Z^K is built on an
+        # s-widened window and the product formed on a padded one
+        wide = replace(trunc, a_hi=trunc.amax + trunc.gmax - 1 + trunc.dmax).z_window()
+        work = wide.padded(wide.dmax + wide.gmax + 2)
+        genera = range(2, trunc.gmax + 1)
+        vacuum = {(g - 1, 1 - g, ()): zk_correlators(wide).get(g, ()) for g in genera}
+        chi = {(g - 1, 1 - g, ()): -euler_characteristic_constant(g) for g in genera}
+        f_k = zk_free_energy(wide) + GradedSeries(wide, vacuum)
+        z_k = reference_exp(f_k, 2 * f_k._exp_pad()).with_window(work)
+        exponent = f01_series(wide) + f02_series(wide).scale(Fraction(1, 2))
+        exponent = exponent.with_window(work) + GradedSeries(work, chi)
+        literal = reference_exp(exponent, 2 * exponent._exp_pad()) * z_k.substitute(1)
+        got = d_operator_apply(zk_partition_function(trunc), trunc)
+        assert got == literal.restrict(trunc)
+        assert len(got.terms) > 20
 
 
 class TestTripleRoute:

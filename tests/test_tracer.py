@@ -14,20 +14,34 @@ from pathlib import Path
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
 
-def test_traced_tr_job(tmp_path, cli_child_env):
+def traced_job(tmp_path, env, name, args):
+    """Run one CLI job under the tracer; return its stdout, the span
+    names it recorded and its report."""
     report = tmp_path / "report.json"
-    args = ["--no-cache", "tr", "--curve", "airy", "--gmax", "1", "--nmax", "2", "--order", "4"]
     proc = subprocess.run(
-        [sys.executable, str(CHILD), str(report), "tr-airy", "1", *args],
-        env=cli_child_env,
+        [sys.executable, str(CHILD), str(report), name, "1", "--no-cache", *args],
+        env=env,
         cwd=tmp_path,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert '"engine":"tr-airy"' in proc.stdout
     with open(f"{report}.spans") as fh:
         names = {json.loads(line)[3] for line in fh}
+    return proc.stdout, names, json.loads(report.read_text())
+
+
+def test_traced_tr_job(tmp_path, cli_child_env):
+    args = ["tr", "--curve", "airy", "--gmax", "1", "--nmax", "2", "--order", "4"]
+    stdout, names, report = traced_job(tmp_path, cli_child_env, "tr-airy", args)
+    assert '"engine":"tr-airy"' in stdout
     assert {"cli.main", "spectral.spectral_curve", "spectral.tr_correlators", "tables.to_json"} <= names
-    assert json.loads(report.read_text())["counters"]["spectral.omega.computed"] > 0
+    assert report["counters"]["spectral.omega.computed"] > 0
+
+
+def test_traced_theorem1_job(tmp_path, cli_child_env):
+    args = ["verify", "theorem1", "--gmax", "1", "--kmax", "2", "--dmax", "2", "--smax", "4"]
+    stdout, names, _ = traced_job(tmp_path, cli_child_env, "theorem1", args)
+    assert '"ok":true' in stdout
+    assert {"spincorr.d_operator_apply", "kappa.zk_partition_function"} <= names
