@@ -15,6 +15,7 @@ import os
 import tempfile
 import warnings
 from functools import lru_cache
+from importlib import import_module
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -22,46 +23,19 @@ import click
 
 from . import __version__
 from .exactcore import ExactCoreError, Truncation, euler_characteristic_constant
-from .kappa import (
-    bracket_psi_correlators,
-    k_m_integral,
-    vanishing_check,
-    zk_correlators,
-    zk_free_energy,
-)
-from .spectral import (
-    CURVE_LABELS,
-    cns_laplace_check,
-    eta_reexpand,
-    spectral_curve,
-    tr_correlators,
-)
-from .spincorr import (
-    _spin_genus0,
-    genus0_closed_form,
-    spin_correlators,
-    spin_free_energy,
-    triple_route_compare,
-)
-from .supervol import translated_virasoro_check, volume_polynomial
 from .tables import canonical_bytes
-from .virasoro import (
-    bgw_correlators,
-    check_homogeneity,
-    free_energy,
-    kdv_residual,
-    kw_correlators,
-    virasoro_oracle_residual,
-)
 
 SCHEMA_VERSION = 1
 
+# each command imports the layers it computes with in its own body, before
+# `fetch_or_compute`: `import superkdv.cli` loads no math layer, and timing
+# `fetch_or_compute` times the compute alone, with no first import in it
 ENGINES = {
-    "kw": kw_correlators,
-    "bgw": bgw_correlators,
-    "spin": spin_correlators,
-    "zk": zk_correlators,
-    "zk-bracket": bracket_psi_correlators,
+    "kw": ("virasoro", "kw_correlators"),
+    "bgw": ("virasoro", "bgw_correlators"),
+    "spin": ("spincorr", "spin_correlators"),
+    "zk": ("kappa", "zk_correlators"),
+    "zk-bracket": ("kappa", "bracket_psi_correlators"),
 }
 
 
@@ -249,9 +223,11 @@ def correlators(ctx, engine, gmax, kmax, dmax, smax, fmt):
     """Exact correlator table for one engine."""
     trunc = _wrap(Truncation)(gmax, kmax, dmax, smax)
     request = {"command": "correlators", "engine": engine, "trunc": trunc.to_json()}
+    layer, name = ENGINES[engine]
+    build = getattr(import_module(f".{layer}", __package__), name)
 
     def compute():
-        return ENGINES[engine](trunc).to_json()
+        return build(trunc).to_json()
 
     payload, source = fetch_or_compute(ctx.obj["cache"], request, _wrap(compute))
     click.echo(f"# cache {source}", err=True)
@@ -266,6 +242,8 @@ def correlators(ctx, engine, gmax, kmax, dmax, smax, fmt):
 @click.pass_context
 def volume(ctx, g, n, smax, fmt):
     """Volume polynomial V[g,n](s, L) through s^smax."""
+    from .supervol import volume_polynomial
+
     request = {"command": "volume", "g": g, "n": n, "smax": smax}
 
     def compute():
@@ -279,7 +257,9 @@ def volume(ctx, g, n, smax, fmt):
 
 
 @main.command()
-@click.option("--curve", type=click.Choice(CURVE_LABELS), required=True)
+# spectral.CURVE_LABELS, spelled out so that building the command loads no
+# layer; a test pins the two equal
+@click.option("--curve", type=click.Choice(("airy", "bessel", "ck", "cns")), required=True)
 @click.option("--gmax", default=2, show_default=True)
 @click.option("--nmax", default=2, show_default=True)
 @click.option("--order", default=40, show_default=True)
@@ -289,6 +269,8 @@ def volume(ctx, g, n, smax, fmt):
 @click.pass_context
 def tr(ctx, curve, gmax, nmax, order, eta, smax, fmt):
     """Topological-recursion correlator table for one spectral curve."""
+    from .spectral import eta_reexpand, spectral_curve, tr_correlators
+
     request = {
         "command": "tr",
         "curve": curve,
@@ -327,6 +309,8 @@ def _wrap(compute):
 
 
 def _verify_theorem1(trunc: Truncation) -> dict:
+    from .spincorr import triple_route_compare
+
     report = triple_route_compare(trunc)
     if not report["compared"]:
         raise ExactCoreError(
@@ -342,6 +326,10 @@ def _verify_theorem1(trunc: Truncation) -> dict:
 
 
 def _verify_kdv(trunc: Truncation) -> dict:
+    from .kappa import zk_free_energy
+    from .spincorr import spin_free_energy
+    from .virasoro import free_energy, kdv_residual
+
     # the residual reads five t_0-derivatives; dmax below 5 certifies nothing
     trunc = Truncation(trunc.gmax, trunc.kmax, max(trunc.dmax, 5), trunc.smax)
     kw = Truncation(trunc.gmax, trunc.kmax, trunc.dmax, 0)
@@ -364,6 +352,9 @@ def _verify_kdv(trunc: Truncation) -> dict:
 
 
 def _verify_homogeneity(trunc: Truncation) -> dict:
+    from .spincorr import spin_free_energy
+    from .virasoro import check_homogeneity, free_energy
+
     # at genus 0 the first nonzero KW residual key, from <tau_0^3>_0, has
     # t-degree 2, which a certified degree dmax - 1 <= 1 does not hold
     if trunc.gmax == 0 and trunc.dmax <= 2:
@@ -383,6 +374,8 @@ def _verify_homogeneity(trunc: Truncation) -> dict:
 
 
 def _verify_virasoro(trunc: Truncation) -> dict:
+    from .virasoro import virasoro_oracle_residual
+
     mmax = 4
     cases = {}
     for model, mlo in (("KW", -1), ("gBGW", 0)):
@@ -399,6 +392,8 @@ def _verify_virasoro(trunc: Truncation) -> dict:
 
 
 def _verify_vanishing(trunc: Truncation) -> dict:
+    from .kappa import k_m_integral, vanishing_check
+
     checks = {
         "genus2_one_point": vanishing_check(2, 1, 4, psi_exponents=(0,)) == 0,
         "genus3_kappa": vanishing_check(3, 0, 5, companion_kappa=(1,)) == 0,
@@ -413,6 +408,8 @@ def _verify_vanishing(trunc: Truncation) -> dict:
 
 
 def _verify_trr(trunc: Truncation) -> dict:
+    from .spincorr import _spin_genus0, genus0_closed_form
+
     compared = 0
     mismatches = 0
     for n in range(3, 6):
@@ -426,6 +423,8 @@ def _verify_trr(trunc: Truncation) -> dict:
 
 
 def _verify_laplace(trunc: Truncation) -> dict:
+    from .spectral import cns_laplace_check
+
     cases = {}
     for g, n in [(1, 1), (0, 3), (1, 2)]:
         rep = cns_laplace_check(g, n)
@@ -443,6 +442,7 @@ def _verify_recursion(trunc: Truncation) -> dict:
     # the numeric route is the package's only user of mpmath; importing
     # it here keeps mpmath out of every other command's process
     from . import swnumeric
+    from .supervol import translated_virasoro_check
 
     exact_trunc = Truncation(
         trunc.gmax, min(trunc.kmax, 2), min(trunc.dmax, 3), min(trunc.smax, 6)
@@ -483,6 +483,18 @@ VERIFY_IMPL = {
     "laplace": _verify_laplace,
     "recursion": _verify_recursion,
 }
+# the layers each suite computes with, loaded before `fetch_or_compute`;
+# `recursion` imports swnumeric (and so mpmath) only when it computes
+SUITE_LAYERS = {
+    "theorem1": ("spincorr",),
+    "kdv": ("kappa", "spincorr", "virasoro"),
+    "homogeneity": ("spincorr", "virasoro"),
+    "virasoro": ("virasoro",),
+    "vanishing": ("kappa",),
+    "trr": ("spincorr",),
+    "laplace": ("spectral", "supervol"),
+    "recursion": ("supervol",),
+}
 # suites that read no window: one cache entry serves every --gmax/--kmax/--dmax/--smax
 WINDOWLESS = ("vanishing", "trr", "laplace")
 
@@ -496,6 +508,8 @@ def verify(ctx, suite, gmax, kmax, dmax, smax):
     trunc = _wrap(Truncation)(gmax, kmax, dmax, smax)
     window = {} if suite in WINDOWLESS else {"trunc": trunc.to_json()}
     request = {"command": "verify", "suite": suite, **window}
+    for layer in SUITE_LAYERS[suite]:
+        import_module(f".{layer}", __package__)
 
     def compute():
         report = VERIFY_IMPL[suite](trunc)

@@ -55,9 +55,6 @@ from .exactcore import (
     rational_to_str,
     shift_expansion,
 )
-from .kappa import _zk_route_kappa
-from .supervol import spin_value, volume_polynomial
-from .virasoro import bgw_correlators, kw_correlators
 
 S2 = "s2"
 PI2 = "pi2"
@@ -366,6 +363,11 @@ def compare_to_tables(curve: SpectralCurve, chi_bound: int = 4) -> dict:
     grading s^{2(1-g+|k|)}.  Every admissible lattice point with
     2g-2+n <= chi_bound is compared in both directions.
     """
+    # the routes checked against are imported here, so the TR engine
+    # itself loads none of them
+    from .kappa import _zk_route_kappa
+    from .virasoro import bgw_correlators, kw_correlators
+
     pairs = list(_stable_range(chi_bound))
     gtop = max(g for g, _ in pairs)
     ntop = max(n for _, n in pairs)
@@ -467,6 +469,8 @@ def eta_reexpand(table: OddDifferentialTable, smax: int) -> OddDifferentialTable
 def eta_spin_compare(curve: SpectralCurve, chi_bound: int = 3, smax: int = 4) -> dict:
     """Compare the eta re-expansion of the ck table with the spin
     correlators carrying the grading s^{2(1-g+|k|)}."""
+    from .supervol import spin_value
+
     if curve.label != "ck":
         raise ExactCoreError("the eta comparison is defined for the ck curve")
     pairs = list(_stable_range(chi_bound))
@@ -511,6 +515,8 @@ def cns_laplace_check(g: int, n: int) -> dict:
     of the Laplace variable; that per-leg sign _LAPLACE_SIGN is
     calibrated at (1,1) and then fixed for all (g, n).
     """
+    from .supervol import volume_polynomial
+
     if 2 * g - 2 + n <= 0:
         raise ExactCoreError(f"({g}, {n}) is not stable")
     curve = spectral_curve("cns")

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import superkdv
-from superkdv import cli, swnumeric
+from superkdv import cli, spectral, supervol, swnumeric
 from superkdv.exactcore import GradedSeries, Truncation
 
 
@@ -98,6 +98,7 @@ class TestComputeCommands:
         assert invoke(runner, ["tr", "--curve", "airy", "--gmax", "-1"]).exit_code == 2
         assert invoke(runner, ["tr", "--curve", "airy", "--nmax", "-1"]).exit_code == 2
         assert invoke(runner, ["tr", "--curve", "ck", "--eta", "--smax", "3"]).exit_code == 2
+        assert invoke(runner, ["tr", "--curve", "bogus"]).exit_code == 2
         # a bad window is a usage error, not a failed check (exit 1)
         assert invoke(runner, ["verify", "kdv", "--smax", "3"]).exit_code == 2
         assert invoke(runner, ["correlators", "kw", "--gmax", "-1"]).exit_code == 2
@@ -112,6 +113,12 @@ class TestComputeCommands:
             ["verify", "theorem1", "--gmax", "0", "--kmax", "0", "--dmax", "0", "--smax", "0"],
         )
         assert result.exit_code == 2 and "compares no coefficient" in result.output
+
+    def test_curve_choice_is_spectral_curve_labels(self):
+        # `tr --curve` spells the labels out so that the command table
+        # loads no layer; they must stay the ones `spectral` accepts
+        (curve,) = [p for p in cli.tr.params if p.name == "curve"]
+        assert tuple(curve.type.choices) == spectral.CURVE_LABELS
 
 
 class TestVerify:
@@ -202,7 +209,7 @@ class TestVerifyRecursion:
 
     def test_exact_route_failure_exits_1(self, runner, fake_route, monkeypatch):
         monkeypatch.setattr(
-            cli,
+            supervol,
             "translated_virasoro_check",
             lambda trunc: {"all_zero": False, "m_checked": [0, 1, 2]},
         )
@@ -211,36 +218,99 @@ class TestVerifyRecursion:
         assert not json.loads(result.stdout)["exact_all_zero"]
 
 
-def _imported_modules(importtime_stderr: str) -> list[str]:
-    """Module names from the `-X importtime` lines of a child's stderr."""
+def _imported_modules(verbose_stderr: str) -> list[str]:
+    """Module names from the `import 'name'` lines that `python -v` writes to
+    stderr for every module it loads, also through `importlib.import_module`
+    (which `-X importtime` does not report)."""
     return [
-        line.rsplit("|", 1)[-1].strip()
-        for line in importtime_stderr.splitlines()
-        if line.startswith("import time:")
+        line.split("'")[1]
+        for line in verbose_stderr.splitlines()
+        if line.startswith("import '")
     ]
+
+
+LAYERS = {"kappa", "spectral", "spincorr", "supervol", "virasoro", "swnumeric"}
 
 
 def test_cli_processes_do_not_import_mpmath(cli_child_env):
-    # only `verify recursion` needs the numeric route; the import, a
-    # volume miss and its cache hit, and a TR miss must not load mpmath
-    python = [sys.executable, "-X", "importtime"]
+    # only `verify recursion` needs the numeric route, so no other process
+    # loads mpmath; and each command loads only the layers it computes with
+    python = [sys.executable, "-v"]
+    cli_args = python + ["-m", "superkdv.cli"]
+    volume = ["volume", "--g", "1", "--n", "1", "--smax", "2"]
+    kw = ["correlators", "kw", "--gmax", "1", "--kmax", "3", "--dmax", "2", "--smax", "0"]
+    tr = ["tr", "--curve", "airy", "--gmax", "1", "--nmax", "2", "--order", "24"]
+    supervol_layers = {"kappa", "spincorr", "supervol", "virasoro"}
     runs = [
-        (python + ["-c", "import superkdv.cli"], None),
-        (python + ["-m", "superkdv.cli", "volume", "--g", "1", "--n", "1",
-                   "--smax", "2"], "# cache fresh"),
-        (python + ["-m", "superkdv.cli", "volume", "--g", "1", "--n", "1",
-                   "--smax", "2"], "# cache hit"),
-        (python + ["-m", "superkdv.cli", "tr", "--curve", "airy", "--gmax", "1",
-                   "--nmax", "2", "--order", "24"], "# cache fresh"),
+        (python + ["-c", "import superkdv.cli"], None, set()),
+        (cli_args + volume, "# cache fresh", supervol_layers),
+        (cli_args + volume, "# cache hit", supervol_layers),
+        (cli_args + kw, "# cache fresh", {"virasoro"}),
+        (cli_args + kw, "# cache hit", {"virasoro"}),
+        (cli_args + tr, "# cache fresh", {"spectral"}),
+        (cli_args + tr, "# cache hit", {"spectral"}),
     ]
-    for args, cache_line in runs:
+    for args, cache_line, layers in runs:
         proc = subprocess.run(args, capture_output=True, text=True, env=cli_child_env)
         assert proc.returncode == 0, proc.stderr
         if cache_line:
             assert cache_line in proc.stderr
         modules = _imported_modules(proc.stderr)
-        assert "superkdv.supervol" in modules  # the trace is really there
+        # `python -m` loads superkdv.cli as __main__, under no module name;
+        # superkdv.tables, which it imports, shows that the trace is there
+        assert "superkdv.tables" in modules
+        loaded = {m.removeprefix("superkdv.") for m in modules}
+        assert loaded & LAYERS == layers, args
         assert [m for m in modules if m.split(".")[0] == "mpmath"] == [], args
+
+
+# The benchmark times `fetch_or_compute` as a job's compute, so each command
+# imports its layers before the call; the child reports the modules that the
+# call imported first.
+FIRST_IMPORTS = """
+import json, sys
+import superkdv.cli as cli
+
+fetch = cli.fetch_or_compute
+
+def watched(*args):
+    before = set(sys.modules)
+    try:
+        return fetch(*args)
+    finally:
+        print("# first imports " + json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr)
+
+cli.fetch_or_compute = watched
+cli.main(sys.argv[1:], prog_name="superkdv")
+"""
+
+SMALL_WINDOW = ["--gmax", "1", "--kmax", "2", "--dmax", "2", "--smax", "2"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["correlators", engine, *SMALL_WINDOW] for engine in sorted(cli.ENGINES)]
+    + [
+        ["volume", "--g", "1", "--n", "1", "--smax", "2"],
+        ["tr", "--curve", "ck", "--gmax", "1", "--nmax", "2", "--order", "8"],
+        ["tr", "--curve", "ck", "--gmax", "1", "--nmax", "1", "--eta", "--smax", "2"],
+    ]
+    # recursion imports swnumeric as it computes, to keep mpmath out of the rest
+    + [["verify", suite, *SMALL_WINDOW] for suite in cli.VERIFY_IMPL if suite != "recursion"],
+    ids=" ".join,
+)
+def test_cache_miss_compute_imports_no_module(cli_child_env, args):
+    proc = subprocess.run(
+        [sys.executable, "-c", FIRST_IMPORTS, *args],
+        capture_output=True,
+        text=True,
+        env=cli_child_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert "# cache fresh" in lines
+    (report,) = [line for line in lines if line.startswith("# first imports ")]
+    assert json.loads(report.removeprefix("# first imports ")) == []
 
 
 def test_cli_child_env_passes_bytecode_setting(monkeypatch, request):

@@ -45,3 +45,12 @@ def test_traced_theorem1_job(tmp_path, cli_child_env):
     stdout, names, _ = traced_job(tmp_path, cli_child_env, "theorem1", args)
     assert '"ok":true' in stdout
     assert {"spincorr.d_operator_apply", "kappa.zk_partition_function"} <= names
+
+
+def test_traced_correlators_job(tmp_path, cli_child_env):
+    # `correlators` looks its engine up by (module, name) when it runs, so
+    # it must find the wrapper that `install` put in the engine's module
+    args = ["correlators", "kw", "--gmax", "1", "--kmax", "3", "--dmax", "2", "--smax", "0"]
+    stdout, names, _ = traced_job(tmp_path, cli_child_env, "kw", args)
+    assert '"engine":"kw"' in stdout
+    assert {"virasoro.kw_correlators", "tables.to_json"} <= names
