@@ -80,7 +80,7 @@ def fetch_or_compute(cache_dir: Path | None, request: dict, compute) -> tuple[by
             and entry.get("sha256") == hashlib.sha256(payload).hexdigest()
         ):
             return payload, "hit"
-    except (OSError, ValueError, KeyError, AttributeError):
+    except (OSError, ValueError, KeyError, AttributeError, TypeError):
         pass
     payload = canonical_bytes(compute())
     entry = {

@@ -23,9 +23,11 @@ dmax - m t-degrees can still bring into the window.  Only `log` works
 in a padded window (`_exp_pad`) and restricts at the end; it keeps its
 power series as an independent check of `exp`.
 
-`FormalPolynomial` is a small sparse polynomial ring over Fraction in a
-user-chosen alphabet of symbols (kappa classes, pi^2, translation
-parameters); it deliberately stays tiny -- no general computer algebra.
+`FormalPolynomial` is a small sparse polynomial ring over Fraction in
+named symbols, used for the kappa-class polynomials K_m of `kappa`, which
+need several symbols; it deliberately stays tiny -- no general computer
+algebra.  A coefficient in one parameter (s^2 or pi^2) in the TR tables
+and the volume polynomials is a plain {power: Fraction} instead.
 """
 
 from __future__ import annotations
@@ -603,7 +605,7 @@ def free_energy_series(trunc: Truncation, entries) -> GradedSeries:
 
 
 # ---------------------------------------------------------------------------
-# formal polynomials (kappa classes, pi^2, translation parameters)
+# formal polynomials (the kappa-class polynomials K_m)
 
 PMono = tuple[tuple[str, int], ...]
 

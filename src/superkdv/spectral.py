@@ -29,10 +29,11 @@ overall residue orientation is calibrated once so that the airy (0,3)
 coefficient is 1; after that every cross-check against the symbolic
 correlator tables is a genuine test.
 
-Inside the recursion a coefficient sum_e c_e P^e is a sparse {e: c_e} in
-the curve's one parameter P (s^2 for ck, pi^2 for cns, none for airy and
-bessel); the recursion carries e, so the s-power checks stay genuine.
-Tables leave the module as `FormalPolynomial`s (`_poly`).
+A coefficient sum_e c_e P^e is a sparse {e: c_e} (`Coeff`) in the
+curve's one parameter P (s^2 for ck, pi^2 for cns, none for airy and
+bessel), from the recursion through the tables to their JSON, where
+`OddDifferentialTable.to_json` puts e in the column of its engine's
+parameter; the recursion carries e, so the s-power checks stay genuine.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from math import factorial
 
 from .exactcore import (
     ExactCoreError,
-    FormalPolynomial,
     Truncation,
     automorphism_factor,
     double_factorial,
@@ -55,9 +55,6 @@ from .exactcore import (
     rational_to_str,
     shift_expansion,
 )
-
-S2 = "s2"
-PI2 = "pi2"
 
 CURVE_LABELS = ("airy", "bessel", "ck", "cns")
 
@@ -101,12 +98,6 @@ def spectral_curve(label: str, order: int = 40) -> SpectralCurve:
     if order < 4:
         raise ExactCoreError("series order too small")
     return SpectralCurve(label, order)
-
-
-def _poly(label: str, coeff: Coeff) -> FormalPolynomial:
-    """A coefficient as a FormalPolynomial in the curve's parameter."""
-    name = {"ck": S2, "cns": PI2}.get(label)
-    return FormalPolynomial({((name, e),) if e else (): c for e, c in coeff.items()})
 
 
 def _dot(pairs) -> Coeff:
@@ -167,28 +158,25 @@ def _g_series(label: str, order: int) -> dict[int, Coeff]:
 
 @dataclass
 class OddDifferentialTable:
-    """Coefficients of prod xi_{k_i}(z_i) per (g, n), in Q[s^2, pi^2]."""
+    """Coefficients of prod xi_{k_i}(z_i) per (g, sorted k), each a `Coeff`
+    in the engine's parameter: pi^2 for tr-cns, s^2 for every other."""
 
     engine: str
-    entries: dict[tuple[int, tuple[int, ...]], FormalPolynomial] = field(
-        default_factory=dict
-    )
+    entries: dict[tuple[int, tuple[int, ...]], Coeff] = field(default_factory=dict)
 
-    def get(self, g: int, k) -> FormalPolynomial:
-        return self.entries.get((g, tuple(sorted(k))), FormalPolynomial())
+    def get(self, g: int, k) -> Coeff:
+        return self.entries.get((g, tuple(sorted(k))), {})
 
     def to_json(self) -> dict:
+        """Rows {g, k, coeff}, each coeff term [s^2 power, pi^2 power, value]."""
+        pi2 = self.engine == "tr-cns"
         rows = []
-        for (g, k), poly in sorted(self.entries.items()):
-            coeff = sorted(
-                [
-                    dict(mono).get(S2, 0),
-                    dict(mono).get(PI2, 0),
-                    rational_to_str(c),
-                ]
-                for mono, c in poly.terms.items()
+        for (g, k), coeff in sorted(self.entries.items()):
+            terms = sorted(
+                [0, e, rational_to_str(c)] if pi2 else [e, 0, rational_to_str(c)]
+                for e, c in coeff.items()
             )
-            rows.append({"g": g, "k": list(k), "coeff": coeff})
+            rows.append({"g": g, "k": list(k), "coeff": terms})
         return {"engine": self.engine, "entries": rows}
 
 
@@ -340,7 +328,8 @@ def tr_correlators(curve: SpectralCurve, gmax: int, nmax: int) -> OddDifferentia
         for n in range(1, nmax + 1):
             if 2 * g - 2 + n > 0:
                 for k, coeff in _omega_cached(curve.label, order, g, n)[0].items():
-                    out.entries[(g, k)] = _poly(curve.label, coeff)
+                    # a copy, so a caller's edit cannot reach the cache
+                    out.entries[(g, k)] = dict(coeff)
     return out
 
 
@@ -387,7 +376,7 @@ def compare_to_tables(curve: SpectralCurve, chi_bound: int = 4) -> dict:
 
         for (g, n) in pairs:
             for k in _index_vectors(n, index_sum(g, n), exact=True):
-                expect = FormalPolynomial.const(ref.get(g, k))
+                expect = _graded(ref.get(g, k), 0)
                 compared += 1
                 if table.get(g, k) != expect:
                     mismatches.append((g, k, table.get(g, k), expect))
@@ -402,7 +391,7 @@ def compare_to_tables(curve: SpectralCurve, chi_bound: int = 4) -> dict:
                 a = 1 - g + sum(k)
                 m = 3 * g - 3 + n - sum(k)
                 value = _zk_route_kappa(g, n, m, tuple(sorted(k))) if a >= 0 else 0
-                expect = _graded_const(value, a)
+                expect = _graded(value, a)
                 compared += 1
                 if table.get(g, k) != expect:
                     mismatches.append((g, k, table.get(g, k), expect))
@@ -416,9 +405,9 @@ def compare_to_tables(curve: SpectralCurve, chi_bound: int = 4) -> dict:
     }
 
 
-def _graded_const(value, a: int) -> FormalPolynomial:
-    """value * s^{2a} as a polynomial."""
-    return _poly("ck", {a: Fraction(value)} if value else {})
+def _graded(value, a: int) -> Coeff:
+    """value * P^a as a coefficient."""
+    return {a: Fraction(value)} if value else {}
 
 
 def _index_vectors(n: int, total: int, exact: bool = False):
@@ -446,8 +435,7 @@ def eta_reexpand(table: OddDifferentialTable, smax: int) -> OddDifferentialTable
         raise ExactCoreError("smax must be even and nonnegative (only s**2 ever appears)")
     jmax = smax // 2
     acc = {}  # (g, target, s-power) -> coefficient
-    for (g, k), poly in table.entries.items():
-        coeff = {dict(mono).get(S2, 0): v for mono, v in poly.terms.items()}
+    for (g, k), coeff in table.entries.items():
         aut_k = automorphism_factor(Counter(k).values())
         budget = jmax - min(coeff, default=jmax)
         # the expansion is that of t^k; one ordered monomial of the target
@@ -462,7 +450,7 @@ def eta_reexpand(table: OddDifferentialTable, smax: int) -> OddDifferentialTable
     out = OddDifferentialTable(engine="tr-ck-eta")
     for (g, target, e), v in acc.items():
         if v:
-            out.entries[g, target] = out.get(g, target) + _poly("ck", {e: v})
+            out.entries.setdefault((g, target), {})[e] = v
     return out
 
 
@@ -485,7 +473,7 @@ def eta_spin_compare(curve: SpectralCurve, chi_bound: int = 3, smax: int = 4) ->
             a = 1 - g + sum(k)
             if a < 0 or 2 * a > smax:
                 continue
-            expect = _graded_const(spin_value(g, k), a)
+            expect = _graded(spin_value(g, k), a)
             compared += 1
             if eta.get(g, k) != expect:
                 mismatches.append((g, k, eta.get(g, k), expect))
@@ -527,22 +515,22 @@ def cns_laplace_check(g: int, n: int) -> dict:
     # the table holds the coefficient of one ordered monomial per sorted
     # key, so each ordering of a volume monomial must carry that same
     # coefficient; orderings that disagree are reported, not summed
-    expected: dict[tuple[int, ...], FormalPolynomial] = {}
+    expected: dict[tuple[int, ...], Coeff] = {}
     mismatches = []
-    for (a, k), poly in vp.terms.items():
+    for (a, k), coeff in vp.terms.items():
         if a != 0:
             continue
         scale = Fraction(1)
         for ki in k:
             scale *= -_LAPLACE_SIGN * double_factorial(2 * ki)
-        value = poly.scale(scale)
+        value = {e: scale * c for e, c in coeff.items()}
         first = expected.setdefault(tuple(sorted(k)), value)
         if first != value:
             mismatches.append((k, first, value))
     keys = set(expected) | {k for (gg, k) in table.entries if gg == g and len(k) == n}
     for k in sorted(keys):
         lhs = table.get(g, k)
-        rhs = expected.get(k, FormalPolynomial())
+        rhs = expected.get(k, {})
         if lhs != rhs:
             mismatches.append((k, lhs, rhs))
     return {

@@ -25,11 +25,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import factorial
+from math import factorial, prod
 
 from .exactcore import (
     ExactCoreError,
-    FormalPolynomial,
     Truncation,
     automorphism_factor,
     partitions,
@@ -71,9 +70,6 @@ def spin_value(g: int, k: tuple[int, ...]) -> Fraction:
 # volume polynomials
 
 
-_TRANSLATION_SYMBOL = "pi2"
-
-
 def _insertion_weight(parts: tuple[int, ...]) -> Fraction:
     """prod_j (-(-2)^j/j!) over a multiset of kappa_1-translation slots,
     divided by the multiset symmetry factor; the pi^2 power is sum(parts)."""
@@ -85,24 +81,21 @@ def _insertion_weight(parts: tuple[int, ...]) -> Fraction:
 
 @dataclass
 class VolumePolynomial:
-    """V_{g,n}(s, L) as a map (s^2-power a, L^2-exponents k) -> pi^2-polynomial."""
+    """V_{g,n}(s, L) as a map (s^2-power a, L^2-exponents k) -> {pi^2-power: value}."""
 
     g: int
     n: int
     smax: int
-    terms: dict = field(default_factory=dict)
+    terms: dict[tuple[int, tuple[int, ...]], dict[int, Fraction]] = field(default_factory=dict)
 
-    def coefficient(self, a: int, k) -> FormalPolynomial:
-        return self.terms.get((a, tuple(int(x) for x in k)), FormalPolynomial())
+    def coefficient(self, a: int, k) -> dict[int, Fraction]:
+        return self.terms.get((a, tuple(int(x) for x in k)), {})
 
     def to_json(self) -> dict:
         out = []
-        for (a, k), poly in sorted(self.terms.items()):
-            pi2 = sorted(
-                (dict(mono).get(_TRANSLATION_SYMBOL, 0), rational_to_str(c))
-                for mono, c in poly.terms.items()
-            )
-            out.append({"s2": a, "k": list(k), "pi2": [[p, v] for p, v in pi2]})
+        for (a, k), coeff in sorted(self.terms.items()):
+            pi2 = [[p, rational_to_str(c)] for p, c in sorted(coeff.items())]
+            out.append(dict(s2=a, k=list(k), pi2=pi2))
         return {"g": self.g, "n": self.n, "smax": self.smax, "terms": out}
 
 
@@ -132,17 +125,11 @@ def volume_polynomial(g: int, n: int, smax: int) -> VolumePolynomial:
             w = a - 1 + g - sum(k)
             if w < 0:
                 continue
-            value = FormalPolynomial()
             rational = Fraction(0)
             for parts in partitions(w):
                 rational += _insertion_weight(parts) * spin_value(g, k + parts)
             if rational:
-                value = FormalPolynomial.symbol(_TRANSLATION_SYMBOL) ** w
-                value = value.scale(rational)
-            for ki in k:
-                value = value.scale(Fraction(1, 2**ki * factorial(ki)))
-            if not value.is_zero():
-                vp.terms[(a, k)] = value
+                vp.terms[(a, k)] = {w: rational / prod(2**ki * factorial(ki) for ki in k)}
     if not vp.terms:
         warnings.warn(
             f"no admissible terms for (g, n) = ({g}, {n}) at smax = {smax}",

@@ -25,7 +25,7 @@ from itertools import product as iproduct
 import mpmath as mp
 
 from .exactcore import ExactCoreError
-from .supervol import _TRANSLATION_SYMBOL, VolumePolynomial, volume_polynomial
+from .supervol import VolumePolynomial, volume_polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +130,9 @@ def _slot_terms(vp: VolumePolynomial, nfree: int, L_rest):
     and the exponents of the first `nfree` slots kept symbolic."""
     pi2 = mp.pi**2
     out: dict[tuple, mp.mpf] = {}
-    for (a, k), poly in vp.terms.items():
+    for (a, k), coeff in vp.terms.items():
         value = mp.mpf(0)
-        for mono, c in poly.terms.items():
-            power = dict(mono).get(_TRANSLATION_SYMBOL, 0)
+        for power, c in coeff.items():
             value += mp.mpf(c.numerator) / c.denominator * pi2**power
         for ki, li in zip(k[nfree:], L_rest):
             value *= mp.mpf(li) ** (2 * ki)

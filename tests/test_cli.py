@@ -320,6 +320,12 @@ def test_cli_child_env_passes_bytecode_setting(monkeypatch, request):
     assert env["PYTHONDONTWRITEBYTECODE"] == "1"
 
 
+def truncate_payload(text: str) -> str:
+    data = json.loads(text)
+    data["payload"] = data["payload"][:-5] + "oops]"
+    return json.dumps(data)
+
+
 class TestCache:
     ARGS = ["volume", "--g", "1", "--n", "1", "--smax", "2", "--format", "json"]
 
@@ -330,12 +336,16 @@ class TestCache:
         assert "# cache hit" in second.stderr
         assert first.stdout == second.stdout
 
-    def test_corrupted_entry_recomputed(self, runner, tmp_path):
+    @pytest.mark.parametrize(
+        "corrupt",
+        # a damaged payload, then valid JSON that is not an entry object
+        [truncate_payload, lambda _: "[]", lambda _: "null", lambda _: '"x"'],
+        ids=["truncated-payload", "list", "null", "string"],
+    )
+    def test_corrupted_entry_recomputed(self, runner, tmp_path, corrupt):
         first = invoke(runner, self.ARGS, tmp_path)
         entry = next(tmp_path.glob("*.json"))
-        data = json.loads(entry.read_text())
-        data["payload"] = data["payload"][:-5] + "oops]"
-        entry.write_text(json.dumps(data))
+        entry.write_text(corrupt(entry.read_text()))
         again = invoke(runner, self.ARGS, tmp_path)
         assert "# cache fresh" in again.stderr
         assert again.stdout == first.stdout
@@ -374,9 +384,10 @@ class TestCache:
     def test_unwritable_directory_warns_and_proceeds(self, runner, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("not a directory")
-        result = runner.invoke(
-            cli.main, ["--cache-dir", str(blocker)] + self.ARGS
-        )
+        with pytest.warns(UserWarning, match="not writable"):
+            result = runner.invoke(
+                cli.main, ["--cache-dir", str(blocker)] + self.ARGS
+            )
         assert result.exit_code == 0
         assert "V[1,1]" not in result.stdout  # json format requested
         assert json.loads(result.stdout)["g"] == 1

@@ -12,7 +12,7 @@ from math import factorial
 import pytest
 
 from superkdv import spectral
-from superkdv.exactcore import ExactCoreError, FormalPolynomial
+from superkdv.exactcore import ExactCoreError
 from superkdv.spectral import (
     CURVE_LABELS,
     OddDifferentialTable,
@@ -24,10 +24,6 @@ from superkdv.spectral import (
     tr_correlators,
 )
 from superkdv.tables import canonical_bytes
-
-
-def s2poly(c, power=1):
-    return (FormalPolynomial.symbol("s2") ** power).scale(Fraction(c))
 
 
 class TestCurves:
@@ -71,31 +67,28 @@ class TestCurves:
 class TestTrTables:
     def test_airy_values(self):
         t = tr_correlators(spectral_curve("airy", 16), 1, 3)
-        assert t.get(0, (0, 0, 0)) == 1
-        assert t.get(1, (1,)) == Fraction(1, 24)
-        assert t.get(1, (0, 2)) == Fraction(1, 24)
-        assert t.get(1, (1, 1)) == Fraction(1, 24)
+        # coefficients are {power of the curve's parameter: value}
+        assert t.get(0, (0, 0, 0)) == {0: 1}
+        assert t.get(1, (1,)) == {0: Fraction(1, 24)}
+        assert t.get(1, (0, 2)) == {0: Fraction(1, 24)}
+        assert t.get(1, (1, 1)) == {0: Fraction(1, 24)}
 
     def test_bessel_values(self):
         t = tr_correlators(spectral_curve("bessel", 16), 2, 2)
-        assert t.get(1, (0,)) == Fraction(1, 8)
-        assert t.get(2, (1,)) == Fraction(3, 128)
+        assert t.get(1, (0,)) == {0: Fraction(1, 8)}
+        assert t.get(2, (1,)) == {0: Fraction(3, 128)}
         # no genus-0 output: Theta-class degree exceeds the dimension
         assert not any(g == 0 for (g, _) in t.entries)
 
     def test_ck_values(self):
         t = tr_correlators(spectral_curve("ck", 16), 1, 1)
-        assert t.get(1, (0,)) == Fraction(1, 8)
-        assert t.get(1, (1,)) == s2poly(Fraction(1, 24))
+        assert t.get(1, (0,)) == {0: Fraction(1, 8)}
+        assert t.get(1, (1,)) == {1: Fraction(1, 24)}  # s^2/24
 
     def test_ck_at_s_zero_is_bessel(self):
         ck = tr_correlators(spectral_curve("ck", 16), 2, 2)
         bes = tr_correlators(spectral_curve("bessel", 16), 2, 2)
-        slice0 = {}
-        for key, poly in ck.entries.items():
-            const = poly.terms.get((), 0)
-            if const:
-                slice0[key] = FormalPolynomial.const(const)
+        slice0 = {key: {0: c[0]} for key, c in ck.entries.items() if c.get(0)}
         assert slice0 == bes.entries
 
     def test_order_stability(self):
@@ -107,6 +100,15 @@ class TestTrTables:
                 for order in (4, 16):
                     small = tr_correlators(spectral_curve(label, order), gmax, nmax)
                     assert small.entries == big.entries, (label, order, gmax, nmax)
+
+    def test_entries_do_not_alias_the_cache(self):
+        # editing a returned table must not change the next call's table
+        curve = spectral_curve("ck", 16)
+        first = tr_correlators(curve, 1, 2)
+        expect = {key: dict(coeff) for key, coeff in first.entries.items()}
+        first.entries[(1, (1,))][1] += 1
+        first.entries[(1, (0, 0))].clear()
+        assert tr_correlators(curve, 1, 2).entries == expect
 
     def test_cns_insufficient_order(self):
         # (4,1) needs the z^6 coefficient of G; order 4 holds it to z^4
@@ -178,14 +180,14 @@ class TestTableComparison:
 class TestEtaReexpansion:
     def test_worked_example(self):
         eta = eta_reexpand(tr_correlators(spectral_curve("ck", 16), 1, 1), smax=2)
-        assert eta.get(1, (0,)) == Fraction(1, 8)
-        assert eta.get(1, (1,)) == s2poly(Fraction(5, 48))
+        assert eta.get(1, (0,)) == {0: Fraction(1, 8)}
+        assert eta.get(1, (1,)) == {1: Fraction(5, 48)}  # 5 s^2/48
 
     def test_s_zero_slice_unchanged(self):
         ck = tr_correlators(spectral_curve("ck", 16), 1, 2)
         eta = eta_reexpand(ck, smax=4)
-        for key, poly in ck.entries.items():
-            assert eta.entries[key].terms.get((), 0) == poly.terms.get((), 0)
+        for key, coeff in ck.entries.items():
+            assert eta.entries[key].get(0, 0) == coeff.get(0, 0)
 
     def test_matches_spin_correlators(self):
         rep = eta_spin_compare(spectral_curve("ck", 24), chi_bound=3, smax=4)
@@ -199,7 +201,7 @@ class TestEtaReexpansion:
         table = tr_correlators(spectral_curve("ck", 40), gmax, nmax)
         jmax = smax // 2
         ref = {}
-        for (g, k), poly in table.entries.items():
+        for (g, k), coeff in table.entries.items():
             for kvec in set(permutations(k)):
                 for jvec in product(range(jmax + 1), repeat=len(k)):
                     target = tuple(a + j for a, j in zip(kvec, jvec))
@@ -208,13 +210,13 @@ class TestEtaReexpansion:
                     den = 1
                     for j in jvec:
                         den *= 2**j * factorial(j)
-                    kept = {}
-                    for mono, v in poly.terms.items():
-                        e = dict(mono).get("s2", 0) + sum(jvec)
+                    row = ref.setdefault((g, target), {})
+                    for e, v in coeff.items():
+                        e += sum(jvec)
                         if e <= jmax:
-                            kept[(("s2", e),) if e else ()] = v / den
-                    ref[(g, target)] = ref.get((g, target), FormalPolynomial()) + FormalPolynomial(kept)
-        expect = OddDifferentialTable("tr-ck-eta", {k: v for k, v in ref.items() if not v.is_zero()})
+                            row[e] = row.get(e, 0) + v / den
+        nonzero = {key: {e: v for e, v in row.items() if v} for key, row in ref.items()}
+        expect = OddDifferentialTable("tr-ck-eta", {k: v for k, v in nonzero.items() if v})
         got = eta_reexpand(table, smax)
         assert canonical_bytes(got.to_json()) == canonical_bytes(expect.to_json())
 

@@ -15,7 +15,7 @@ from itertools import permutations
 import mpmath as mp
 import pytest
 
-from superkdv.exactcore import ExactCoreError, FormalPolynomial, GradedSeries, Truncation
+from superkdv.exactcore import ExactCoreError, GradedSeries, Truncation
 from superkdv import swnumeric
 from superkdv.spincorr import spin_correlators, spin_free_energy
 from superkdv.supervol import spin_value, translated_virasoro_check, volume_polynomial
@@ -26,10 +26,6 @@ from superkdv.swnumeric import (
 )
 from superkdv.tables import canonical_bytes
 from superkdv.virasoro import VirasoroSpec, apply_virasoro_oracle
-
-
-def pi2_poly(c: Fraction, power: int = 1) -> FormalPolynomial:
-    return (FormalPolynomial.symbol("pi2") ** power).scale(c)
 
 
 class TestSpinValue:
@@ -57,17 +53,18 @@ class TestSpinValue:
 class TestVolumePolynomial:
     def test_one_one(self):
         vp = volume_polynomial(1, 1, 4)
-        assert vp.coefficient(0, (0,)) == Fraction(1, 8)
-        assert vp.coefficient(1, (1,)) == Fraction(5, 96)
-        assert vp.coefficient(1, (0,)) == pi2_poly(Fraction(5, 8))
+        # coefficients are {power of pi^2: value}
+        assert vp.coefficient(0, (0,)) == {0: Fraction(1, 8)}
+        assert vp.coefficient(1, (1,)) == {0: Fraction(5, 96)}
+        assert vp.coefficient(1, (0,)) == {1: Fraction(5, 8)}
 
     def test_zero_three(self):
         vp = volume_polynomial(0, 3, 4)
-        assert vp.coefficient(1, (0, 0, 0)) == 1
+        assert vp.coefficient(1, (0, 0, 0)) == {0: 1}
 
     def test_one_two_s_zero_constant(self):
         vp = volume_polynomial(1, 2, 2)
-        assert vp.coefficient(0, (0, 0)) == Fraction(1, 8)
+        assert vp.coefficient(0, (0, 0)) == {0: Fraction(1, 8)}
         # s^0 slice is constant in L for g = 1
         assert all(k == (0, 0) for (a, k) in vp.terms if a == 0)
 
@@ -84,7 +81,7 @@ class TestVolumePolynomial:
         v01 = volume_polynomial(0, 1, 4)
         v02 = volume_polynomial(0, 2, 4)
         assert not v01.terms.get((0, (0,)))  # no s^0 disk term
-        assert v02.coefficient(1, (0, 0)) == Fraction(1, 2)
+        assert v02.coefficient(1, (0, 0)) == {0: Fraction(1, 2)}
 
     def test_invalid_inputs(self):
         with pytest.raises(ExactCoreError):
@@ -190,9 +187,16 @@ class TestRecursionResidual:
             for a, v in orders.items():
                 assert abs(v) < mp.mpf(10) ** -8, (g, n, a)
 
-    def test_failing_convention_is_large(self):
+    @pytest.mark.parametrize(
+        "include_v01, include_v02",
+        [(True, False), (False, True), (False, False)],
+        ids=["no-v02", "no-v01", "neither"],
+    )
+    def test_failing_convention_is_large(self, include_v01, include_v02):
+        # every other flag setting leaves an order-1 residual of 1.2 to 6.2,
+        # so PASSING_CONVENTION is the unique passing one
         orders = recursion_residual_orders(
-            1, 1, [1.0], smax=2, include_v01=False, include_v02=False
+            1, 1, [1.0], smax=2, include_v01=include_v01, include_v02=include_v02
         )
         assert abs(orders[1]) > 1
 
