@@ -5,31 +5,38 @@ recursion tables, runs the verification suites, and caches canonical
 JSON artifacts on disk keyed by a hash of the request.  `verify` exits
 0 only when every residual is zero (symbolic checks) or within
 tolerance (numeric checks); usage errors exit 2.
+
+Each command keys its request from the parsed options and reads the
+cache before it loads any math layer, so `import superkdv.cli` and a
+cache hit load none; on a miss the command loads its layers and then
+computes through `fetch_or_compute`.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
+import sys
 import tempfile
 import warnings
 from functools import lru_cache
 from importlib import import_module
 from itertools import combinations_with_replacement
 from pathlib import Path
-
-import click
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .exactcore import ExactCoreError, Truncation, euler_characteristic_constant
-from .tables import canonical_bytes
+
+if TYPE_CHECKING:
+    from .exactcore import Truncation
 
 SCHEMA_VERSION = 1
 
-# each command imports the layers it computes with in its own body, before
-# `fetch_or_compute`: `import superkdv.cli` loads no math layer, and timing
-# `fetch_or_compute` times the compute alone, with no first import in it
+# on a miss each command imports the layers it computes with before
+# `fetch_or_compute`, so timing `fetch_or_compute` times the compute alone,
+# with no first import in it
 ENGINES = {
     "kw": ("virasoro", "kw_correlators"),
     "bgw": ("virasoro", "bgw_correlators"),
@@ -37,6 +44,15 @@ ENGINES = {
     "zk": ("kappa", "zk_correlators"),
     "zk-bracket": ("kappa", "bracket_psi_correlators"),
 }
+# spectral.CURVE_LABELS, spelled out so that parsing loads no layer; a test
+# pins the two equal
+CURVES = ("airy", "bessel", "ck", "cns")
+FORMATS = ("json", "csv", "text")
+
+
+def canonical_bytes(payload: dict) -> bytes:
+    """The one byte form of a JSON payload: sorted keys, no whitespace."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -59,30 +75,46 @@ def _code_fingerprint() -> str:
     return f"{__version__}+{digest.hexdigest()}"
 
 
-def fetch_or_compute(cache_dir: Path | None, request: dict, compute) -> tuple[bytes, str]:
-    """Return (payload bytes, source) with source in {fresh, hit, uncached}.
-
-    A cache entry stores the request, the payload text and its sha256;
-    corrupted or mismatched entries are recomputed and overwritten.  The
-    request carries the schema version and the code fingerprint, so
-    entries written by other code miss.
-    """
-    if cache_dir is None:
-        return canonical_bytes(compute()), "uncached"
+def _entry(request: dict) -> tuple[dict, str]:
+    """The request as its cache entry records it, with the schema version
+    and the code fingerprint, and the entry's key."""
     request = dict(request, schema=SCHEMA_VERSION, code=_code_fingerprint())
-    key = hashlib.sha256(canonical_bytes(request)).hexdigest()
-    path = cache_dir / f"{key}.json"
+    return request, hashlib.sha256(canonical_bytes(request)).hexdigest()
+
+
+def cached_payload(cache_dir: Path, request: dict) -> bytes | None:
+    """The payload cached for `request`, or None.
+
+    A corrupted entry, or one written for another request, schema or
+    code, counts as absent.
+    """
+    request, key = _entry(request)
     try:
-        entry = json.loads(path.read_text())
+        entry = json.loads((cache_dir / f"{key}.json").read_text())
         payload = entry["payload"].encode()
         if (
             entry.get("request") == request
             and entry.get("sha256") == hashlib.sha256(payload).hexdigest()
         ):
-            return payload, "hit"
+            return payload
     except (OSError, ValueError, KeyError, AttributeError, TypeError):
         pass
+    return None
+
+
+def fetch_or_compute(cache_dir: Path | None, request: dict, compute) -> tuple[bytes, str]:
+    """Return (payload bytes, source) with source in {fresh, hit, uncached}.
+
+    A cache entry stores the request, the payload text and its sha256;
+    entries that `cached_payload` rejects are recomputed and overwritten.
+    """
+    if cache_dir is None:
+        return canonical_bytes(compute()), "uncached"
+    payload = cached_payload(cache_dir, request)
+    if payload is not None:
+        return payload, "hit"
     payload = canonical_bytes(compute())
+    request, key = _entry(request)
     entry = {
         "request": request,
         "sha256": hashlib.sha256(payload).hexdigest(),
@@ -94,7 +126,7 @@ def fetch_or_compute(cache_dir: Path | None, request: dict, compute) -> tuple[by
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(json.dumps(entry, sort_keys=True))
-            os.replace(tmp, path)
+            os.replace(tmp, cache_dir / f"{key}.json")
         except BaseException:
             os.unlink(tmp)
             raise
@@ -109,10 +141,7 @@ def fetch_or_compute(cache_dir: Path | None, request: dict, compute) -> tuple[by
 
 
 def _emit(payload: bytes, fmt: str, renderer) -> None:
-    if fmt == "json":
-        click.echo(payload.decode())
-        return
-    click.echo(renderer(json.loads(payload), fmt))
+    print(payload.decode() if fmt == "json" else renderer(json.loads(payload), fmt))
 
 
 def _render_table(data: dict, fmt: str) -> str:
@@ -186,129 +215,11 @@ def _render_volume(data: dict, fmt: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands
-
-
-def _trunc_options(f):
-    # defaults sized so each verify suite finishes in well under a minute
-    f = click.option("--gmax", default=2, show_default=True)(f)
-    f = click.option("--kmax", default=6, show_default=True)(f)
-    f = click.option("--dmax", default=4, show_default=True)(f)
-    f = click.option("--smax", default=6, show_default=True)(f)
-    return f
-
-
-@click.group()
-@click.option(
-    "--cache-dir",
-    type=click.Path(path_type=Path),
-    default=None,
-    help="cache directory (default $SUPERKDV_CACHE_DIR or ~/.cache/superkdv)",
-)
-@click.option("--no-cache", is_flag=True, help="disable the artifact cache")
-@click.pass_context
-def main(ctx, cache_dir, no_cache):
-    """Exact intersection-number tables, KdV tau functions, super
-    volumes and topological recursion."""
-    ctx.ensure_object(dict)
-    ctx.obj["cache"] = None if no_cache else (cache_dir or _default_cache_dir())
-
-
-@main.command()
-@click.argument("engine", type=click.Choice(sorted(ENGINES)))
-@_trunc_options
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="json")
-@click.pass_context
-def correlators(ctx, engine, gmax, kmax, dmax, smax, fmt):
-    """Exact correlator table for one engine."""
-    trunc = _wrap(Truncation)(gmax, kmax, dmax, smax)
-    request = {"command": "correlators", "engine": engine, "trunc": trunc.to_json()}
-    layer, name = ENGINES[engine]
-    build = getattr(import_module(f".{layer}", __package__), name)
-
-    def compute():
-        return build(trunc).to_json()
-
-    payload, source = fetch_or_compute(ctx.obj["cache"], request, _wrap(compute))
-    click.echo(f"# cache {source}", err=True)
-    _emit(payload, fmt, _render_table)
-
-
-@main.command()
-@click.option("--g", required=True, type=int)
-@click.option("--n", required=True, type=int)
-@click.option("--smax", default=4, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="text")
-@click.pass_context
-def volume(ctx, g, n, smax, fmt):
-    """Volume polynomial V[g,n](s, L) through s^smax."""
-    from .supervol import volume_polynomial
-
-    request = {"command": "volume", "g": g, "n": n, "smax": smax}
-
-    def compute():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return volume_polynomial(g, n, smax).to_json()
-
-    payload, source = fetch_or_compute(ctx.obj["cache"], request, _wrap(compute))
-    click.echo(f"# cache {source}", err=True)
-    _emit(payload, fmt, _render_volume)
-
-
-@main.command()
-# spectral.CURVE_LABELS, spelled out so that building the command loads no
-# layer; a test pins the two equal
-@click.option("--curve", type=click.Choice(("airy", "bessel", "ck", "cns")), required=True)
-@click.option("--gmax", default=2, show_default=True)
-@click.option("--nmax", default=2, show_default=True)
-@click.option("--order", default=40, show_default=True)
-@click.option("--eta", is_flag=True, help="re-expand the ck table in the eta coordinate")
-@click.option("--smax", default=4, show_default=True, help="s-truncation of the eta table")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="json")
-@click.pass_context
-def tr(ctx, curve, gmax, nmax, order, eta, smax, fmt):
-    """Topological-recursion correlator table for one spectral curve."""
-    from .spectral import eta_reexpand, spectral_curve, tr_correlators
-
-    request = {
-        "command": "tr",
-        "curve": curve,
-        "gmax": gmax,
-        "nmax": nmax,
-        "order": order,
-        "eta": eta,
-        "smax": smax if eta else None,
-    }
-
-    def compute():
-        table = tr_correlators(spectral_curve(curve, order), gmax, nmax)
-        if eta:
-            table = eta_reexpand(table, smax)
-        return table.to_json()
-
-    payload, source = fetch_or_compute(ctx.obj["cache"], request, _wrap(compute))
-    click.echo(f"# cache {source}", err=True)
-    _emit(payload, fmt, _render_tr_table)
-
-
-def _wrap(compute):
-    """Turn ExactCoreError from bad parameters into a usage error (exit 2)."""
-
-    def run(*args):
-        try:
-            return compute(*args)
-        except ExactCoreError as exc:
-            raise click.UsageError(str(exc)) from exc
-
-    return run
-
-
-# ---------------------------------------------------------------------------
 # verification suites
 
 
 def _verify_theorem1(trunc: Truncation) -> dict:
+    from .exactcore import ExactCoreError
     from .spincorr import triple_route_compare
 
     report = triple_route_compare(trunc)
@@ -326,6 +237,7 @@ def _verify_theorem1(trunc: Truncation) -> dict:
 
 
 def _verify_kdv(trunc: Truncation) -> dict:
+    from .exactcore import Truncation
     from .kappa import zk_free_energy
     from .spincorr import spin_free_energy
     from .virasoro import free_energy, kdv_residual
@@ -352,6 +264,7 @@ def _verify_kdv(trunc: Truncation) -> dict:
 
 
 def _verify_homogeneity(trunc: Truncation) -> dict:
+    from .exactcore import ExactCoreError, Truncation
     from .spincorr import spin_free_energy
     from .virasoro import check_homogeneity, free_energy
 
@@ -374,6 +287,7 @@ def _verify_homogeneity(trunc: Truncation) -> dict:
 
 
 def _verify_virasoro(trunc: Truncation) -> dict:
+    from .exactcore import Truncation
     from .virasoro import virasoro_oracle_residual
 
     mmax = 4
@@ -392,6 +306,7 @@ def _verify_virasoro(trunc: Truncation) -> dict:
 
 
 def _verify_vanishing(trunc: Truncation) -> dict:
+    from .exactcore import ExactCoreError, euler_characteristic_constant
     from .kappa import k_m_integral, vanishing_check
 
     checks = {
@@ -442,6 +357,7 @@ def _verify_recursion(trunc: Truncation) -> dict:
     # the numeric route is the package's only user of mpmath; importing
     # it here keeps mpmath out of every other command's process
     from . import swnumeric
+    from .exactcore import Truncation
     from .supervol import translated_virasoro_check
 
     exact_trunc = Truncation(
@@ -483,7 +399,7 @@ VERIFY_IMPL = {
     "laplace": _verify_laplace,
     "recursion": _verify_recursion,
 }
-# the layers each suite computes with, loaded before `fetch_or_compute`;
+# the layers each suite computes with, loaded on a miss before `fetch_or_compute`;
 # `recursion` imports swnumeric (and so mpmath) only when it computes
 SUITE_LAYERS = {
     "theorem1": ("spincorr",),
@@ -499,28 +415,215 @@ SUITE_LAYERS = {
 WINDOWLESS = ("vanishing", "trr", "laplace")
 
 
-@main.command()
-@click.argument("suite", type=click.Choice(tuple(VERIFY_IMPL)))
-@_trunc_options
-@click.pass_context
-def verify(ctx, suite, gmax, kmax, dmax, smax):
+# ---------------------------------------------------------------------------
+# commands
+
+
+def _window(args) -> dict:
+    """The parsed window, as `Truncation.to_json()` writes it: a request is
+    keyed without building a `Truncation`."""
+    return {"gmax": args.gmax, "kmax": args.kmax, "dmax": args.dmax, "smax": args.smax}
+
+
+def _truncation(args) -> Truncation:
+    from .exactcore import Truncation
+
+    return Truncation(args.gmax, args.kmax, args.dmax, args.smax)
+
+
+def _usage_errors(args, run):
+    """run(), with an ExactCoreError from bad parameters turned into a
+    usage error (exit 2)."""
+    from .exactcore import ExactCoreError
+
+    try:
+        return run()
+    except ExactCoreError as exc:
+        args.parser.error(str(exc))
+
+
+def _serve(args, request: dict, prepare) -> bytes:
+    """The payload of `request`; its source goes to stderr.
+
+    The cache is read before any math layer loads.  On a miss, `prepare()`
+    loads the command's layers and returns the compute that
+    `fetch_or_compute` runs.
+    """
+    payload = None if args.cache is None else cached_payload(args.cache, request)
+    source = "hit"
+    if payload is None:
+        payload, source = _usage_errors(
+            args, lambda: fetch_or_compute(args.cache, request, prepare())
+        )
+    print(f"# cache {source}", file=sys.stderr)
+    return payload
+
+
+def correlators(args) -> None:
+    """Exact correlator table for one engine."""
+    request = {"command": "correlators", "engine": args.engine, "trunc": _window(args)}
+
+    def prepare():
+        layer, name = ENGINES[args.engine]
+        build = getattr(import_module(f".{layer}", __package__), name)
+        trunc = _truncation(args)
+        return lambda: build(trunc).to_json()
+
+    _emit(_serve(args, request, prepare), args.fmt, _render_table)
+
+
+def volume(args) -> None:
+    """Volume polynomial V[g,n](s, L) through s^smax."""
+    g, n, smax = args.g, args.n, args.smax
+    request = {"command": "volume", "g": g, "n": n, "smax": smax}
+
+    def prepare():
+        from .supervol import volume_polynomial
+
+        def compute():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                return volume_polynomial(g, n, smax).to_json()
+
+        return compute
+
+    _emit(_serve(args, request, prepare), args.fmt, _render_volume)
+
+
+def tr(args) -> None:
+    """Topological-recursion correlator table for one spectral curve."""
+    request = {
+        "command": "tr",
+        "curve": args.curve,
+        "gmax": args.gmax,
+        "nmax": args.nmax,
+        "order": args.order,
+        "eta": args.eta,
+        "smax": args.smax if args.eta else None,
+    }
+
+    def prepare():
+        from .spectral import eta_reexpand, spectral_curve, tr_correlators
+
+        def compute():
+            table = tr_correlators(spectral_curve(args.curve, args.order), args.gmax, args.nmax)
+            if args.eta:
+                table = eta_reexpand(table, args.smax)
+            return table.to_json()
+
+        return compute
+
+    _emit(_serve(args, request, prepare), args.fmt, _render_tr_table)
+
+
+def verify(args) -> None:
     """Run one verification suite; exit 0 only if everything passes."""
-    trunc = _wrap(Truncation)(gmax, kmax, dmax, smax)
-    window = {} if suite in WINDOWLESS else {"trunc": trunc.to_json()}
-    request = {"command": "verify", "suite": suite, **window}
-    for layer in SUITE_LAYERS[suite]:
-        import_module(f".{layer}", __package__)
+    suite = args.suite
+    if suite in WINDOWLESS:
+        # the key leaves the window out, so its check cannot wait for a miss
+        _usage_errors(args, lambda: _truncation(args))
+        request = {"command": "verify", "suite": suite}
+    else:
+        request = {"command": "verify", "suite": suite, "trunc": _window(args)}
 
-    def compute():
-        report = VERIFY_IMPL[suite](trunc)
-        return {"suite": suite, **report}
+    def prepare():
+        for layer in SUITE_LAYERS[suite]:
+            import_module(f".{layer}", __package__)
+        trunc = _truncation(args)
+        return lambda: {"suite": suite, **VERIFY_IMPL[suite](trunc)}
 
-    payload, source = fetch_or_compute(ctx.obj["cache"], request, _wrap(compute))
-    click.echo(f"# cache {source}", err=True)
-    click.echo(payload.decode())
+    payload = _serve(args, request, prepare)
+    print(payload.decode())
     if not json.loads(payload).get("ok"):
         raise SystemExit(1)
 
 
+# ---------------------------------------------------------------------------
+# argument parsing
+
+
+def _parser(prog_name: str | None) -> argparse.ArgumentParser:
+    def with_help(parser):
+        # --help alone (no -h), and no prefix matching of long options
+        parser.add_argument("--help", action="help", help="show this message and exit")
+        return parser
+
+    parser = with_help(
+        argparse.ArgumentParser(
+            prog=prog_name,
+            description="Exact intersection-number tables, KdV tau functions, "
+            "super volumes and topological recursion.",
+            allow_abbrev=False,
+            add_help=False,
+        )
+    )
+    parser.add_argument(
+        "--cache-dir",
+        type=Path,
+        metavar="PATH",
+        help="cache directory (default $SUPERKDV_CACHE_DIR or ~/.cache/superkdv)",
+    )
+    parser.add_argument("--no-cache", action="store_true", help="disable the artifact cache")
+    commands = parser.add_subparsers(title="commands", required=True, metavar="COMMAND")
+
+    def command(run, fmt):
+        sub = with_help(
+            commands.add_parser(
+                run.__name__,
+                help=run.__doc__,
+                description=run.__doc__,
+                formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+                allow_abbrev=False,
+                add_help=False,
+            )
+        )
+        sub.set_defaults(run=run, parser=sub)
+        if fmt:
+            sub.add_argument("--format", dest="fmt", choices=FORMATS, default=fmt, help="output format")
+        return sub
+
+    def window(sub):
+        # defaults sized so each verify suite finishes in well under a minute
+        sub.add_argument("--gmax", type=int, default=2, help="max genus")
+        sub.add_argument("--kmax", type=int, default=6, help="max t-index")
+        sub.add_argument("--dmax", type=int, default=4, help="max total t-degree")
+        sub.add_argument("--smax", type=int, default=6, help="max power of s")
+
+    sub = command(correlators, "json")
+    sub.add_argument("engine", choices=sorted(ENGINES))
+    window(sub)
+
+    sub = command(volume, "text")
+    sub.add_argument("--g", type=int, required=True, help="genus")
+    sub.add_argument("--n", type=int, required=True, help="number of boundaries")
+    sub.add_argument("--smax", type=int, default=4, help="max power of s")
+
+    sub = command(tr, "json")
+    sub.add_argument("--curve", choices=CURVES, required=True)
+    sub.add_argument("--gmax", type=int, default=2, help="max genus")
+    sub.add_argument("--nmax", type=int, default=2, help="max number of points")
+    sub.add_argument("--order", type=int, default=40, help="series order of the curve")
+    sub.add_argument("--eta", action="store_true", help="re-expand the ck table in the eta coordinate")
+    sub.add_argument("--smax", type=int, default=4, help="s-truncation of the eta table")
+
+    sub = command(verify, None)
+    sub.add_argument("suite", choices=tuple(VERIFY_IMPL))
+    window(sub)
+    return parser
+
+
+def main(argv=None, prog_name: str | None = None, standalone_mode: bool = True) -> None:
+    """Run one command; `argv` defaults to the process arguments.
+
+    Usage errors raise SystemExit(2) and a failed check SystemExit(1).
+    On success main returns, or in standalone mode exits 0.
+    """
+    args = _parser(prog_name).parse_args(argv)
+    args.cache = None if args.no_cache else (args.cache_dir or _default_cache_dir())
+    args.run(args)
+    if standalone_mode:
+        raise SystemExit(0)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    main(sys.argv[1:], prog_name="superkdv", standalone_mode=True)

@@ -99,9 +99,16 @@ class VolumePolynomial:
         return {"g": self.g, "n": self.n, "smax": self.smax, "terms": out}
 
 
-@lru_cache(maxsize=None)
 def volume_polynomial(g: int, n: int, smax: int) -> VolumePolynomial:
-    """V_{g,n}(s, L) through s^smax.
+    """V_{g,n}(s, L) through s^smax, with its own copy of the cached
+    terms, so a caller's edit cannot reach the cache."""
+    terms = _volume_terms(g, n, smax)
+    return VolumePolynomial(g, n, smax, {key: dict(coeff) for key, coeff in terms.items()})
+
+
+@lru_cache(maxsize=None)
+def _volume_terms(g: int, n: int, smax: int) -> dict:
+    """The terms of V_{g,n}(s, L) through s^smax.
 
     The coefficient of s^{2a} prod L_i^{2k_i} is
     1/prod(2^{k_i} k_i!) times the sum over multisets of kappa_1
@@ -115,7 +122,7 @@ def volume_polynomial(g: int, n: int, smax: int) -> VolumePolynomial:
         raise ExactCoreError("smax must be even")
     if n == 0:
         raise ExactCoreError(f"(g, n) = ({g}, {n}) is not supported")
-    vp = VolumePolynomial(g, n, smax)
+    terms = {}
     amax = smax // 2
     for a in range(amax + 1):
         kcap = a + g - 1
@@ -129,13 +136,13 @@ def volume_polynomial(g: int, n: int, smax: int) -> VolumePolynomial:
             for parts in partitions(w):
                 rational += _insertion_weight(parts) * spin_value(g, k + parts)
             if rational:
-                vp.terms[(a, k)] = {w: rational / prod(2**ki * factorial(ki) for ki in k)}
-    if not vp.terms:
+                terms[(a, k)] = {w: rational / prod(2**ki * factorial(ki) for ki in k)}
+    if not terms:
         warnings.warn(
             f"no admissible terms for (g, n) = ({g}, {n}) at smax = {smax}",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return vp
+    return terms
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,10 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactcore import Truncation, rational_to_str
-
-
-def canonical_bytes(payload: dict) -> bytes:
-    """The one byte form of a JSON payload: sorted keys, no whitespace."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
 @dataclass

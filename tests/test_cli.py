@@ -3,41 +3,53 @@
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from io import StringIO
 from math import factorial, prod
 from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
-from click.testing import CliRunner
 
 import superkdv
 from superkdv import cli, spectral, supervol, swnumeric
 from superkdv.exactcore import GradedSeries, Truncation
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
+def run_cli(argv):
+    """Run `cli.main` in this process; return its exit code and output."""
+    out, err = StringIO(), StringIO()
+    code = 0
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            cli.main(argv, prog_name="superkdv", standalone_mode=False)
+        except SystemExit as exc:
+            code = exc.code
+    return SimpleNamespace(
+        exit_code=code,
+        stdout=out.getvalue(),
+        stderr=err.getvalue(),
+        output=out.getvalue() + err.getvalue(),
+    )
 
 
-def invoke(runner, args, tmp_path=None):
+def invoke(args, tmp_path=None):
     prefix = ["--cache-dir", str(tmp_path)] if tmp_path else ["--no-cache"]
-    return runner.invoke(cli.main, prefix + args)
+    return run_cli(prefix + args)
 
 
 class TestComputeCommands:
-    def test_volume_text(self, runner):
-        result = invoke(runner, ["volume", "--g", "1", "--n", "1", "--smax", "2"])
+    def test_volume_text(self):
+        result = invoke(["volume", "--g", "1", "--n", "1", "--smax", "2"])
         assert result.exit_code == 0
         assert (
             result.stdout.strip()
             == "V[1,1] = 1/8 + s^2*(5/8*pi^2 + 5/96*L1^2) + O(s^4)"
         )
 
-    def test_correlators_json(self, runner):
+    def test_correlators_json(self):
         result = invoke(
-            runner,
             ["correlators", "kw", "--gmax", "1", "--kmax", "3", "--dmax", "3",
              "--smax", "0", "--format", "json"],
         )
@@ -45,27 +57,24 @@ class TestComputeCommands:
         data = json.loads(result.stdout)
         assert {"g": 0, "k": [0, 0, 0], "v": "1"} in data["entries"]
 
-    def test_correlators_csv(self, runner):
+    def test_correlators_csv(self):
         result = invoke(
-            runner,
             ["correlators", "kw", "--gmax", "1", "--kmax", "3", "--dmax", "3",
              "--smax", "0", "--format", "csv"],
         )
         assert result.stdout.splitlines()[0] == "g,k,v"
         assert "0,0;0;0,1" in result.stdout.splitlines()
 
-    def test_tr_table(self, runner):
+    def test_tr_table(self):
         result = invoke(
-            runner,
             ["tr", "--curve", "ck", "--gmax", "1", "--nmax", "1", "--format", "json"],
         )
         data = json.loads(result.stdout)
         assert data["engine"] == "tr-ck"
         assert {"coeff": [[1, 0, "1/24"]], "g": 1, "k": [1]} in data["entries"]
 
-    def test_tr_eta(self, runner):
+    def test_tr_eta(self):
         result = invoke(
-            runner,
             ["tr", "--curve", "ck", "--gmax", "1", "--nmax", "1", "--eta",
              "--smax", "2", "--format", "json"],
         )
@@ -74,12 +83,11 @@ class TestComputeCommands:
         assert {"coeff": [[1, 0, "5/48"]], "g": 1, "k": [1]} in data["entries"]
 
     @pytest.mark.parametrize("engine", ["spin", "zk-bracket"])
-    def test_bracket_engines_at_genus_zero(self, runner, engine):
+    def test_bracket_engines_at_genus_zero(self, engine):
         # a gmax-0 window has hmax = -1, below the hbar^0 shift images of
         # the bracket route; at genus 0 only <tau_0^3> = 1 survives, so
         # <psi^(k1) psi^(k2) psi^(k3)> = prod 1 / (2^k k!)
         result = invoke(
-            runner,
             ["correlators", engine, "--gmax", "0", "--kmax", "2", "--dmax", "3",
              "--smax", "0", "--format", "json"],
         )
@@ -90,61 +98,91 @@ class TestComputeCommands:
             assert e["g"] == 0
             assert Fraction(e["v"]) == Fraction(1, prod(2**k * factorial(k) for k in e["k"]))
 
-    def test_usage_errors_exit_2(self, runner):
-        assert invoke(runner, ["correlators", "cubic"]).exit_code == 2
-        assert invoke(runner, ["volume", "--g", "1", "--n", "0"]).exit_code == 2
-        assert invoke(runner, ["volume", "--g", "1", "--n", "1", "--smax", "3"]).exit_code == 2
-        assert invoke(runner, ["tr", "--curve", "cns", "--gmax", "4", "--nmax", "1", "--order", "4"]).exit_code == 2
-        assert invoke(runner, ["tr", "--curve", "airy", "--gmax", "-1"]).exit_code == 2
-        assert invoke(runner, ["tr", "--curve", "airy", "--nmax", "-1"]).exit_code == 2
-        assert invoke(runner, ["tr", "--curve", "ck", "--eta", "--smax", "3"]).exit_code == 2
-        assert invoke(runner, ["tr", "--curve", "bogus"]).exit_code == 2
-        # a bad window is a usage error, not a failed check (exit 1)
-        assert invoke(runner, ["verify", "kdv", "--smax", "3"]).exit_code == 2
-        assert invoke(runner, ["correlators", "kw", "--gmax", "-1"]).exit_code == 2
-        # dmax 0 certifies no homogeneity order; at gmax 0 and dmax <= 2
-        # the KW negative control has no key that can be nonzero
-        assert invoke(runner, ["verify", "homogeneity", "--gmax", "1", "--dmax", "0"]).exit_code == 2
-        result = invoke(runner, ["verify", "homogeneity", "--gmax", "0", "--dmax", "2"])
-        assert result.exit_code == 2 and "KW negative control" in result.output
-        # a window with no key to compare would pass vacuously
-        result = invoke(
-            runner,
-            ["verify", "theorem1", "--gmax", "0", "--kmax", "0", "--dmax", "0", "--smax", "0"],
-        )
-        assert result.exit_code == 2 and "compares no coefficient" in result.output
+    def test_usage_errors_exit_2(self):
+        assert_usage_errors()
+
+    def test_usage_errors_exit_2_on_a_warm_cache(self, tmp_path):
+        # a cache hit must not hide a usage error: an invalid request never
+        # gets an entry, and the windowless suites, whose key leaves the
+        # window out, check it before the lookup
+        for args in WARM_REQUESTS:
+            assert invoke(args, tmp_path).exit_code == 0, args
+        assert_usage_errors(tmp_path)
 
     def test_curve_choice_is_spectral_curve_labels(self):
-        # `tr --curve` spells the labels out so that the command table
-        # loads no layer; they must stay the ones `spectral` accepts
-        (curve,) = [p for p in cli.tr.params if p.name == "curve"]
-        assert tuple(curve.type.choices) == spectral.CURVE_LABELS
+        # `tr --curve` spells the labels out so that parsing loads no
+        # layer; they must stay the ones `spectral` accepts
+        assert cli.CURVES == spectral.CURVE_LABELS
+
+
+def assert_usage_errors(cache_dir=None):
+    for args, message in USAGE_ERRORS:
+        result = invoke(args, cache_dir)
+        assert result.exit_code == 2, args
+        assert message in result.output, args
+
+
+# (arguments, text of the error message)
+USAGE_ERRORS = [
+    (["correlators", "cubic"], ""),
+    (["volume", "--g", "1", "--n", "0"], ""),
+    (["volume", "--g", "1", "--n", "1", "--smax", "3"], ""),
+    (["tr", "--curve", "cns", "--gmax", "4", "--nmax", "1", "--order", "4"], ""),
+    (["tr", "--curve", "airy", "--gmax", "-1"], ""),
+    (["tr", "--curve", "airy", "--nmax", "-1"], ""),
+    (["tr", "--curve", "ck", "--eta", "--smax", "3"], ""),
+    (["tr", "--curve", "bogus"], ""),
+    # a bad window is a usage error, not a failed check (exit 1)
+    (["verify", "kdv", "--smax", "3"], ""),
+    (["correlators", "kw", "--gmax", "-1"], ""),
+    (["verify", "trr", "--smax", "3"], "smax must be even"),
+    (["verify", "vanishing", "--gmax", "-1"], ""),
+    (["verify", "laplace", "--smax", "3"], ""),
+    # dmax 0 certifies no homogeneity order; at gmax 0 and dmax <= 2
+    # the KW negative control has no key that can be nonzero
+    (["verify", "homogeneity", "--gmax", "1", "--dmax", "0"], ""),
+    (["verify", "homogeneity", "--gmax", "0", "--dmax", "2"], "KW negative control"),
+    # a window with no key to compare would pass vacuously
+    (
+        ["verify", "theorem1", "--gmax", "0", "--kmax", "0", "--dmax", "0", "--smax", "0"],
+        "compares no coefficient",
+    ),
+]
+# valid neighbours of the cases above, each cached before they run
+WARM_REQUESTS = [
+    ["verify", "trr"],
+    ["verify", "vanishing"],
+    ["verify", "laplace"],
+    ["correlators", "kw", "--gmax", "1", "--kmax", "3", "--dmax", "3", "--smax", "0"],
+    ["volume", "--g", "1", "--n", "1", "--smax", "2"],
+    ["tr", "--curve", "ck", "--gmax", "1", "--nmax", "1", "--eta", "--smax", "2"],
+]
 
 
 class TestVerify:
-    def test_trr_passes(self, runner):
-        result = invoke(runner, ["verify", "trr"])
+    def test_trr_passes(self):
+        result = invoke(["verify", "trr"])
         assert result.exit_code == 0
         report = json.loads(result.stdout)
         assert report["ok"] and report["mismatches"] == 0
 
-    def test_vanishing_passes(self, runner):
-        result = invoke(runner, ["verify", "vanishing"])
+    def test_vanishing_passes(self):
+        result = invoke(["verify", "vanishing"])
         assert result.exit_code == 0
 
-    def test_laplace_passes(self, runner):
-        result = invoke(runner, ["verify", "laplace"])
+    def test_laplace_passes(self):
+        result = invoke(["verify", "laplace"])
         assert result.exit_code == 0
 
-    def test_failure_exits_1(self, runner, monkeypatch):
+    def test_failure_exits_1(self, monkeypatch):
         monkeypatch.setitem(
             cli.VERIFY_IMPL, "trr", lambda trunc: {"ok": False, "mismatches": 1}
         )
-        result = invoke(runner, ["verify", "trr"])
+        result = invoke(["verify", "trr"])
         assert result.exit_code == 1
 
-    def test_unknown_suite_exits_2(self, runner):
-        assert invoke(runner, ["verify", "everything"]).exit_code == 2
+    def test_unknown_suite_exits_2(self):
+        assert invoke(["verify", "everything"]).exit_code == 2
 
     def test_kdv_and_homogeneity_read_log_z(self, monkeypatch):
         # both checks are statements about log Z, which the free energies
@@ -180,8 +218,8 @@ class TestVerifyRecursion:
         monkeypatch.setattr(swnumeric, "recursion_residual_orders", fake_orders)
         return route
 
-    def test_small_residuals_pass(self, runner, fake_route):
-        result = invoke(runner, self.ARGS)
+    def test_small_residuals_pass(self, fake_route):
+        result = invoke(self.ARGS)
         assert result.exit_code == 0, result.output
         report = json.loads(result.stdout)
         assert set(report) == {
@@ -199,21 +237,21 @@ class TestVerifyRecursion:
         ]
         assert all(c[4] == swnumeric.PASSING_CONVENTION for c in fake_route.calls)
 
-    def test_residual_above_tolerance_exits_1(self, runner, fake_route):
+    def test_residual_above_tolerance_exits_1(self, fake_route):
         fake_route.values["1,1"] = 2e-8  # tolerance 1e-8
-        result = invoke(runner, self.ARGS)
+        result = invoke(self.ARGS)
         assert result.exit_code == 1
         report = json.loads(result.stdout)
         assert not report["numeric"]["1,1"]["ok"]
         assert report["numeric"]["0,1"]["ok"] and report["numeric"]["0,3"]["ok"]
 
-    def test_exact_route_failure_exits_1(self, runner, fake_route, monkeypatch):
+    def test_exact_route_failure_exits_1(self, fake_route, monkeypatch):
         monkeypatch.setattr(
             supervol,
             "translated_virasoro_check",
             lambda trunc: {"all_zero": False, "m_checked": [0, 1, 2]},
         )
-        result = invoke(runner, self.ARGS)
+        result = invoke(self.ARGS)
         assert result.exit_code == 1
         assert not json.loads(result.stdout)["exact_all_zero"]
 
@@ -234,7 +272,8 @@ LAYERS = {"kappa", "spectral", "spincorr", "supervol", "virasoro", "swnumeric"}
 
 def test_cli_processes_do_not_import_mpmath(cli_child_env):
     # only `verify recursion` needs the numeric route, so no other process
-    # loads mpmath; and each command loads only the layers it computes with
+    # loads mpmath; a miss loads exactly the layers its command computes
+    # with, and the import and a hit load no layer, nor exactcore or tables
     python = [sys.executable, "-v"]
     cli_args = python + ["-m", "superkdv.cli"]
     volume = ["volume", "--g", "1", "--n", "1", "--smax", "2"]
@@ -242,13 +281,13 @@ def test_cli_processes_do_not_import_mpmath(cli_child_env):
     tr = ["tr", "--curve", "airy", "--gmax", "1", "--nmax", "2", "--order", "24"]
     supervol_layers = {"kappa", "spincorr", "supervol", "virasoro"}
     runs = [
-        (python + ["-c", "import superkdv.cli"], None, set()),
+        (python + ["-c", "import superkdv.cli"], None, None),
         (cli_args + volume, "# cache fresh", supervol_layers),
-        (cli_args + volume, "# cache hit", supervol_layers),
+        (cli_args + volume, "# cache hit", None),
         (cli_args + kw, "# cache fresh", {"virasoro"}),
-        (cli_args + kw, "# cache hit", {"virasoro"}),
+        (cli_args + kw, "# cache hit", None),
         (cli_args + tr, "# cache fresh", {"spectral"}),
-        (cli_args + tr, "# cache hit", {"spectral"}),
+        (cli_args + tr, "# cache hit", None),
     ]
     for args, cache_line, layers in runs:
         proc = subprocess.run(args, capture_output=True, text=True, env=cli_child_env)
@@ -257,11 +296,15 @@ def test_cli_processes_do_not_import_mpmath(cli_child_env):
             assert cache_line in proc.stderr
         modules = _imported_modules(proc.stderr)
         # `python -m` loads superkdv.cli as __main__, under no module name;
-        # superkdv.tables, which it imports, shows that the trace is there
-        assert "superkdv.tables" in modules
+        # its package, which it imports first, shows that the trace is there
+        assert "superkdv" in modules
+        top_level = {m.split(".")[0] for m in modules}
+        assert not {"click", "mpmath"} & top_level, args
         loaded = {m.removeprefix("superkdv.") for m in modules}
-        assert loaded & LAYERS == layers, args
-        assert [m for m in modules if m.split(".")[0] == "mpmath"] == [], args
+        if layers is None:
+            assert not loaded & (LAYERS | {"exactcore", "tables"}), args
+        else:
+            assert loaded & LAYERS == layers, args
 
 
 # The benchmark times `fetch_or_compute` as a job's compute, so each command
@@ -329,9 +372,9 @@ def truncate_payload(text: str) -> str:
 class TestCache:
     ARGS = ["volume", "--g", "1", "--n", "1", "--smax", "2", "--format", "json"]
 
-    def test_roundtrip_byte_identical(self, runner, tmp_path):
-        first = invoke(runner, self.ARGS, tmp_path)
-        second = invoke(runner, self.ARGS, tmp_path)
+    def test_roundtrip_byte_identical(self, tmp_path):
+        first = invoke(self.ARGS, tmp_path)
+        second = invoke(self.ARGS, tmp_path)
         assert "# cache fresh" in first.stderr
         assert "# cache hit" in second.stderr
         assert first.stdout == second.stdout
@@ -342,67 +385,65 @@ class TestCache:
         [truncate_payload, lambda _: "[]", lambda _: "null", lambda _: '"x"'],
         ids=["truncated-payload", "list", "null", "string"],
     )
-    def test_corrupted_entry_recomputed(self, runner, tmp_path, corrupt):
-        first = invoke(runner, self.ARGS, tmp_path)
+    def test_corrupted_entry_recomputed(self, tmp_path, corrupt):
+        first = invoke(self.ARGS, tmp_path)
         entry = next(tmp_path.glob("*.json"))
         entry.write_text(corrupt(entry.read_text()))
-        again = invoke(runner, self.ARGS, tmp_path)
+        again = invoke(self.ARGS, tmp_path)
         assert "# cache fresh" in again.stderr
         assert again.stdout == first.stdout
 
-    def test_schema_bump_misses(self, runner, tmp_path, monkeypatch):
-        invoke(runner, self.ARGS, tmp_path)
+    def test_schema_bump_misses(self, tmp_path, monkeypatch):
+        invoke(self.ARGS, tmp_path)
         monkeypatch.setattr(cli, "SCHEMA_VERSION", cli.SCHEMA_VERSION + 1)
-        result = invoke(runner, self.ARGS, tmp_path)
+        result = invoke(self.ARGS, tmp_path)
         assert "# cache fresh" in result.stderr
 
-    def test_code_fingerprint_change_misses(self, runner, tmp_path, monkeypatch):
-        invoke(runner, self.ARGS, tmp_path)
+    def test_code_fingerprint_change_misses(self, tmp_path, monkeypatch):
+        invoke(self.ARGS, tmp_path)
         monkeypatch.setattr(cli, "_code_fingerprint", lambda: "0.0.0+other-source")
-        result = invoke(runner, self.ARGS, tmp_path)
+        result = invoke(self.ARGS, tmp_path)
         assert "# cache fresh" in result.stderr
 
-    def test_entry_records_code_fingerprint(self, runner, tmp_path):
-        invoke(runner, self.ARGS, tmp_path)
+    def test_entry_records_code_fingerprint(self, tmp_path):
+        invoke(self.ARGS, tmp_path)
         entry = json.loads(next(tmp_path.glob("*.json")).read_text())
         assert entry["request"]["code"] == cli._code_fingerprint()
         assert entry["request"]["code"].startswith(superkdv.__version__ + "+")
 
-    def test_squatted_temp_name_still_caches(self, runner, tmp_path):
-        invoke(runner, self.ARGS, tmp_path)
+    def test_squatted_temp_name_still_caches(self, tmp_path):
+        invoke(self.ARGS, tmp_path)
         entry = next(tmp_path.glob("*.json"))
         entry.unlink()
         entry.with_suffix(".tmp").mkdir()
-        first = invoke(runner, self.ARGS, tmp_path)
-        second = invoke(runner, self.ARGS, tmp_path)
+        first = invoke(self.ARGS, tmp_path)
+        second = invoke(self.ARGS, tmp_path)
         assert "# cache fresh" in first.stderr
         assert "# cache hit" in second.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             [entry.name, entry.with_suffix(".tmp").name]
         )
 
-    def test_unwritable_directory_warns_and_proceeds(self, runner, tmp_path):
+    def test_unwritable_directory_warns_and_proceeds(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("not a directory")
         with pytest.warns(UserWarning, match="not writable"):
-            result = runner.invoke(
-                cli.main, ["--cache-dir", str(blocker)] + self.ARGS
-            )
+            result = run_cli(["--cache-dir", str(blocker)] + self.ARGS)
         assert result.exit_code == 0
         assert "V[1,1]" not in result.stdout  # json format requested
         assert json.loads(result.stdout)["g"] == 1
 
-    def test_windowless_suite_has_one_entry(self, runner, tmp_path):
+    def test_windowless_suite_has_one_entry(self, tmp_path):
         # verify trr reads no window, so --gmax must not split its cache key
-        first = invoke(runner, ["verify", "trr", "--gmax", "1"], tmp_path)
-        second = invoke(runner, ["verify", "trr", "--gmax", "3"], tmp_path)
+        first = invoke(["verify", "trr", "--gmax", "1"], tmp_path)
+        second = invoke(["verify", "trr", "--gmax", "3"], tmp_path)
         assert "# cache fresh" in first.stderr
         assert "# cache hit" in second.stderr
         assert first.stdout == second.stdout
         assert len(list(tmp_path.glob("*.json"))) == 1
 
-    def test_env_var_override(self, runner, tmp_path, monkeypatch):
+    def test_env_var_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SUPERKDV_CACHE_DIR", str(tmp_path / "envcache"))
-        result = runner.invoke(cli.main, self.ARGS)
+        result = run_cli(self.ARGS)
         assert result.exit_code == 0
         assert (tmp_path / "envcache").exists()

@@ -308,7 +308,7 @@ class TestSubstitute:
     ZK, ZK0 = Truncation(2, 4, 4, 6), Truncation(0, 4, 4, 4)
     CASES = {
         "Z^K": lambda: zk_partition_function(TestSubstitute.ZK),
-        "Z^K on the D window": lambda: zk_partition_function(TestSubstitute.ZK).with_window(
+        "Z^K on a padded window": lambda: zk_partition_function(TestSubstitute.ZK).with_window(
             TestSubstitute.ZK.padded(TestSubstitute.ZK.dmax + TestSubstitute.ZK.gmax + 2)
         ),
         "F^K graded": lambda: zk_free_energy(TestSubstitute.ZK),

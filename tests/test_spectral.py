@@ -12,6 +12,7 @@ from math import factorial
 import pytest
 
 from superkdv import spectral
+from superkdv.cli import canonical_bytes
 from superkdv.exactcore import ExactCoreError
 from superkdv.spectral import (
     CURVE_LABELS,
@@ -23,7 +24,6 @@ from superkdv.spectral import (
     spectral_curve,
     tr_correlators,
 )
-from superkdv.tables import canonical_bytes
 
 
 class TestCurves:

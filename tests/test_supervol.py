@@ -17,6 +17,7 @@ import pytest
 
 from superkdv.exactcore import ExactCoreError, GradedSeries, Truncation
 from superkdv import swnumeric
+from superkdv.cli import canonical_bytes
 from superkdv.spincorr import spin_correlators, spin_free_energy
 from superkdv.supervol import spin_value, translated_virasoro_check, volume_polynomial
 from superkdv.swnumeric import (
@@ -24,7 +25,6 @@ from superkdv.swnumeric import (
     kernel_moment,
     recursion_residual_orders,
 )
-from superkdv.tables import canonical_bytes
 from superkdv.virasoro import VirasoroSpec, apply_virasoro_oracle
 
 
@@ -82,6 +82,14 @@ class TestVolumePolynomial:
         v02 = volume_polynomial(0, 2, 4)
         assert not v01.terms.get((0, (0,)))  # no s^0 disk term
         assert v02.coefficient(1, (0, 0)) == {0: Fraction(1, 2)}
+
+    def test_edit_does_not_reach_the_cache(self):
+        vp = volume_polynomial(1, 1, 2)
+        vp.terms[(0, (0,))][0] += 1
+        vp.terms[(1, (1,))] = {0: Fraction(7)}
+        again = volume_polynomial(1, 1, 2)
+        assert again.coefficient(0, (0,)) == {0: Fraction(1, 8)}
+        assert again.coefficient(1, (1,)) == {0: Fraction(5, 96)}
 
     def test_invalid_inputs(self):
         with pytest.raises(ExactCoreError):

@@ -2,8 +2,9 @@
 
 A function, class or method of `superkdv` is live when the package can
 reach it by name: from module-level code (command tables, constants,
-`__main__`), from a click command, from a dunder method, from an
-allowlisted definition, or from another live definition.  Names are
+`__main__`), from a dunder method, from an allowlisted definition, or
+from another live definition; the CLI's commands are live because its
+argument parser names them.  Names are
 matched loosely (any `x.name` counts for every method `name`), so the
 check can miss dead code but never flags code the package uses.
 Imports do not count as uses, so a name that is only imported and
@@ -44,12 +45,7 @@ def _loaded_names(nodes) -> set[str]:
 def _is_root(qualname: str, node) -> bool:
     if node.name.startswith("__") and node.name.endswith("__"):
         return True
-    if qualname in ALLOWED:
-        return True
-    return any(
-        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr == "command"
-        for d in node.decorator_list
-    )
+    return qualname in ALLOWED
 
 
 def _modules():
