@@ -23,7 +23,6 @@ import tempfile
 import warnings
 from functools import lru_cache
 from importlib import import_module
-from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -323,17 +322,17 @@ def _verify_vanishing(trunc: Truncation) -> dict:
 
 
 def _verify_trr(trunc: Truncation) -> dict:
+    from .exactcore import fixed_sum_multisets
     from .spincorr import _spin_genus0, genus0_closed_form
 
     compared = 0
     mismatches = 0
     for n in range(3, 6):
-        for m in combinations_with_replacement(range(5), n):
-            if sum(m) > 4:
-                continue
-            compared += 1
-            if _spin_genus0(tuple(sorted(m))) != genus0_closed_form(m):
-                mismatches += 1
+        for total in range(5):
+            for m in fixed_sum_multisets(n, total, total):
+                compared += 1
+                if _spin_genus0(m) != genus0_closed_form(m):
+                    mismatches += 1
     return {"compared": compared, "mismatches": mismatches, "ok": mismatches == 0}
 
 

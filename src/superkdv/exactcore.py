@@ -142,6 +142,16 @@ def bernoulli(n: int) -> Fraction:
     return _bernoulli_upto(n)[n]
 
 
+def secant_numbers(n: int) -> tuple[int, ...]:
+    """|E_0|, |E_2|, ..., |E_2n|: the Euler numbers, by absolute value, that
+    give sec x = sum_k |E_2k| x^{2k} / (2k)!."""
+    # sum_{k=0}^{m} C(2m, 2k) E_2k = 0 for m >= 1, with E_0 = 1.
+    e = [1]
+    for m in range(1, n + 1):
+        e.append(-sum(comb(2 * m, 2 * k) * e[k] for k in range(m)))
+    return tuple(abs(x) for x in e)
+
+
 def euler_characteristic_constant(g: int) -> Fraction:
     """Orbifold Euler characteristic of the genus-g moduli space, g >= 2.
 
@@ -150,6 +160,19 @@ def euler_characteristic_constant(g: int) -> Fraction:
     if g < 2:
         raise ExactCoreError(f"euler_characteristic_constant requires g >= 2, got {g}")
     return (-1) ** g * bernoulli(2 * g) / (2 * g * (2 * g - 2))
+
+
+def accumulate(out: dict, pairs) -> dict:
+    """Add each (key, value) of `pairs` into `out`, dropping every key whose
+    sum is zero; returns `out`."""
+    for k, v in pairs:
+        got = out.get(k)
+        w = v if got is None else got + v
+        if w:
+            out[k] = w
+        elif got is not None:
+            del out[k]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +192,8 @@ def mono_from_dict(d: dict[int, int]) -> TMono:
 
 
 def mono_mul(a: TMono, b: TMono) -> TMono:
+    """Product of two sorted (variable, exponent) monomials: t-monomials,
+    and the named-symbol monomials of `FormalPolynomial`."""
     if not a:
         return b
     if not b:
@@ -412,15 +437,7 @@ class GradedSeries:
 
     def __add__(self, other: "GradedSeries") -> "GradedSeries":
         self._require_same(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            got = out.get(k)
-            w = v if got is None else got + v
-            if w:
-                out[k] = w
-            elif got is not None:
-                del out[k]
-        return GradedSeries(self.trunc, out)
+        return GradedSeries(self.trunc, accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "GradedSeries":
         return GradedSeries(self.trunc, {k: -v for k, v in self.terms.items()})
@@ -570,12 +587,9 @@ class GradedSeries:
         tr = self.trunc
         top = tr.dmax * tr.kmax  # no shift inside the window moves further
         unit = 2**top * factorial(top)
-        den = lcm(*(v.denominator for v in self.terms.values()))
-        groups: dict[TMono, list[tuple[int, int, int]]] = {}
-        for (h, a, t), v in self.terms.items():
-            groups.setdefault(t, []).append((h, a, v.numerator * (den // v.denominator)))
+        den, groups = _int_groups(self.terms)
         acc: dict[Key, int] = {}
-        for t, hs in groups.items():
+        for _, t, hs in groups:
             legs = tuple(k for k, e in t for _ in range(e))
             budget = tr.amax - min(a for _, a, _ in hs) if s2_step else top
             for (target, jt), n in shift_expansion(legs, budget, tr.kmax).items():
@@ -636,15 +650,7 @@ class FormalPolynomial:
         return isinstance(other, FormalPolynomial) and self.terms == other.terms
 
     def __add__(self, other: "FormalPolynomial") -> "FormalPolynomial":
-        out = dict(self.terms)
-        for m, v in other.terms.items():
-            got = out.get(m)
-            w = v if got is None else got + v
-            if w:
-                out[m] = w
-            elif got is not None:
-                del out[m]
-        return FormalPolynomial(out)
+        return FormalPolynomial(accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "FormalPolynomial":
         return FormalPolynomial({m: -v for m, v in self.terms.items()})
@@ -653,25 +659,12 @@ class FormalPolynomial:
         return self + (-other)
 
     def __mul__(self, other: "FormalPolynomial") -> "FormalPolynomial":
-        out: dict[PMono, Fraction] = {}
-        for m1, v1 in self.terms.items():
-            for m2, v2 in other.terms.items():
-                if not m1:
-                    m = m2
-                elif not m2:
-                    m = m1
-                else:
-                    d = dict(m1)
-                    for s, e in m2:
-                        d[s] = d.get(s, 0) + e
-                    m = tuple(sorted(d.items()))
-                got = out.get(m)
-                w = v1 * v2 if got is None else got + v1 * v2
-                if w:
-                    out[m] = w
-                elif got is not None:
-                    del out[m]
-        return FormalPolynomial(out)
+        products = (
+            (mono_mul(m1, m2), v1 * v2)
+            for m1, v1 in self.terms.items()
+            for m2, v2 in other.terms.items()
+        )
+        return FormalPolynomial(accumulate({}, products))
 
     def scale(self, c: Fraction | int) -> "FormalPolynomial":
         c = Fraction(c)

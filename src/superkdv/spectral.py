@@ -16,7 +16,7 @@ that basis the kernel is
 
     K(z_1, z) = 2 sum_k xi_k(z_1) z^{2k+1} G(z) / ((2k+1)!! dz),
 
-with the even series G(z) = 1/(4 z y(z)) computed by series inversion.
+with the even series G(z) = 1/(4 z y(z)) in closed form (`_g_series`).
 Up to the residue orientation, the coefficient of xi_{k_1}(z_1) prod
 xi_rest is then 2/(2k_1+1)!! sum_p bracket_p G_{-2k_1-2-p}, where the
 bracket depends only on (g, rest) and is built from lower tables
@@ -48,11 +48,13 @@ from math import factorial
 from .exactcore import (
     ExactCoreError,
     Truncation,
+    accumulate,
     automorphism_factor,
     double_factorial,
     fixed_sum_multisets,
     labelled_splits,
     rational_to_str,
+    secant_numbers,
     shift_expansion,
 )
 
@@ -102,54 +104,29 @@ def spectral_curve(label: str, order: int = 40) -> SpectralCurve:
 
 def _dot(pairs) -> Coeff:
     """sum x y over the coefficient pairs (x, y), zero terms dropped."""
-    acc = {}
-    for x, y in pairs:
-        for e1, c1 in x.items():
-            for e2, c2 in y.items():
-                acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-    return {e: c for e, c in acc.items() if c}
-
-
-def _y_series(label: str, order: int) -> dict[int, Coeff]:
-    if label == "airy":
-        return {1: {0: Fraction(1)}}
-    if label == "bessel":
-        return {-1: {0: Fraction(1)}}
-    if label == "ck":
-        # z/(z^2+s^2) expanded at z = oo
-        return {-2 * j - 1: {j: Fraction((-1) ** j)} for j in range(order // 2 + 1)}
-    if label == "cns":
-        # cos(2 pi z)/z with (2 pi)^{2j} stored as 4^j (pi^2)^j
-        return {2 * j - 1: {j: Fraction((-4) ** j, factorial(2 * j))} for j in range(order // 2 + 1)}
-    raise ExactCoreError(f"unknown curve {label!r}")
-
-
-def _invert_series(a: dict[int, Coeff], order: int) -> dict[int, Coeff]:
-    """1/a for a Laurent series whose terms sit on one side of a leading
-    monomial c z^d with constant c; truncated `order` powers past d.
-
-    With a_j the coefficient j powers past d and b_m that of 1/a at m
-    powers past -d, the division recurrence is b_0 = 1/a_0 and
-    b_m = sum_{j>=1} r_j b_{m-j} with r_j = -a_j/a_0.
-    """
-    for d, step in ((min(a), 1), (max(a), -1)):
-        if set(a[d]) == {0}:
-            break
-    else:
-        raise ExactCoreError("series has no invertible leading term")
-    inv = 1 / a[d][0]
-    r = {step * (p - d): {e: -c * inv for e, c in v.items()} for p, v in a.items() if p != d}
-    b = [{0: inv}]
-    for m in range(1, order + 1):
-        b.append(_dot((r.get(j, {}), b[m - j]) for j in range(1, m + 1)))
-    return {step * m - d: bm for m, bm in enumerate(b) if bm}
+    return accumulate(
+        {},
+        ((e1 + e2, c1 * c2) for x, y in pairs for e1, c1 in x.items() for e2, c2 in y.items()),
+    )
 
 
 @lru_cache(maxsize=None)
 def _g_series(label: str, order: int) -> dict[int, Coeff]:
-    """G(z) = 1/(4 z y(z)), the even kernel prefactor."""
-    four_zy = {p + 1: {e: 4 * c for e, c in v.items()} for p, v in _y_series(label, order).items()}
-    return _invert_series(four_zy, order)
+    """G(z) = 1/(4 z y(z)), the even kernel prefactor, in closed form:
+    1/(4z^2) on airy, 1/4 on bessel, (z^2+s^2)/(4z^2) on ck, and on cns
+    sec(2 pi z)/4 = sum_j |E_2j| (2 pi z)^{2j} / (4 (2j)!) up to z^order,
+    with (2 pi)^{2j} stored as 4^j (pi^2)^j."""
+    if label == "cns":
+        return {
+            2 * j: {j: Fraction(e * 4**j, 4 * factorial(2 * j))}
+            for j, e in enumerate(secant_numbers(order // 2))
+        }
+    quarter = Fraction(1, 4)
+    return {
+        "airy": {-2: {0: quarter}},
+        "bessel": {0: {0: quarter}},
+        "ck": {0: {0: quarter}, -2: {1: quarter}},
+    }[label]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import factorial
 
 from .exactcore import (
@@ -33,6 +32,7 @@ from .exactcore import (
     GradedSeries,
     Truncation,
     free_energy_series,
+    labelled_splits,
 )
 from .kappa import bracket_psi_correlators, zk_partition_function
 from .tables import CorrelatorTable
@@ -63,19 +63,14 @@ def _spin_genus0(k: tuple[int, ...]) -> Fraction:
         # all indices zero: remove one tau_0 by the dilaton identity,
         # <tau_0 X>_0 = (n + 2|k|) <X>_0
         return (n - 1) * _spin_genus0(k[:-1])
-    # TRR on the largest index: distribute the remaining n - 3 points
-    k1 = k[-1]
-    k2, k3 = k[-2], k[-3]
-    rest = k[:-3]
+    # TRR on the largest index: distribute the remaining n - 3 points,
+    # each labelled split of them once, weighted by its multiplicity
+    k1, k2, k3 = k[-1], k[-2], k[-3]
     total = Fraction(0)
-    for size in range(len(rest) + 1):
-        for picked in combinations(range(len(rest)), size):
-            chosen = tuple(rest[i] for i in picked)
-            left = tuple(i for i in range(len(rest)) if i not in picked)
-            other = tuple(rest[i] for i in left)
-            f1 = _spin_genus0(tuple(sorted((0, k1 - 1) + chosen)))
-            f2 = _spin_genus0(tuple(sorted((0, k2, k3) + other)))
-            total += f1 * f2
+    for chosen, other, w in labelled_splits(k[:-3]):
+        f1 = _spin_genus0(tuple(sorted((0, k1 - 1) + chosen)))
+        f2 = _spin_genus0(tuple(sorted((0, k2, k3) + other)))
+        total += w * f1 * f2
     return total
 
 

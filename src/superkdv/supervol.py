@@ -36,7 +36,7 @@ from .exactcore import (
 )
 from .kappa import _zk_route_kappa, bracket_expansion
 from .spincorr import genus0_closed_form, spin_free_energy
-from .virasoro import VirasoroSpec, apply_virasoro_oracle
+from .virasoro import apply_virasoro_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +164,6 @@ def translated_virasoro_check(trunc: Truncation) -> dict:
     log Z^Omega should not have.
     """
     mmax = min(trunc.kmax, 3)
-    spec = VirasoroSpec("gBGW")
     work = Truncation(
         trunc.gmax,
         trunc.kmax + mmax,
@@ -173,7 +172,7 @@ def translated_virasoro_check(trunc: Truncation) -> dict:
     )
     F = spin_free_energy(work)
     residuals = {
-        m: apply_virasoro_oracle(F, spec, m).restrict(trunc) for m in range(mmax + 1)
+        m: apply_virasoro_oracle(F, "gBGW", m).restrict(trunc) for m in range(mmax + 1)
     }
     return {
         "trunc": trunc.to_json(),

@@ -52,7 +52,7 @@ d_i Z / Z = F_i and d_i d_j Z / Z = F_ij + F_i F_j.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -67,36 +67,18 @@ from .exactcore import (
 )
 from .tables import CorrelatorTable
 
-MODELS = ("KW", "gBGW")
+#: c in the constrained derivative d/dt_{m+c}, per model; m >= -c
+OFFSET = {"KW": 1, "gBGW": 0}
 
 
-@dataclass(frozen=True)
-class VirasoroSpec:
-    """Constraint family for one model; coefficients of L_m in closed form."""
+def quadratic_coefficient(i: int, j: int) -> int:
+    """(2i+1)!!(2j+1)!!, the weight of hbar d2/dt_i dt_j in L_m."""
+    return double_factorial(2 * i + 1) * double_factorial(2 * j + 1)
 
-    model: str
 
-    def __post_init__(self) -> None:
-        if self.model not in MODELS:
-            raise ExactCoreError(f"unknown model {self.model!r}")
-
-    @property
-    def offset(self) -> int:
-        """c in the constrained derivative d/dt_{m+c}."""
-        return 1 if self.model == "KW" else 0
-
-    @property
-    def mmin(self) -> int:
-        return -1 if self.model == "KW" else 0
-
-    def quadratic_coefficient(self, i: int, j: int) -> int:
-        return double_factorial(2 * i + 1) * double_factorial(2 * j + 1)
-
-    def linear_coefficient(self, i: int, m: int) -> Fraction:
-        return Fraction(double_factorial(2 * i + 2 * m + 1), double_factorial(2 * i - 1))
-
-    def lhs_coefficient(self, m: int) -> int:
-        return double_factorial(2 * m + 2 * self.offset + 1)
+def linear_coefficient(i: int, m: int) -> Fraction:
+    """(2i+2m+1)!!/(2i-1)!!, the weight of t_i d/dt_{i+m} in L_m."""
+    return Fraction(double_factorial(2 * i + 2 * m + 1), double_factorial(2 * i - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -161,23 +143,22 @@ def _correlator(model: str, g: int, k: tuple[int, ...]) -> Fraction:
             return Fraction(0)
     elif 1 - g + sum(k) < 0:
         return Fraction(0)
-    pivot = k[0] if k[0] <= VirasoroSpec(model).offset else k[-1]
+    pivot = k[0] if k[0] <= OFFSET[model] else k[-1]
     return _recursion(model, g, k, pivot)
 
 
 def _recursion(model: str, g: int, k: tuple[int, ...], kstar: int) -> Fraction:
     """The constraint m = kstar - c read off at the entry <tau_k>_g, solved
     for it; `kstar` is any index of the sorted tuple k."""
-    spec = VirasoroSpec(model)
     at = k.index(kstar)
     rest = k[:at] + k[at + 1:]
-    m = kstar - spec.offset
+    m = kstar - OFFSET[model]
     val = Fraction(0)
     for kj, e in Counter(rest).items():
         if kj + m >= 0:
             p = rest.index(kj)
             lowered = _with(rest[:p] + rest[p + 1:], kj + m)
-            val += e * spec.linear_coefficient(kj, m) * _correlator(model, g, lowered)
+            val += e * linear_coefficient(kj, m) * _correlator(model, g, lowered)
     splits = labelled_splits(rest) if m >= 1 else []
     for i in range(m):
         j = m - 1 - i
@@ -187,7 +168,7 @@ def _recursion(model: str, g: int, k: tuple[int, ...], kstar: int) -> Fraction:
                 lv = _correlator(model, g1, _with(left, i))
                 if lv:
                     piece += w * lv * _correlator(model, g - g1, _with(right, j))
-        val += Fraction(spec.quadratic_coefficient(i, j), 2) * piece
+        val += Fraction(quadratic_coefficient(i, j), 2) * piece
     if m == 0 and not rest:
         if g == 1:
             val += Fraction(1, 8)
@@ -195,12 +176,13 @@ def _recursion(model: str, g: int, k: tuple[int, ...], kstar: int) -> Fraction:
             val += Fraction(1, 2)
     if m == -1 and g == 0 and rest == (0, 0):
         val += 1
-    return val / spec.lhs_coefficient(m)
+    return val / double_factorial(2 * kstar + 1)
 
 
 def _stored_entries(model: str, window: Truncation):
     """(g, k, s**2-power, value) of every nonzero entry in `window`."""
-    VirasoroSpec(model)  # rejects unknown models
+    if model not in OFFSET:
+        raise ExactCoreError(f"unknown model {model!r}")
     for g in range(window.gmax + 1):
         for n in range(1, window.dmax + 1):
             for total in _admissible_sums(model, window, g, n):
@@ -249,7 +231,7 @@ def bgw_correlators(trunc: Truncation) -> CorrelatorTable:
 # direct-operator oracle and residual checks
 
 
-def apply_virasoro_oracle(F: GradedSeries, spec: VirasoroSpec, m: int) -> GradedSeries:
+def apply_virasoro_oracle(F: GradedSeries, model: str, m: int) -> GradedSeries:
     """Residual e^{-F} ((2m+2c+1)!! d/dt_{m+c} - L_m - shift) e^F of a
     free energy F, read on F through d_i Z/Z = F_i and d_i d_j Z/Z =
     F_ij + F_i F_j:
@@ -261,8 +243,9 @@ def apply_virasoro_oracle(F: GradedSeries, spec: VirasoroSpec, m: int) -> Graded
     exact on keys two t-degrees below F's window and where F holds every
     index the linear terms read; callers certify via a restriction.
     """
-    if m < spec.mmin:
-        raise ExactCoreError(f"m={m} below model minimum {spec.mmin}")
+    c = OFFSET[model]
+    if m < -c:
+        raise ExactCoreError(f"m={m} below model minimum {-c}")
     tr = F.trunc
     derived: dict[int, GradedSeries] = {}
 
@@ -271,7 +254,7 @@ def apply_virasoro_oracle(F: GradedSeries, spec: VirasoroSpec, m: int) -> Graded
             derived[i] = F.derive(i)
         return derived[i]
 
-    res = d(m + spec.offset).scale(spec.lhs_coefficient(m))
+    res = d(m + c).scale(double_factorial(2 * m + 2 * c + 1))
     # F_i F_j only on the degrees the result is exact on; padded(0) pins
     # the h and a windows, whose defaults follow dmax
     low = replace(tr.padded(0), dmax=max(tr.dmax - 2, 0))
@@ -279,13 +262,13 @@ def apply_virasoro_oracle(F: GradedSeries, spec: VirasoroSpec, m: int) -> Graded
     for i in range((m + 1) // 2):
         j = m - 1 - i
         second = d(i).derive(j) + (d(i).restrict(low) * d(j).restrict(low)).with_window(tr)
-        weight = Fraction(spec.quadratic_coefficient(i, j), 2 if i == j else 1)
+        weight = Fraction(quadratic_coefficient(i, j), 2 if i == j else 1)
         res = res - second.shift(dh=1).scale(weight)
     for i in range(max(-m, 0), tr.kmax - m + 1):
-        res = res - d(i + m).times_t(i).scale(spec.linear_coefficient(i, m))
+        res = res - d(i + m).times_t(i).scale(linear_coefficient(i, m))
     if m == 0:
         res = res - GradedSeries.term(tr, Fraction(1, 8))
-        if spec.model == "gBGW":
+        if model == "gBGW":
             res = res - GradedSeries.term(tr, Fraction(1, 2), h=-1, a=1)
     if m == -1:
         res = res - GradedSeries.term(tr, Fraction(1, 2), h=-1, t=((0, 2),))
@@ -310,7 +293,7 @@ def virasoro_oracle_residual(model: str, trunc: Truncation, m: int) -> GradedSer
         trunc.dmax,
         trunc.smax if model == "gBGW" else 0,
     )
-    return apply_virasoro_oracle(F, VirasoroSpec(model), m).restrict(cert)
+    return apply_virasoro_oracle(F, model, m).restrict(cert)
 
 
 def check_homogeneity(F: GradedSeries) -> GradedSeries:

@@ -14,11 +14,13 @@ from superkdv.exactcore import (
     FormalPolynomial,
     GradedSeries,
     Truncation,
+    accumulate,
     automorphism_factor,
     bernoulli,
     double_factorial,
     euler_characteristic_constant,
     mono_from_dict,
+    secant_numbers,
     shift_expansion,
     useries_exp_poly,
     useries_log,
@@ -60,6 +62,17 @@ class TestConstants:
         for n in (0, 1, 3, -2):
             with pytest.raises(ExactCoreError):
                 bernoulli(n)
+
+    def test_secant_numbers(self):
+        # |E_0|, ..., |E_12| (OEIS A000364)
+        assert secant_numbers(6) == (1, 1, 5, 61, 1385, 50521, 2702765)
+        assert secant_numbers(0) == (1,)
+
+    def test_accumulate_drops_zero_sums(self):
+        out = {"a": Fraction(1, 2), "b": 3}
+        got = accumulate(out, [("a", Fraction(-1, 2)), ("c", 0), ("b", 1), ("a", 2)])
+        assert got is out
+        assert out == {"b": 4, "a": 2}
 
     def test_euler_characteristic(self):
         assert euler_characteristic_constant(2) == Fraction(-1, 240)

@@ -26,6 +26,20 @@ from superkdv.spectral import (
 )
 
 
+def y_series(label: str, order: int) -> dict:
+    """y(z) of each curve as {power of z: {power of the curve's parameter:
+    coefficient}}, up to `order` powers of z past its leading term."""
+    if label == "airy":
+        return {1: {0: Fraction(1)}}
+    if label == "bessel":
+        return {-1: {0: Fraction(1)}}
+    if label == "ck":
+        # z/(z^2+s^2) expanded at z = oo
+        return {-2 * j - 1: {j: Fraction((-1) ** j)} for j in range(order // 2 + 1)}
+    # cns: cos(2 pi z)/z with (2 pi)^{2j} stored as 4^j (pi^2)^j
+    return {2 * j - 1: {j: Fraction((-4) ** j, factorial(2 * j))} for j in range(order // 2 + 1)}
+
+
 class TestCurves:
     def test_bad_inputs(self):
         with pytest.raises(ExactCoreError):
@@ -50,11 +64,11 @@ class TestCurves:
     @pytest.mark.parametrize("order", [4, 40, 120])
     @pytest.mark.parametrize("label", CURVE_LABELS)
     def test_kernel_prefactor_inverts_4zy(self, label, order):
-        # G * 4 z y = 1 at every power within `order` of z^0, whatever the
-        # inversion algorithm; coefficients are {parameter power: value}
+        # G * 4 z y = 1 at every power within `order` of z^0, for the
+        # closed-form G against the curve's own y series
         out = {}
         for p1, g1 in spectral._g_series(label, order).items():
-            for p2, y2 in spectral._y_series(label, order).items():
+            for p2, y2 in y_series(label, order).items():
                 for e1, c1 in g1.items():
                     for e2, c2 in y2.items():
                         row = out.setdefault(p1 + p2 + 1, {})

@@ -12,7 +12,13 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from superkdv.exactcore import GradedSeries, Truncation, euler_characteristic_constant
+from superkdv.exactcore import (
+    GradedSeries,
+    Truncation,
+    euler_characteristic_constant,
+    fixed_sum_multisets,
+    labelled_splits,
+)
 from superkdv.kappa import zk_correlators, zk_free_energy, zk_partition_function
 from superkdv.spincorr import (
     _spin_genus0,
@@ -66,6 +72,18 @@ class TestGenusZero:
                 assert _spin_genus0(tuple(sorted(m))) == genus0_closed_form(m), m
                 checked += 1
         assert checked >= 15
+
+    def test_closed_form_vs_trr_past_the_verify_range(self):
+        # n = 6 and 7 with |k| <= 6, beyond `verify trr`'s n <= 5: the
+        # points the TRR distributes repeat an index three or more times,
+        # so labelled_splits weighs some splits by 3 or more
+        top = 0
+        for n in (6, 7):
+            for total in range(7):
+                for k in fixed_sum_multisets(n, total, total):
+                    assert _spin_genus0(k) == genus0_closed_form(k), k
+                    top = max([top] + [w for _, _, w in labelled_splits(k[:-3])])
+        assert top >= 3
 
 
 class TestSpinTable:

@@ -10,17 +10,19 @@ from math import factorial
 
 import pytest
 
-from superkdv.exactcore import ExactCoreError, GradedSeries, Truncation
+from superkdv.exactcore import ExactCoreError, GradedSeries, Truncation, double_factorial
 from superkdv.kappa import zk_correlators
 from superkdv.spincorr import spin_correlators
 from superkdv.virasoro import (
-    VirasoroSpec,
+    OFFSET,
     apply_virasoro_oracle,
     bgw_correlators,
     check_homogeneity,
     free_energy,
     kdv_residual,
     kw_correlators,
+    linear_coefficient,
+    quadratic_coefficient,
     virasoro_oracle_residual,
     _recursion,
 )
@@ -212,28 +214,28 @@ class TestOracle:
         key = (0, 0, ((1, 1),))
         assert bad[key] == Fraction(1, 24)
         bad[key] = Fraction(1, 23)
-        res = apply_virasoro_oracle(GradedSeries(F.trunc, bad), VirasoroSpec("KW"), 0)
+        res = apply_virasoro_oracle(GradedSeries(F.trunc, bad), "KW", 0)
         assert not res.restrict(TRSMALL).is_zero()
 
     def test_m_below_range_rejected(self):
         F = free_energy("gBGW", TRSMALL)
         with pytest.raises(ExactCoreError):
-            apply_virasoro_oracle(F, VirasoroSpec("gBGW"), -1)
+            apply_virasoro_oracle(F, "gBGW", -1)
 
 
-def z_level_residual(Z: GradedSeries, spec: VirasoroSpec, m: int) -> GradedSeries:
+def z_level_residual(Z: GradedSeries, model: str, m: int) -> GradedSeries:
     """((2m+2c+1)!! d/dt_{m+c} - L_m - shift) Z, the constraint applied to Z itself."""
-    c = spec.offset
-    res = Z.derive(m + c).scale(spec.lhs_coefficient(m))
+    c = OFFSET[model]
+    res = Z.derive(m + c).scale(double_factorial(2 * m + 2 * c + 1))
     for i in range(m):
         j = m - 1 - i
-        qc = spec.quadratic_coefficient(i, j)
+        qc = quadratic_coefficient(i, j)
         res = res - Z.derive(i).derive(j).shift(dh=1).scale(Fraction(qc, 2))
     for i in range(max(-m, 0), Z.trunc.kmax - m + 1):
-        res = res - Z.derive(i + m).times_t(i).scale(spec.linear_coefficient(i, m))
+        res = res - Z.derive(i + m).times_t(i).scale(linear_coefficient(i, m))
     if m == 0:
         res = res - Z.scale(Fraction(1, 8))
-        if spec.model == "gBGW":
+        if model == "gBGW":
             res = res - (Z * GradedSeries.term(Z.trunc, 1, h=-1, a=1)).scale(Fraction(1, 2))
     if m == -1:
         res = res - Z.times_t(0).times_t(0).shift(dh=-1).scale(Fraction(1, 2))
@@ -251,7 +253,6 @@ class TestConjugation:
     )
     def test_matches_z_level_route(self, model, m):
         trunc = Truncation(2, 3, 2, 4 if model == "gBGW" else 0)
-        spec = VirasoroSpec(model)
         F = free_energy(model, trunc)
         bad = dict(F.terms)
         for i, k in enumerate(sorted(bad)[::3]):
@@ -259,8 +260,8 @@ class TestConjugation:
         F = GradedSeries(F.trunc, bad)
         Fz = F.with_window(F.trunc.z_window())
         cert = Truncation(trunc.gmax, min(trunc.kmax, F.trunc.kmax), trunc.dmax, trunc.smax)
-        z_level = (z_level_residual(Fz.exp(), spec, m) * (-Fz).exp()).restrict(cert)
-        f_level = apply_virasoro_oracle(F, spec, m).restrict(cert)
+        z_level = (z_level_residual(Fz.exp(), model, m) * (-Fz).exp()).restrict(cert)
+        f_level = apply_virasoro_oracle(F, model, m).restrict(cert)
         assert f_level.terms == z_level.terms
         assert not f_level.is_zero()
 
