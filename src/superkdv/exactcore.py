@@ -32,8 +32,7 @@ and the volume polynomials is a plain {power: Fraction} instead.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, floor, gcd, lcm
@@ -216,31 +215,35 @@ def mono_max_index(m: TMono) -> int:
 # truncation windows
 
 
-@dataclass(frozen=True)
-class Truncation:
-    """Bounds for GradedSeries keys.
+class Truncation(namedtuple("Truncation", "gmax kmax dmax smax h_lo h_hi a_lo a_hi")):
+    """Bounds for GradedSeries keys, an immutable record.
 
     gmax, kmax, dmax, smax are the user-facing bounds: max genus, max
     t-index, max total t-degree, max power of s (so a <= smax // 2).
     The h/a window fields default to values wide enough for free
     energies and their exponentials; intermediate computations pad them
-    further via `padded`.
+    further via `padded`.  Equality and hashing are the tuple's, so equal
+    windows share one entry of every cache keyed by them.
     """
 
-    gmax: int
-    kmax: int
-    dmax: int
-    smax: int
-    h_lo: int | None = None
-    h_hi: int | None = None
-    a_lo: int | None = None
-    a_hi: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if min(self.gmax, self.kmax, self.dmax, self.smax) < 0:
+    def __new__(
+        cls,
+        gmax: int,
+        kmax: int,
+        dmax: int,
+        smax: int,
+        h_lo: int | None = None,
+        h_hi: int | None = None,
+        a_lo: int | None = None,
+        a_hi: int | None = None,
+    ) -> "Truncation":
+        if min(gmax, kmax, dmax, smax) < 0:
             raise ExactCoreError("truncation bounds must be nonnegative")
-        if self.smax % 2:
+        if smax % 2:
             raise ExactCoreError("smax must be even (only s**2 ever appears)")
+        return super().__new__(cls, gmax, kmax, dmax, smax, h_lo, h_hi, a_lo, a_hi)
 
     @property
     def hmin(self) -> int:

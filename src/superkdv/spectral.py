@@ -39,8 +39,7 @@ parameter; the recursion carries e, so the s-power checks stay genuine.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -72,12 +71,11 @@ Coeff = dict[int, Fraction]
 # spectral curves
 
 
-@dataclass(frozen=True)
-class SpectralCurve:
-    """x = z^2/2 with y given as a truncated Laurent series in z."""
+class SpectralCurve(namedtuple("SpectralCurve", "label order")):
+    """x = z^2/2 with y given as a truncated Laurent series in z; an
+    immutable (label, order) record."""
 
-    label: str
-    order: int
+    __slots__ = ()
 
     def series_order(self, gmax: int) -> int:
         """The order the caches are keyed by for tables up to genus gmax.
@@ -133,13 +131,13 @@ def _g_series(label: str, order: int) -> dict[int, Coeff]:
 # correlator tables over the odd xi-basis
 
 
-@dataclass
 class OddDifferentialTable:
     """Coefficients of prod xi_{k_i}(z_i) per (g, sorted k), each a `Coeff`
     in the engine's parameter: pi^2 for tr-cns, s^2 for every other."""
 
-    engine: str
-    entries: dict[tuple[int, tuple[int, ...]], Coeff] = field(default_factory=dict)
+    def __init__(self, engine: str) -> None:
+        self.engine = engine
+        self.entries: dict[tuple[int, tuple[int, ...]], Coeff] = {}
 
     def get(self, g: int, k) -> Coeff:
         return self.entries.get((g, tuple(sorted(k))), {})
@@ -299,7 +297,7 @@ def tr_correlators(curve: SpectralCurve, gmax: int, nmax: int) -> OddDifferentia
     """
     if gmax < 0 or nmax < 0:
         raise ExactCoreError("gmax and nmax must be nonnegative")
-    out = OddDifferentialTable(engine=f"tr-{curve.label}")
+    out = OddDifferentialTable(f"tr-{curve.label}")
     order = curve.series_order(gmax)
     for g in range(gmax + 1):
         for n in range(1, nmax + 1):
@@ -424,7 +422,7 @@ def eta_reexpand(table: OddDifferentialTable, smax: int) -> OddDifferentialTable
                 if e + jtot <= jmax:
                     key = (g, target, e + jtot)
                     acc[key] = acc.get(key, 0) + c * w
-    out = OddDifferentialTable(engine="tr-ck-eta")
+    out = OddDifferentialTable("tr-ck-eta")
     for (g, target, e), v in acc.items():
         if v:
             out.entries.setdefault((g, target), {})[e] = v

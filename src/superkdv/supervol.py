@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
@@ -79,14 +78,14 @@ def _insertion_weight(parts: tuple[int, ...]) -> Fraction:
     return weight / automorphism_factor(Counter(parts).values())
 
 
-@dataclass
 class VolumePolynomial:
     """V_{g,n}(s, L) as a map (s^2-power a, L^2-exponents k) -> {pi^2-power: value}."""
 
-    g: int
-    n: int
-    smax: int
-    terms: dict[tuple[int, tuple[int, ...]], dict[int, Fraction]] = field(default_factory=dict)
+    def __init__(self, g: int, n: int, smax: int, terms: dict) -> None:
+        self.g = g
+        self.n = n
+        self.smax = smax
+        self.terms = terms
 
     def coefficient(self, a: int, k) -> dict[int, Fraction]:
         return self.terms.get((a, tuple(int(x) for x in k)), {})
@@ -101,8 +100,14 @@ class VolumePolynomial:
 
 def volume_polynomial(g: int, n: int, smax: int) -> VolumePolynomial:
     """V_{g,n}(s, L) through s^smax, with its own copy of the cached
-    terms, so a caller's edit cannot reach the cache."""
+    terms, so a caller's edit cannot reach the cache.  An empty
+    polynomial warns on every call, cached or not."""
     terms = _volume_terms(g, n, smax)
+    if not terms:
+        warnings.warn(
+            f"no admissible terms for (g, n) = ({g}, {n}) at smax = {smax}",
+            stacklevel=2,
+        )
     return VolumePolynomial(g, n, smax, {key: dict(coeff) for key, coeff in terms.items()})
 
 
@@ -137,11 +142,6 @@ def _volume_terms(g: int, n: int, smax: int) -> dict:
                 rational += _insertion_weight(parts) * spin_value(g, k + parts)
             if rational:
                 terms[(a, k)] = {w: rational / prod(2**ki * factorial(ki) for ki in k)}
-    if not terms:
-        warnings.warn(
-            f"no admissible terms for (g, n) = ({g}, {n}) at smax = {smax}",
-            stacklevel=3,
-        )
     return terms
 
 

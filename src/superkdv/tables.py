@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactcore import Truncation, rational_to_str
 
 
-@dataclass
 class CorrelatorTable:
-    engine: str
-    trunc: Truncation
-    entries: dict[tuple[int, tuple[int, ...]], Fraction] = field(default_factory=dict)
+    def __init__(self, engine: str, trunc: Truncation) -> None:
+        self.engine = engine
+        self.trunc = trunc
+        self.entries: dict[tuple[int, tuple[int, ...]], Fraction] = {}
 
     def key(self, g: int, k) -> tuple[int, tuple[int, ...]]:
         return (g, tuple(sorted(k)))

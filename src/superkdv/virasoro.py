@@ -52,7 +52,6 @@ d_i Z / Z = F_i and d_i d_j Z / Z = F_ij + F_i F_j.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -257,7 +256,7 @@ def apply_virasoro_oracle(F: GradedSeries, model: str, m: int) -> GradedSeries:
     res = d(m + c).scale(double_factorial(2 * m + 2 * c + 1))
     # F_i F_j only on the degrees the result is exact on; padded(0) pins
     # the h and a windows, whose defaults follow dmax
-    low = replace(tr.padded(0), dmax=max(tr.dmax - 2, 0))
+    low = tr.padded(0)._replace(dmax=max(tr.dmax - 2, 0))
     # the (i, j) and (j, i) terms are equal: form each unordered pair once
     for i in range((m + 1) // 2):
         j = m - 1 - i

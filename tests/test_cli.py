@@ -273,12 +273,21 @@ LAYERS = {"kappa", "spectral", "spincorr", "supervol", "virasoro", "swnumeric"}
 def test_cli_processes_do_not_import_mpmath(cli_child_env):
     # only `verify recursion` needs the numeric route, so no other process
     # loads mpmath; a miss loads exactly the layers its command computes
-    # with, and the import and a hit load no layer, nor exactcore or tables
+    # with, and the import and a hit load no layer, nor exactcore or tables,
+    # except a windowless verify hit, which loads exactcore to check its
+    # window.  dataclasses pulls in inspect, ast, dis and tokenize, which no
+    # process needs: none loads them beyond a bare interpreter.
     python = [sys.executable, "-v"]
+    bare = subprocess.run(
+        python + ["-c", "pass"], capture_output=True, text=True, env=cli_child_env
+    )
+    assert bare.returncode == 0, bare.stderr
+    baseline = set(_imported_modules(bare.stderr))
     cli_args = python + ["-m", "superkdv.cli"]
     volume = ["volume", "--g", "1", "--n", "1", "--smax", "2"]
     kw = ["correlators", "kw", "--gmax", "1", "--kmax", "3", "--dmax", "2", "--smax", "0"]
     tr = ["tr", "--curve", "airy", "--gmax", "1", "--nmax", "2", "--order", "24"]
+    trr = ["verify", "trr"]
     supervol_layers = {"kappa", "spincorr", "supervol", "virasoro"}
     runs = [
         (python + ["-c", "import superkdv.cli"], None, None),
@@ -288,6 +297,8 @@ def test_cli_processes_do_not_import_mpmath(cli_child_env):
         (cli_args + kw, "# cache hit", None),
         (cli_args + tr, "# cache fresh", {"spectral"}),
         (cli_args + tr, "# cache hit", None),
+        (cli_args + trr, "# cache fresh", {"kappa", "spincorr", "virasoro"}),
+        (cli_args + trr, "# cache hit", set()),
     ]
     for args, cache_line, layers in runs:
         proc = subprocess.run(args, capture_output=True, text=True, env=cli_child_env)
@@ -300,11 +311,13 @@ def test_cli_processes_do_not_import_mpmath(cli_child_env):
         assert "superkdv" in modules
         top_level = {m.split(".")[0] for m in modules}
         assert not {"click", "mpmath"} & top_level, args
+        assert not {"dataclasses", "inspect"} & (set(modules) - baseline), args
         loaded = {m.removeprefix("superkdv.") for m in modules}
         if layers is None:
             assert not loaded & (LAYERS | {"exactcore", "tables"}), args
         else:
             assert loaded & LAYERS == layers, args
+            assert "exactcore" in loaded, args
 
 
 # The benchmark times `fetch_or_compute` as a job's compute, so each command

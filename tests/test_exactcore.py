@@ -81,6 +81,44 @@ class TestConstants:
             euler_characteristic_constant(1)
 
 
+class TestTruncation:
+    def test_equal_windows_share_a_cache_entry(self):
+        # the Truncation is the key of the correlator and free-energy caches
+        first = Truncation(1, 2, 2, 0, h_lo=-4, h_hi=0, a_lo=-2, a_hi=0)
+        second = Truncation(1, 2, 2, 0, h_lo=-4, h_hi=0, a_lo=-2, a_hi=0)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert first != first.padded(1)
+        value = free_energy("KW", first)
+        hits = free_energy.cache_info().hits
+        assert free_energy("KW", second) is value
+        assert free_energy.cache_info().hits == hits + 1
+
+    def test_fields_are_read_only(self):
+        trunc = Truncation(1, 2, 2, 0)
+        with pytest.raises(AttributeError):
+            trunc.dmax = 3
+        with pytest.raises(AttributeError):
+            trunc.extra = 1
+        assert trunc == Truncation(1, 2, 2, 0)
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ((-1, 2, 2, 0), "truncation bounds must be nonnegative"),
+            ((1, -1, 2, 0), "truncation bounds must be nonnegative"),
+            ((1, 2, -1, 0), "truncation bounds must be nonnegative"),
+            ((1, 2, 2, -2), "truncation bounds must be nonnegative"),
+            ((1, 2, 2, 3), r"smax must be even \(only s\*\*2 ever appears\)"),
+        ],
+    )
+    def test_invalid_bounds_raise(self, bounds, message):
+        with pytest.raises(ExactCoreError, match=f"^{message}$"):
+            Truncation(*bounds)
+        with pytest.raises(ExactCoreError, match=f"^{message}$"):
+            Truncation(*bounds, h_lo=-1, h_hi=1, a_lo=-1, a_hi=1)
+
+
 TR = Truncation(gmax=2, kmax=3, dmax=4, smax=4)
 TRSMALL = Truncation(gmax=2, kmax=2, dmax=3, smax=2)
 

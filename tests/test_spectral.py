@@ -47,6 +47,14 @@ class TestCurves:
         with pytest.raises(ExactCoreError):
             spectral_curve("airy", 2)
 
+    def test_curves_are_equal_by_value(self):
+        curve = spectral_curve("ck", 24)
+        assert curve == spectral_curve("ck", 24) and hash(curve) == hash(spectral_curve("ck", 24))
+        assert curve != spectral_curve("ck", 40) and curve != spectral_curve("cns", 24)
+        assert (curve.label, curve.order) == ("ck", 24)
+        with pytest.raises(AttributeError):
+            curve.order = 40
+
     def test_kernel_prefactor_exact(self):
         # G = 1/(4 z y): airy 1/(4z^2), bessel 1/4, ck 1/4 + s^2/(4z^2)
         # as {power of z: {power of the curve's parameter: coefficient}}
@@ -230,7 +238,8 @@ class TestEtaReexpansion:
                         if e <= jmax:
                             row[e] = row.get(e, 0) + v / den
         nonzero = {key: {e: v for e, v in row.items() if v} for key, row in ref.items()}
-        expect = OddDifferentialTable("tr-ck-eta", {k: v for k, v in nonzero.items() if v})
+        expect = OddDifferentialTable("tr-ck-eta")
+        expect.entries = {k: v for k, v in nonzero.items() if v}
         got = eta_reexpand(table, smax)
         assert canonical_bytes(got.to_json()) == canonical_bytes(expect.to_json())
 

@@ -91,6 +91,14 @@ class TestVolumePolynomial:
         assert again.coefficient(0, (0,)) == {0: Fraction(1, 8)}
         assert again.coefficient(1, (1,)) == {0: Fraction(5, 96)}
 
+    @pytest.mark.parametrize("g, n", [(0, 3), (0, 4)])
+    def test_empty_volume_warns_on_every_call(self, g, n):
+        # the terms are cached; the warning must not depend on cache warmth
+        message = rf"no admissible terms for \(g, n\) = \({g}, {n}\) at smax = 0"
+        for _ in range(2):
+            with pytest.warns(UserWarning, match=message):
+                assert volume_polynomial(g, n, 0).terms == {}
+
     def test_invalid_inputs(self):
         with pytest.raises(ExactCoreError):
             volume_polynomial(1, 0, 4)
