@@ -102,17 +102,15 @@ def cached_payload(cache_dir: Path, request: dict) -> bytes | None:
 
 
 def fetch_or_compute(cache_dir: Path | None, request: dict, compute) -> tuple[bytes, str]:
-    """Return (payload bytes, source) with source in {fresh, hit, uncached}.
+    """Compute the payload of a request the cache missed and store it;
+    return (payload bytes, source) with source in {fresh, uncached}.
 
     A cache entry stores the request, the payload text and its sha256;
-    entries that `cached_payload` rejects are recomputed and overwritten.
+    it overwrites an entry that `cached_payload` rejected.
     """
-    if cache_dir is None:
-        return canonical_bytes(compute()), "uncached"
-    payload = cached_payload(cache_dir, request)
-    if payload is not None:
-        return payload, "hit"
     payload = canonical_bytes(compute())
+    if cache_dir is None:
+        return payload, "uncached"
     request, key = _entry(request)
     entry = {
         "request": request,
@@ -322,18 +320,13 @@ def _verify_vanishing(trunc: Truncation) -> dict:
 
 
 def _verify_trr(trunc: Truncation) -> dict:
-    from .exactcore import fixed_sum_multisets
+    from .exactcore import fixed_sum_multisets, mismatches
     from .spincorr import _spin_genus0, genus0_closed_form
 
-    compared = 0
-    mismatches = 0
-    for n in range(3, 6):
-        for total in range(5):
-            for m in fixed_sum_multisets(n, total, total):
-                compared += 1
-                if _spin_genus0(m) != genus0_closed_form(m):
-                    mismatches += 1
-    return {"compared": compared, "mismatches": mismatches, "ok": mismatches == 0}
+    keys = [m for n in range(3, 6) for w in range(5) for m in fixed_sum_multisets(n, w, w)]
+    trr = {m: _spin_genus0(m) for m in keys}
+    bad = mismatches(trr, {m: genus0_closed_form(m) for m in keys}, keys)
+    return {"compared": len(keys), "mismatches": len(bad), "ok": not bad}
 
 
 def _verify_laplace(trunc: Truncation) -> dict:

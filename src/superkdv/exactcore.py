@@ -174,6 +174,13 @@ def accumulate(out: dict, pairs) -> dict:
     return out
 
 
+def mismatches(got: dict, want: dict, keys) -> list:
+    """(key, got.get(key), want.get(key)) for each key of `keys` where the
+    two sparse maps differ, in sorted key order; a key a map lacks is zero
+    there, as every map of the package holds nonzero values only."""
+    return [(k, got.get(k), want.get(k)) for k in sorted(keys) if got.get(k) != want.get(k)]
+
+
 # ---------------------------------------------------------------------------
 # rational serialization
 

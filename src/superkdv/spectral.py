@@ -52,6 +52,7 @@ from .exactcore import (
     double_factorial,
     fixed_sum_multisets,
     labelled_splits,
+    mismatches,
     rational_to_str,
     secant_numbers,
     shift_expansion,
@@ -324,8 +325,9 @@ def compare_to_tables(curve: SpectralCurve, chi_bound: int = 4) -> dict:
 
     airy <-> psi-class intersections; bessel <-> Theta-class
     intersections; ck <-> kappa-class tau-function entries carrying the
-    grading s^{2(1-g+|k|)}.  Every admissible lattice point with
-    2g-2+n <= chi_bound is compared in both directions.
+    grading s^{2(1-g+|k|)}.  Every lattice point |k| <= 3g-3+n with
+    2g-2+n <= chi_bound is compared in both directions: by the support
+    bound it holds every nonzero entry of either side.
     """
     # the routes checked against are imported here, so the TR engine
     # itself loads none of them
@@ -336,59 +338,34 @@ def compare_to_tables(curve: SpectralCurve, chi_bound: int = 4) -> dict:
     gtop = max(g for g, _ in pairs)
     ntop = max(n for _, n in pairs)
     table = tr_correlators(curve, gtop, ntop)
-    mismatches = []
-    compared = 0
-    if curve.label in ("airy", "bessel"):
-        airy = curve.label == "airy"
-        if airy:
-            ref = kw_correlators(Truncation(gtop, 3 * gtop - 3 + ntop, ntop, 0))
-        else:
-            ref = bgw_correlators(Truncation(gtop, max(gtop - 1, 0), ntop, 0))
-
-        def index_sum(g: int, n: int) -> int:
-            """The index sum of every nonzero psi (airy) or Theta (bessel) entry."""
-            return 3 * g - 3 + n if airy else g - 1
-
-        for (g, n) in pairs:
-            for k in _index_vectors(n, index_sum(g, n), exact=True):
-                expect = _graded(ref.get(g, k), 0)
-                compared += 1
-                if table.get(g, k) != expect:
-                    mismatches.append((g, k, table.get(g, k), expect))
-        mismatches.extend(
-            (g, k, table.get(g, k), 0)
-            for (g, k) in table.entries
-            if sum(k) != index_sum(g, len(k))
-        )
-    elif curve.label == "ck":
-        for (g, n) in pairs:
-            for k in _index_vectors(n, 3 * g - 3 + n):
-                a = 1 - g + sum(k)
-                m = 3 * g - 3 + n - sum(k)
-                value = _zk_route_kappa(g, n, m, tuple(sorted(k))) if a >= 0 else 0
-                expect = _graded(value, a)
-                compared += 1
-                if table.get(g, k) != expect:
-                    mismatches.append((g, k, table.get(g, k), expect))
-    else:
+    if curve.label == "airy":
+        store = kw_correlators(Truncation(gtop, 3 * gtop - 3 + ntop, ntop, 0))
+    elif curve.label == "bessel":
+        store = bgw_correlators(Truncation(gtop, max(gtop - 1, 0), ntop, 0))
+    elif curve.label != "ck":
         raise ExactCoreError(f"no symbolic reference table for {curve.label!r}")
+    lattice = [(g, k) for g, n in pairs for k in _index_vectors(n, 3 * g - 3 + n)]
+    want = {}
+    for g, k in lattice:
+        if curve.label == "ck":
+            # s-power a = 1 - g + |k|; the kappa degree is 3g-3+n-|k| >= 0
+            a = 1 - g + sum(k)
+            value = _zk_route_kappa(g, len(k), 3 * g - 3 + len(k) - sum(k), k) if a >= 0 else 0
+        else:
+            a, value = 0, store.get(g, k)
+        if value:
+            want[(g, k)] = {a: value}
     return {
         "curve": curve.label,
         "chi_bound": chi_bound,
-        "compared": compared,
-        "mismatches": mismatches,
+        "compared": len(lattice),
+        "mismatches": mismatches(table.entries, want, lattice),
     }
 
 
-def _graded(value, a: int) -> Coeff:
-    """value * P^a as a coefficient."""
-    return {a: Fraction(value)} if value else {}
-
-
-def _index_vectors(n: int, total: int, exact: bool = False):
-    """Sorted index vectors of length n with sum == total (or <= total)."""
-    sums = [total] if exact else range(total + 1)
-    return sorted(k for s in sums for k in fixed_sum_multisets(n, s, s))
+def _index_vectors(n: int, total: int):
+    """Sorted index vectors of length n with sum <= total."""
+    return sorted(k for s in range(total + 1) for k in fixed_sum_multisets(n, s, s))
 
 
 # ---------------------------------------------------------------------------
@@ -440,24 +417,19 @@ def eta_spin_compare(curve: SpectralCurve, chi_bound: int = 3, smax: int = 4) ->
     gtop = max(g for g, _ in pairs)
     ntop = max(n for _, n in pairs)
     eta = eta_reexpand(tr_correlators(curve, gtop, ntop), smax)
-    mismatches = []
-    compared = 0
-    for (g, n) in pairs:
-        kcap = smax // 2 + g - 1
-        for k in _index_vectors(n, max(kcap, 0)):
-            a = 1 - g + sum(k)
-            if a < 0 or 2 * a > smax:
-                continue
-            expect = _graded(spin_value(g, k), a)
-            compared += 1
-            if eta.get(g, k) != expect:
-                mismatches.append((g, k, eta.get(g, k), expect))
+    lattice = [
+        (g, k)
+        for g, n in pairs
+        for k in _index_vectors(n, smax // 2 + g - 1)
+        if 1 - g + sum(k) >= 0
+    ]
+    want = {(g, k): {1 - g + sum(k): v} for g, k in lattice if (v := spin_value(g, k))}
     return {
         "curve": "ck-eta",
         "chi_bound": chi_bound,
         "smax": smax,
-        "compared": compared,
-        "mismatches": mismatches,
+        "compared": len(lattice),
+        "mismatches": mismatches(eta.entries, want, lattice),
     }
 
 
@@ -491,7 +463,7 @@ def cns_laplace_check(g: int, n: int) -> dict:
     # key, so each ordering of a volume monomial must carry that same
     # coefficient; orderings that disagree are reported, not summed
     expected: dict[tuple[int, ...], Coeff] = {}
-    mismatches = []
+    disordered = []
     for (a, k), coeff in vp.terms.items():
         if a != 0:
             continue
@@ -501,16 +473,12 @@ def cns_laplace_check(g: int, n: int) -> dict:
         value = {e: scale * c for e, c in coeff.items()}
         first = expected.setdefault(tuple(sorted(k)), value)
         if first != value:
-            mismatches.append((k, first, value))
-    keys = set(expected) | {k for (gg, k) in table.entries if gg == g and len(k) == n}
-    for k in sorted(keys):
-        lhs = table.get(g, k)
-        rhs = expected.get(k, {})
-        if lhs != rhs:
-            mismatches.append((k, lhs, rhs))
+            disordered.append((k, first, value))
+    got = {k: coeff for (gg, k), coeff in table.entries.items() if gg == g and len(k) == n}
+    keys = got.keys() | expected.keys()
     return {
         "g": g,
         "n": n,
         "compared": len(keys),
-        "mismatches": mismatches,
+        "mismatches": disordered + mismatches(got, expected, keys),
     }

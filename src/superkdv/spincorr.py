@@ -33,6 +33,7 @@ from .exactcore import (
     Truncation,
     free_energy_series,
     labelled_splits,
+    mismatches,
 )
 from .kappa import bracket_psi_correlators, zk_partition_function
 from .tables import CorrelatorTable
@@ -201,17 +202,6 @@ def d_operator_apply(zk: GradedSeries, target: Truncation) -> GradedSeries:
 # three-way comparison
 
 
-def series_mismatches(a: GradedSeries, b: GradedSeries) -> list:
-    """Keys where two series differ, with both values."""
-    out = []
-    for key in sorted(set(a.terms) | set(b.terms)):
-        va = a.terms.get(key, Fraction(0))
-        vb = b.terms.get(key, Fraction(0))
-        if va != vb:
-            out.append((key, va, vb))
-    return out
-
-
 def triple_route_compare(trunc: Truncation) -> dict:
     """Exact three-way comparison Z^BGW = Z^Omega = D Z^K.
 
@@ -225,14 +215,11 @@ def triple_route_compare(trunc: Truncation) -> dict:
     z_bgw = partition_function("gBGW", trunc)
     z_omega = assemble_z_omega(trunc)
     d_zk = d_operator_apply(zk_partition_function(trunc), trunc)
-    cut = trunc.gmax - 1
-    mism = series_mismatches(z_bgw, z_omega) + [
-        item
-        for item in series_mismatches(z_bgw, d_zk)
-        if item[0][0] <= cut
-    ]
-    keys = set(z_bgw.terms) | set(z_omega.terms)
-    keys |= {key for key in d_zk.terms if key[0] <= cut}
+    both = z_bgw.terms.keys() | z_omega.terms.keys()
+    sliced = {key for key in z_bgw.terms.keys() | d_zk.terms.keys() if key[0] < trunc.gmax}
+    mism = mismatches(z_bgw.terms, z_omega.terms, both)
+    mism += mismatches(z_bgw.terms, d_zk.terms, sliced)
+    keys = both | sliced
     nonzero = {key for key in keys if z_bgw.terms.get(key)}
     return {
         "trunc": trunc.to_json(),

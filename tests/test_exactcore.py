@@ -19,6 +19,7 @@ from superkdv.exactcore import (
     bernoulli,
     double_factorial,
     euler_characteristic_constant,
+    mismatches,
     mono_from_dict,
     secant_numbers,
     shift_expansion,
@@ -73,6 +74,18 @@ class TestConstants:
         got = accumulate(out, [("a", Fraction(-1, 2)), ("c", 0), ("b", 1), ("a", 2)])
         assert got is out
         assert out == {"b": 4, "a": 2}
+
+    def test_mismatches_one_sided_and_sorted(self):
+        got = {(1, 2): Fraction(1, 2), (0, 3): 5, (2,): 7}
+        want = {(0, 3): 5, (0, 1): {1: Fraction(1, 3)}, (2,): 8}
+        # (0, 1) only in want, (1, 2) only in got, (0, 0) in neither map
+        keys = {(1, 2), (0, 3), (2,), (0, 1), (0, 0)}
+        assert mismatches(got, want, keys) == [
+            ((0, 1), None, {1: Fraction(1, 3)}),
+            ((1, 2), Fraction(1, 2), None),
+            ((2,), 7, 8),
+        ]
+        assert mismatches(got, got, keys) == []
 
     def test_euler_characteristic(self):
         assert euler_characteristic_constant(2) == Fraction(-1, 240)

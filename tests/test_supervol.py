@@ -194,8 +194,8 @@ class TestRecursionResidual:
 
     def test_passing_convention_through_s4(self):
         cases = [
-            (1, 1, [1.0]), (0, 3, [1.0, 0.7, 1.3]),
-            (2, 1, [1.1]), (2, 2, [1.0, 0.7]), (3, 1, [1.1]),
+            (0, 1, [1.3]), (0, 2, [1.0, 0.7]), (1, 1, [1.0]), (0, 3, [1.0, 0.7, 1.3]),
+            (1, 2, [1.0, 0.7]), (2, 1, [1.1]), (2, 2, [1.0, 0.7]), (3, 1, [1.1]),
         ]
         for g, n, L in cases:
             orders = recursion_residual_orders(g, n, L, smax=4, **PASSING_CONVENTION)
