@@ -176,9 +176,9 @@ def accumulate(out: dict, pairs) -> dict:
 
 def mismatches(got: dict, want: dict, keys) -> list:
     """(key, got.get(key), want.get(key)) for each key of `keys` where the
-    two sparse maps differ, in sorted key order; a key a map lacks is zero
-    there, as every map of the package holds nonzero values only."""
-    return [(k, got.get(k), want.get(k)) for k in sorted(keys) if got.get(k) != want.get(k)]
+    two sparse maps differ, in sorted key order; a key a map lacks, or
+    holds as a zero or an empty map, is zero there."""
+    return [(k, a, b) for k in sorted(keys) if ((a := got.get(k)) or 0) != ((b := want.get(k)) or 0)]
 
 
 # ---------------------------------------------------------------------------

@@ -326,8 +326,8 @@ def compare_to_tables(curve: SpectralCurve, chi_bound: int = 4) -> dict:
     airy <-> psi-class intersections; bessel <-> Theta-class
     intersections; ck <-> kappa-class tau-function entries carrying the
     grading s^{2(1-g+|k|)}.  Every lattice point |k| <= 3g-3+n with
-    2g-2+n <= chi_bound is compared in both directions: by the support
-    bound it holds every nonzero entry of either side.
+    2g-2+n <= chi_bound is compared; airy and bessel also compare every
+    entry either side holds in the g x n window that both span.
     """
     # the routes checked against are imported here, so the TR engine
     # itself loads none of them
@@ -345,21 +345,22 @@ def compare_to_tables(curve: SpectralCurve, chi_bound: int = 4) -> dict:
     elif curve.label != "ck":
         raise ExactCoreError(f"no symbolic reference table for {curve.label!r}")
     lattice = [(g, k) for g, n in pairs for k in _index_vectors(n, 3 * g - 3 + n)]
-    want = {}
-    for g, k in lattice:
-        if curve.label == "ck":
+    keys = set(lattice)
+    if curve.label == "ck":
+        want = {}
+        for g, k in lattice:
             # s-power a = 1 - g + |k|; the kappa degree is 3g-3+n-|k| >= 0
             a = 1 - g + sum(k)
-            value = _zk_route_kappa(g, len(k), 3 * g - 3 + len(k) - sum(k), k) if a >= 0 else 0
-        else:
-            a, value = 0, store.get(g, k)
-        if value:
-            want[(g, k)] = {a: value}
+            if a >= 0 and (value := _zk_route_kappa(g, len(k), 3 * g - 3 + len(k) - sum(k), k)):
+                want[(g, k)] = {a: value}
+    else:
+        want = {key: {0: value} for key, value in store.entries.items()}
+        keys |= table.entries.keys() | want.keys()
     return {
         "curve": curve.label,
         "chi_bound": chi_bound,
-        "compared": len(lattice),
-        "mismatches": mismatches(table.entries, want, lattice),
+        "compared": len(keys),
+        "mismatches": mismatches(table.entries, want, keys),
     }
 
 

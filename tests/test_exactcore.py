@@ -86,6 +86,9 @@ class TestConstants:
             ((2,), 7, 8),
         ]
         assert mismatches(got, got, keys) == []
+        # a stored zero or empty map equals a key the other map lacks
+        zeros = {(0, 0): Fraction(0), (0, 1): {}}
+        assert mismatches(zeros, {}, keys) == mismatches({}, zeros, keys) == []
 
     def test_euler_characteristic(self):
         assert euler_characteristic_constant(2) == Fraction(-1, 240)

@@ -194,6 +194,21 @@ class TestTableComparison:
         assert rep["mismatches"] == []
         assert rep["compared"] >= 20
 
+    @pytest.mark.parametrize("label", ["airy", "bessel"])
+    def test_entry_beyond_chi_bound_is_compared(self, label, monkeypatch):
+        # (1, 5) lies past chi_bound 3 but inside the g x n window both
+        # sides span; the planted entry sits below the dimension there
+        built = tr_correlators
+
+        def planted(curve, gmax, nmax):
+            table = built(curve, gmax, nmax)
+            table.entries[(1, (0, 0, 0, 0, 1))] = {0: Fraction(1)}
+            return table
+
+        monkeypatch.setattr(spectral, "tr_correlators", planted)
+        rep = compare_to_tables(spectral_curve(label, 24), chi_bound=3)
+        assert rep["mismatches"] == [((1, (0, 0, 0, 0, 1)), {0: Fraction(1)}, None)]
+
     def test_no_reference_for_cns(self):
         with pytest.raises(ExactCoreError):
             compare_to_tables(spectral_curve("cns", 16))
