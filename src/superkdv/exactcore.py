@@ -222,15 +222,15 @@ def mono_max_index(m: TMono) -> int:
 # truncation windows
 
 
-class Truncation(namedtuple("Truncation", "gmax kmax dmax smax h_lo h_hi a_lo a_hi")):
+class Truncation(namedtuple("Truncation", "gmax kmax dmax smax hmin hmax amin amax")):
     """Bounds for GradedSeries keys, an immutable record.
 
     gmax, kmax, dmax, smax are the user-facing bounds: max genus, max
     t-index, max total t-degree, max power of s (so a <= smax // 2).
-    The h/a window fields default to values wide enough for free
-    energies and their exponentials; intermediate computations pad them
-    further via `padded`.  Equality and hashing are the tuple's, so equal
-    windows share one entry of every cache keyed by them.
+    The h/a window is stored as given, by default -(dmax+2) <= h <= gmax-1
+    and -(gmax+1) <= a <= smax//2, wide enough for free energies and their
+    exponentials.  Equality and hashing are the tuple's, so equal windows
+    share one entry of every cache keyed by them, however spelled.
     """
 
     __slots__ = ()
@@ -241,32 +241,20 @@ class Truncation(namedtuple("Truncation", "gmax kmax dmax smax h_lo h_hi a_lo a_
         kmax: int,
         dmax: int,
         smax: int,
-        h_lo: int | None = None,
-        h_hi: int | None = None,
-        a_lo: int | None = None,
-        a_hi: int | None = None,
+        hmin: int | None = None,
+        hmax: int | None = None,
+        amin: int | None = None,
+        amax: int | None = None,
     ) -> "Truncation":
         if min(gmax, kmax, dmax, smax) < 0:
             raise ExactCoreError("truncation bounds must be nonnegative")
         if smax % 2:
             raise ExactCoreError("smax must be even (only s**2 ever appears)")
-        return super().__new__(cls, gmax, kmax, dmax, smax, h_lo, h_hi, a_lo, a_hi)
-
-    @property
-    def hmin(self) -> int:
-        return self.h_lo if self.h_lo is not None else -(self.dmax + 2)
-
-    @property
-    def hmax(self) -> int:
-        return self.h_hi if self.h_hi is not None else self.gmax - 1
-
-    @property
-    def amin(self) -> int:
-        return self.a_lo if self.a_lo is not None else -(self.gmax + 1)
-
-    @property
-    def amax(self) -> int:
-        return self.a_hi if self.a_hi is not None else self.smax // 2
+        hmin = -(dmax + 2) if hmin is None else hmin
+        hmax = gmax - 1 if hmax is None else hmax
+        amin = -(gmax + 1) if amin is None else amin
+        amax = smax // 2 if amax is None else amax
+        return super().__new__(cls, gmax, kmax, dmax, smax, hmin, hmax, amin, amax)
 
     def contains(self, h: int, a: int, t: TMono) -> bool:
         return (
@@ -289,29 +277,16 @@ class Truncation(namedtuple("Truncation", "gmax kmax dmax smax h_lo h_hi a_lo a_
         the window does not assume it, so a failure of the theorem shows
         as a mismatch instead of being cut away.
         """
-        h_hi = self.hmax + self.dmax
-        return Truncation(
-            self.gmax,
-            self.kmax,
-            self.dmax,
-            self.smax,
-            h_lo=self.hmin,
-            h_hi=h_hi,
-            a_lo=min(self.amin, -h_hi),
-            a_hi=self.amax,
-        )
+        hmax = self.hmax + self.dmax
+        return self._replace(hmax=hmax, amin=min(self.amin, -hmax))
 
     def padded(self, pad: int) -> "Truncation":
         """Widen the h and a windows by `pad`."""
-        return Truncation(
-            self.gmax,
-            self.kmax,
-            self.dmax,
-            self.smax,
-            h_lo=self.hmin - pad,
-            h_hi=self.hmax + pad,
-            a_lo=self.amin - pad,
-            a_hi=self.amax + pad,
+        return self._replace(
+            hmin=self.hmin - pad,
+            hmax=self.hmax + pad,
+            amin=self.amin - pad,
+            amax=self.amax + pad,
         )
 
     def to_json(self) -> dict:
@@ -387,10 +362,6 @@ class GradedSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, trunc: Truncation) -> "GradedSeries":
-        return cls(trunc)
-
-    @classmethod
     def term(
         cls,
         trunc: Truncation,
@@ -404,10 +375,6 @@ class GradedSeries:
             return cls(trunc)
         return cls(trunc, {(h, a, t): value})
 
-    @classmethod
-    def one(cls, trunc: Truncation) -> "GradedSeries":
-        return cls.term(trunc, 1)
-
     # -- plumbing ----------------------------------------------------------
 
     def _require_same(self, other: "GradedSeries") -> None:
@@ -419,9 +386,6 @@ class GradedSeries:
 
     def coefficient(self, h: int = 0, a: int = 0, t: TMono = ()) -> Fraction:
         return self.terms.get((h, a, t), Fraction(0))
-
-    def constant_term(self) -> Fraction:
-        return self.coefficient(0, 0, ())
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -572,13 +536,13 @@ class GradedSeries:
 
     def log(self) -> "GradedSeries":
         """log of a series with constant term exactly 1."""
-        if self.constant_term() != 1:
+        if self.coefficient() != 1:
             raise ExactCoreError("log requires constant term 1")
         base = self.trunc
         work = base.padded(self._exp_pad())
-        u = self.with_window(work) - GradedSeries.one(work)
-        result = GradedSeries.zero(work)
-        power = GradedSeries.one(work)
+        power = one = GradedSeries.term(work, 1)
+        u = self.with_window(work) - one
+        result = GradedSeries(work)
         for p in range(1, 10_000):
             power = power * u
             if power.is_zero():

@@ -147,19 +147,21 @@ def _kappa_psi(g: int, kappa: tuple[int, ...], psi: tuple[int, ...]) -> Fraction
 
 
 @lru_cache(maxsize=None)
-def _zk_route_kappa(g: int, n: int, m: int, k: tuple[int, ...]) -> Fraction:
-    """Route (a): expand K_m into kappa monomials and integrate each by the
-    pushforward recursion."""
+def _zk_route_kappa(g: int, k: tuple[int, ...]) -> Fraction:
+    """Route (a): expand K_m, m = 3g - 3 + n - |k|, into kappa monomials
+    and integrate each by the pushforward recursion."""
+    n = len(k)
+    m = 3 * g - 3 + n - sum(k)
     if m < 0:
         return Fraction(0)
     return k_m_integral(g, n, m, psi_exponents=k)
 
 
-def _zk_route_shift(g: int, n: int, k: tuple[int, ...]) -> Fraction:
+def _zk_route_shift(g: int, k: tuple[int, ...]) -> Fraction:
     """Route (b): the constant translation t_j -> t_j + (-1)^j (2j-1)!! for
     j >= 2 of the KW correlators, summed over the partitions of the kappa
     degree m into extra insertions tau_{x+1}."""
-    m = 3 * g - 3 + n - sum(k)
+    m = 3 * g - 3 + len(k) - sum(k)
     if m < 0:
         return Fraction(0)
     total = Fraction(0)
@@ -191,8 +193,8 @@ def zk_correlators(trunc: Truncation) -> CorrelatorTable:
             dim = 3 * g - 3 + n
             for total in range(0, min(dim, n * trunc.kmax) + 1):
                 for k in fixed_sum_multisets(n, total, trunc.kmax):
-                    va = _zk_route_kappa(g, n, dim - total, k)
-                    vb = _zk_route_shift(g, n, k)
+                    va = _zk_route_kappa(g, k)
+                    vb = _zk_route_shift(g, k)
                     if va != vb:
                         raise ExactCoreError(
                             f"kappa-table route disagreement at (g={g}, k={k}):"

@@ -298,14 +298,20 @@ def tr_correlators(curve: SpectralCurve, gmax: int, nmax: int) -> OddDifferentia
     """
     if gmax < 0 or nmax < 0:
         raise ExactCoreError("gmax and nmax must be nonnegative")
+    return _tr_table(
+        curve, [(g, n) for g in range(gmax + 1) for n in range(1, nmax + 1) if 2 * g - 2 + n > 0]
+    )
+
+
+def _tr_table(curve: SpectralCurve, pairs: list) -> OddDifferentialTable:
+    """The omega_{g,n} of the stable (g, n) in `pairs`, read at the
+    series order of their top genus."""
     out = OddDifferentialTable(f"tr-{curve.label}")
-    order = curve.series_order(gmax)
-    for g in range(gmax + 1):
-        for n in range(1, nmax + 1):
-            if 2 * g - 2 + n > 0:
-                for k, coeff in _omega_cached(curve.label, order, g, n)[0].items():
-                    # a copy, so a caller's edit cannot reach the cache
-                    out.entries[(g, k)] = dict(coeff)
+    order = curve.series_order(max((g for g, _ in pairs), default=0))
+    for g, n in pairs:
+        for k, coeff in _omega_cached(curve.label, order, g, n)[0].items():
+            # a copy, so a caller's edit cannot reach the cache
+            out.entries[(g, k)] = dict(coeff)
     return out
 
 
@@ -335,32 +341,33 @@ def compare_to_tables(curve: SpectralCurve, chi_bound: int = 4) -> dict:
     from .virasoro import bgw_correlators, kw_correlators
 
     pairs = list(_stable_range(chi_bound))
-    gtop = max(g for g, _ in pairs)
-    ntop = max(n for _, n in pairs)
-    table = tr_correlators(curve, gtop, ntop)
-    if curve.label == "airy":
-        store = kw_correlators(Truncation(gtop, 3 * gtop - 3 + ntop, ntop, 0))
-    elif curve.label == "bessel":
-        store = bgw_correlators(Truncation(gtop, max(gtop - 1, 0), ntop, 0))
-    elif curve.label != "ck":
-        raise ExactCoreError(f"no symbolic reference table for {curve.label!r}")
     lattice = [(g, k) for g, n in pairs for k in _index_vectors(n, 3 * g - 3 + n)]
     keys = set(lattice)
     if curve.label == "ck":
-        want = {}
-        for g, k in lattice:
-            # s-power a = 1 - g + |k|; the kappa degree is 3g-3+n-|k| >= 0
-            a = 1 - g + sum(k)
-            if a >= 0 and (value := _zk_route_kappa(g, len(k), 3 * g - 3 + len(k) - sum(k), k)):
-                want[(g, k)] = {a: value}
-    else:
+        got = _tr_table(curve, pairs).entries
+        # s-power 1 - g + |k|; the kappa degree is 3g-3+n-|k| >= 0
+        want = {
+            (g, k): {1 - g + sum(k): v}
+            for g, k in lattice
+            if 1 - g + sum(k) >= 0 and (v := _zk_route_kappa(g, k))
+        }
+    elif curve.label in ("airy", "bessel"):
+        gtop = max(g for g, _ in pairs)
+        ntop = max(n for _, n in pairs)
+        got = tr_correlators(curve, gtop, ntop).entries
+        if curve.label == "airy":
+            store = kw_correlators(Truncation(gtop, 3 * gtop - 3 + ntop, ntop, 0))
+        else:
+            store = bgw_correlators(Truncation(gtop, max(gtop - 1, 0), ntop, 0))
         want = {key: {0: value} for key, value in store.entries.items()}
-        keys |= table.entries.keys() | want.keys()
+        keys |= got.keys() | want.keys()
+    else:
+        raise ExactCoreError(f"no symbolic reference table for {curve.label!r}")
     return {
         "curve": curve.label,
         "chi_bound": chi_bound,
         "compared": len(keys),
-        "mismatches": mismatches(table.entries, want, keys),
+        "mismatches": mismatches(got, want, keys),
     }
 
 
@@ -415,9 +422,7 @@ def eta_spin_compare(curve: SpectralCurve, chi_bound: int = 3, smax: int = 4) ->
     if curve.label != "ck":
         raise ExactCoreError("the eta comparison is defined for the ck curve")
     pairs = list(_stable_range(chi_bound))
-    gtop = max(g for g, _ in pairs)
-    ntop = max(n for _, n in pairs)
-    eta = eta_reexpand(tr_correlators(curve, gtop, ntop), smax)
+    eta = eta_reexpand(_tr_table(curve, pairs), smax)
     lattice = [
         (g, k)
         for g, n in pairs
@@ -455,8 +460,7 @@ def cns_laplace_check(g: int, n: int) -> dict:
 
     if 2 * g - 2 + n <= 0:
         raise ExactCoreError(f"({g}, {n}) is not stable")
-    curve = spectral_curve("cns")
-    table = tr_correlators(curve, g, n)
+    table = _tr_table(spectral_curve("cns"), [(g, n)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         vp = volume_polynomial(g, n, 0)
@@ -475,7 +479,7 @@ def cns_laplace_check(g: int, n: int) -> dict:
         first = expected.setdefault(tuple(sorted(k)), value)
         if first != value:
             disordered.append((k, first, value))
-    got = {k: coeff for (gg, k), coeff in table.entries.items() if gg == g and len(k) == n}
+    got = {k: coeff for (_, k), coeff in table.entries.items()}
     keys = got.keys() | expected.keys()
     return {
         "g": g,

@@ -60,9 +60,7 @@ def spin_value(g: int, k: tuple[int, ...]) -> Fraction:
         raise ExactCoreError("genus must be nonnegative")
     if g == 0:
         return genus0_closed_form(k)
-    n = len(k)
-    dim = 3 * g - 3 + n
-    return bracket_expansion(k, lambda d: _zk_route_kappa(g, n, dim - sum(d), d), dim)
+    return bracket_expansion(k, lambda d: _zk_route_kappa(g, d), 3 * g - 3 + len(k))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +137,7 @@ def _volume_terms(g: int, n: int, smax: int) -> dict:
                 continue
             rational = Fraction(0)
             for parts in partitions(w):
-                rational += _insertion_weight(parts) * spin_value(g, k + parts)
+                rational += _insertion_weight(parts) * spin_value(g, tuple(sorted(k + parts)))
             if rational:
                 terms[(a, k)] = {w: rational / prod(2**ki * factorial(ki) for ki in k)}
     return terms

@@ -254,9 +254,8 @@ def apply_virasoro_oracle(F: GradedSeries, model: str, m: int) -> GradedSeries:
         return derived[i]
 
     res = d(m + c).scale(double_factorial(2 * m + 2 * c + 1))
-    # F_i F_j only on the degrees the result is exact on; padded(0) pins
-    # the h and a windows, whose defaults follow dmax
-    low = tr.padded(0)._replace(dmax=max(tr.dmax - 2, 0))
+    # F_i F_j only on the degrees the result is exact on
+    low = tr._replace(dmax=max(tr.dmax - 2, 0))
     # the (i, j) and (j, i) terms are equal: form each unordered pair once
     for i in range((m + 1) // 2):
         j = m - 1 - i

@@ -100,8 +100,8 @@ class TestConstants:
 class TestTruncation:
     def test_equal_windows_share_a_cache_entry(self):
         # the Truncation is the key of the correlator and free-energy caches
-        first = Truncation(1, 2, 2, 0, h_lo=-4, h_hi=0, a_lo=-2, a_hi=0)
-        second = Truncation(1, 2, 2, 0, h_lo=-4, h_hi=0, a_lo=-2, a_hi=0)
+        first = Truncation(1, 2, 2, 0, hmin=-4, hmax=0, amin=-2, amax=0)
+        second = Truncation(1, 2, 2, 0, hmin=-4, hmax=0, amin=-2, amax=0)
         assert first is not second
         assert first == second and hash(first) == hash(second)
         assert first != first.padded(1)
@@ -109,6 +109,27 @@ class TestTruncation:
         hits = free_energy.cache_info().hits
         assert free_energy("KW", second) is value
         assert free_energy.cache_info().hits == hits + 1
+
+    def test_default_window_is_stored(self):
+        # the default h/a window is the spelled-out one, and replacing a
+        # bound it defaults from keeps it
+        trunc = Truncation(1, 2, 2, 0)
+        spelled = Truncation(1, 2, 2, 0, hmin=-4, hmax=0, amin=-2, amax=0)
+        assert trunc == spelled and hash(trunc) == hash(spelled)
+        wider = trunc._replace(dmax=5)
+        assert wider == Truncation(1, 2, 5, 0, hmin=-4, hmax=0, amin=-2, amax=0)
+
+    @pytest.mark.parametrize(
+        "trunc, pad, z_bounds, padded_bounds",
+        [
+            (Truncation(1, 2, 2, 0), 2, (-4, 2, -2, 0), (-6, 2, -4, 2)),
+            (Truncation(2, 3, 4, 4), 3, (-6, 5, -5, 2), (-9, 4, -6, 5)),
+        ],
+    )
+    def test_z_window_and_padded_bounds(self, trunc, pad, z_bounds, padded_bounds):
+        for window, bounds in [(trunc.z_window(), z_bounds), (trunc.padded(pad), padded_bounds)]:
+            assert window[:4] == trunc[:4]
+            assert (window.hmin, window.hmax, window.amin, window.amax) == bounds
 
     def test_fields_are_read_only(self):
         trunc = Truncation(1, 2, 2, 0)
@@ -132,7 +153,7 @@ class TestTruncation:
         with pytest.raises(ExactCoreError, match=f"^{message}$"):
             Truncation(*bounds)
         with pytest.raises(ExactCoreError, match=f"^{message}$"):
-            Truncation(*bounds, h_lo=-1, h_hi=1, a_lo=-1, a_hi=1)
+            Truncation(*bounds, hmin=-1, hmax=1, amin=-1, amax=1)
 
 
 TR = Truncation(gmax=2, kmax=3, dmax=4, smax=4)
@@ -154,7 +175,7 @@ def sparse_series(trunc=TRSMALL, max_terms=4):
     ).filter(lambda v: v != 0)
 
     def build(pairs):
-        out = GradedSeries.zero(trunc)
+        out = GradedSeries(trunc)
         for (h, a, t), v in pairs:
             out = out + GradedSeries.term(trunc, v, h, a, t)
         return out
@@ -169,7 +190,7 @@ def t_graded(series):
 
 # a small window with negative h and a, so random keys often sit on its
 # edges and products often leave it
-TREDGE = Truncation(gmax=2, kmax=2, dmax=3, smax=4, h_lo=-2, h_hi=2, a_lo=-2, a_hi=2)
+TREDGE = Truncation(gmax=2, kmax=2, dmax=3, smax=4, hmin=-2, hmax=2, amin=-2, amax=2)
 BIG_DEN = 2**64 + 13  # larger than any machine word
 
 
@@ -302,7 +323,7 @@ class TestGradedSeries:
     def test_leibniz(self, a, b, k):
         # window wide enough that the polynomial product is never pruned,
         # so the derivation identity is exact
-        big = Truncation(gmax=2, kmax=2, dmax=6, smax=4, h_lo=-4, h_hi=4, a_lo=0, a_hi=4)
+        big = Truncation(gmax=2, kmax=2, dmax=6, smax=4, hmin=-4, hmax=4, amin=0, amax=4)
         a, b = a.with_window(big), b.with_window(big)
         lhs = (a * b).derive(k)
         rhs = a.derive(k) * b + a * b.derive(k)
@@ -329,7 +350,7 @@ def reference_exp(x: GradedSeries, pad: int) -> GradedSeries:
     """sum_p x^p / p! in the window widened by `pad`, restricted back."""
     work = x.trunc.padded(pad)
     xw = x.with_window(work)
-    total = power = GradedSeries.one(work)
+    total = power = GradedSeries.term(work, 1)
     p = 0
     while not power.is_zero():
         p += 1
@@ -346,12 +367,12 @@ def reference_substitute(x: GradedSeries, s2_step: int) -> GradedSeries:
     work = tr.padded(x._exp_pad())
     images = {}
     for k in range(tr.kmax + 1):
-        images[k] = GradedSeries.zero(work)
+        images[k] = GradedSeries(work)
         for m in range(tr.kmax - k + 1):
             images[k] = images[k] + GradedSeries.term(
                 work, Fraction(1, 2**m * factorial(m)), a=s2_step * m, t=((k + m, 1),)
             )
-    out = GradedSeries.zero(work)
+    out = GradedSeries(work)
     for (h, a, t), v in x.terms.items():
         piece = GradedSeries.term(work, v, h, a)
         for k, e in t:
@@ -436,7 +457,7 @@ class TestExp:
         # back into it: multiply on a wider window
         x, cert = self.CASES[case]()
         x = x.with_window(x.trunc.padded(x._exp_pad()))
-        assert (x.exp() * (-x).exp()).restrict(cert) == GradedSeries.one(cert)
+        assert (x.exp() * (-x).exp()).restrict(cert) == GradedSeries.term(cert, 1)
 
     @given(sparse_series(max_terms=5))
     @settings(max_examples=50, deadline=None)

@@ -153,7 +153,7 @@ class TestAssembly:
         # on Z^K with its vacuum exp(-chi) put back, every exp summed as a
         # power series; chi lowers the s-power, so Z^K is built on an
         # s-widened window and the product formed on a padded one
-        wide = trunc._replace(a_hi=trunc.amax + trunc.gmax - 1 + trunc.dmax).z_window()
+        wide = trunc._replace(amax=trunc.amax + trunc.gmax - 1 + trunc.dmax).z_window()
         work = wide.padded(wide.dmax + wide.gmax + 2)
         genera = range(2, trunc.gmax + 1)
         vacuum = {(g - 1, 1 - g, ()): zk_correlators(wide).get(g, ()) for g in genera}

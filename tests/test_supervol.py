@@ -19,7 +19,12 @@ from superkdv.exactcore import ExactCoreError, GradedSeries, Truncation
 from superkdv import swnumeric
 from superkdv.cli import canonical_bytes
 from superkdv.spincorr import spin_correlators, spin_free_energy
-from superkdv.supervol import spin_value, translated_virasoro_check, volume_polynomial
+from superkdv.supervol import (
+    _volume_terms,
+    spin_value,
+    translated_virasoro_check,
+    volume_polynomial,
+)
 from superkdv.swnumeric import (
     PASSING_CONVENTION,
     kernel_moment,
@@ -42,6 +47,14 @@ class TestSpinValue:
             assert spin_value(g, k) == v, (g, k)
             checked += 1
         assert checked > 20
+
+    def test_volume_reads_one_cache_entry_per_multiset(self):
+        # the volume sum reaches each correlator in many slot orders;
+        # 154 orderings of 33 distinct multisets at (2, 4, 6)
+        spin_value.cache_clear()
+        _volume_terms.cache_clear()
+        volume_polynomial(2, 4, 6)
+        assert spin_value.cache_info().currsize == 33
 
     def test_rejects_empty_and_negative(self):
         with pytest.raises(ExactCoreError):
