@@ -256,6 +256,10 @@ class Truncation(namedtuple("Truncation", "gmax kmax dmax smax hmin hmax amin am
         amax = smax // 2 if amax is None else amax
         return super().__new__(cls, gmax, kmax, dmax, smax, hmin, hmax, amin, amax)
 
+    def _replace(self, **fields) -> "Truncation":
+        """namedtuple's `_replace`, through the constructor's checks."""
+        return Truncation(*super()._replace(**fields))
+
     def contains(self, h: int, a: int, t: TMono) -> bool:
         return (
             self.hmin <= h <= self.hmax

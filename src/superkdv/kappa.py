@@ -29,8 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, prod
-from itertools import product as iproduct
+from math import factorial, lcm, prod
 
 from .exactcore import (
     ExactCoreError,
@@ -41,6 +40,7 @@ from .exactcore import (
     double_factorial,
     fixed_sum_multisets,
     free_energy_series,
+    labelled_splits,
     mono_from_dict,
     partitions,
     useries_exp_poly,
@@ -93,8 +93,6 @@ def _normalize_kappa(kappa_exponents) -> tuple[int, ...]:
     kappa = tuple(int(e) for e in kappa_exponents)
     if any(e < 0 for e in kappa):
         raise ExactCoreError("kappa exponents must be nonnegative")
-    while kappa and kappa[-1] == 0:
-        kappa = kappa[:-1]
     return kappa
 
 
@@ -106,7 +104,7 @@ def kappa_psi_number(g: int, n: int, kappa_exponents, psi_exponents=()) -> Fract
     weighted degree misses the dimension 3g - 3 + n; rejects unstable
     (g, n).
     """
-    kappa = _normalize_kappa(kappa_exponents)
+    kappa = tuple(j for j, e in enumerate(_normalize_kappa(kappa_exponents), 1) for _ in range(e))
     psi = tuple(sorted(int(k) for k in psi_exponents))
     if len(psi) != n:
         raise ExactCoreError("psi_exponents must list one exponent per point")
@@ -114,31 +112,26 @@ def kappa_psi_number(g: int, n: int, kappa_exponents, psi_exponents=()) -> Fract
         raise ExactCoreError("psi exponents must be nonnegative")
     if 2 * g - 2 + n <= 0:
         raise ExactCoreError(f"(g, n) = ({g}, {n}) is unstable")
-    if sum((i + 1) * e for i, e in enumerate(kappa)) + sum(psi) != 3 * g - 3 + n:
+    if sum(kappa) + sum(psi) != 3 * g - 3 + n:
         return Fraction(0)
     return _kappa_psi(g, kappa, psi)
 
 
 @lru_cache(maxsize=None)
 def _kappa_psi(g: int, kappa: tuple[int, ...], psi: tuple[int, ...]) -> Fraction:
-    """The KW entry when no kappa is left; otherwise push the highest kappa
-    factor forward: int kappa_a Y = int psi^{a+1} pullback(Y) on one more
-    point, with kappa_b pulling back to kappa_b - psi^b (psi powers of the
-    other points are unaffected under the integral against a positive
-    power of the new psi)."""
+    """On sorted multisets of kappa indices and psi powers: the KW entry
+    when no kappa is left; otherwise push the highest kappa_a forward:
+    int kappa_a Y = int psi^{a+1} pullback(Y) on one more point, with
+    kappa_b pulling back to kappa_b - psi^b, one term per labelled split of
+    the other kappas into pulled and kept (psi powers of the other points
+    are unaffected under the integral against a positive power of the new psi)."""
     if not kappa:
         return _kw_table(g, psi)
-    a = len(kappa)  # kappa normalized: last exponent positive
-    remaining = list(kappa)
-    remaining[a - 1] -= 1
+    a = kappa[-1]
     total = Fraction(0)
-    for choice in iproduct(*[range(e + 1) for e in remaining]):
-        coeff = 1
-        for e, c in zip(remaining, choice):
-            coeff *= comb(e, c) * (-1) ** c
-        reduced = _normalize_kappa(e - c for e, c in zip(remaining, choice))
-        extra = a + 1 + sum((b + 1) * c for b, c in enumerate(choice))
-        total += coeff * _kappa_psi(g, reduced, tuple(sorted(psi + (extra,))))
+    for pulled, kept, w in labelled_splits(kappa[:-1]):
+        extra = a + 1 + sum(pulled)
+        total += (-1) ** len(pulled) * w * _kappa_psi(g, kept, tuple(sorted(psi + (extra,))))
     return total
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import factorial
 
 from .exactcore import (
@@ -135,28 +136,13 @@ def spin_correlators(trunc: Truncation) -> CorrelatorTable:
 # unstable genus-0 data
 
 
-def f01_series(trunc: Truncation) -> GradedSeries:
-    """One-point genus-0 series: sum <tau_m>_0 t_m at s^{2m+2}, h = -1."""
-    terms = {}
-    for m in range(trunc.kmax + 1):
-        key = (-1, m + 1, ((m, 1),))
-        if trunc.contains(*key):
-            terms[key] = genus0_closed_form((m,))
-    return GradedSeries(trunc, terms)
-
-
-def f02_series(trunc: Truncation) -> GradedSeries:
-    """Two-point genus-0 series F02, an ordered double sum: the monomial
-    t_{m1} t_{m2} carries <tau_{m1} tau_{m2}>_0 once per ordering.  It
-    enters the free energy as F02/2 (the 1/n! convention)."""
-    terms = {}
-    for m1 in range(trunc.kmax + 1):
-        for m2 in range(m1, trunc.kmax + 1):
-            key = (-1, m1 + m2 + 1, ((m1, 2),) if m1 == m2 else ((m1, 1), (m2, 1)))
-            if trunc.contains(*key):
-                v = genus0_closed_form((m1, m2))
-                terms[key] = v if m1 == m2 else 2 * v
-    return GradedSeries(trunc, terms)
+def unstable_series(trunc: Truncation) -> GradedSeries:
+    """The unstable genus-0 terms S_alpha/hbar + F02/(2 hbar) as free-energy
+    entries: each one- and two-point closed form at s-power 1 + |k|, the
+    stable entries' 1 - g + |k| at g = 0.  The half of F02/2 is the
+    1/|Aut k| of `free_energy_series`, as F02 sums over both orderings."""
+    ks = (k for n in (1, 2) for k in combinations_with_replacement(range(trunc.kmax + 1), n))
+    return free_energy_series(trunc, ((0, k, 1 + sum(k), genus0_closed_form(k)) for k in ks))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +154,7 @@ def spin_free_energy(trunc: Truncation) -> GradedSeries:
     unstable hbar^{-1} pieces (one-point plus half the two-point)."""
     entries = spin_correlators(trunc).entries.items()
     F = free_energy_series(trunc, ((g, k, 1 - g + sum(k), v) for (g, k), v in entries))
-    return F + f01_series(trunc) + f02_series(trunc).scale(Fraction(1, 2))
+    return F + unstable_series(trunc)
 
 
 def assemble_z_omega(trunc: Truncation) -> GradedSeries:
@@ -193,9 +179,8 @@ def d_operator_apply(zk: GradedSeries, target: Truncation) -> GradedSeries:
     z-window, and `target` selects the window of interest.
     """
     tr = zk.trunc
-    # S_alpha / hbar = sum alpha_m t_m / (2m+1) / hbar is the one-point series
-    factor = (f01_series(tr) + f02_series(tr).scale(Fraction(1, 2))).exp()
-    return (factor * zk.substitute(1)).restrict(target)
+    # S_alpha / hbar = sum alpha_m t_m / (2m+1) / hbar is the one-point part
+    return (unstable_series(tr).exp() * zk.substitute(1)).restrict(target)
 
 
 # ---------------------------------------------------------------------------

@@ -85,9 +85,6 @@ class VolumePolynomial:
         self.smax = smax
         self.terms = terms
 
-    def coefficient(self, a: int, k) -> dict[int, Fraction]:
-        return self.terms.get((a, tuple(int(x) for x in k)), {})
-
     def to_json(self) -> dict:
         out = []
         for (a, k), coeff in sorted(self.terms.items()):

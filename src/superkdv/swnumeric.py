@@ -20,11 +20,10 @@ it only for `verify recursion`.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product as iproduct
 
 import mpmath as mp
 
-from .exactcore import ExactCoreError
+from .exactcore import ExactCoreError, labelled_splits
 from .supervol import VolumePolynomial, volume_polynomial
 
 
@@ -193,9 +192,7 @@ def _residual_orders_impl(g, n, L, smax, include_v01, include_v02, method):
         pieces.append(_slot_terms(vpn, 2, rest))
     for g1 in range(g + 1):
         g2 = g - g1
-        for mask in iproduct((0, 1), repeat=len(rest)):
-            part_i = tuple(x for x, m_ in zip(rest, mask) if m_ == 0)
-            part_j = tuple(x for x, m_ in zip(rest, mask) if m_ == 1)
+        for part_i, part_j, w in labelled_splits(tuple(rest)):
             va = _volume_or_none(g1, len(part_i) + 1, smax, include_v01, include_v02)
             vb = _volume_or_none(g2, len(part_j) + 1, smax, include_v01, include_v02)
             if va is None or vb is None:
@@ -205,7 +202,7 @@ def _residual_orders_impl(g, n, L, smax, include_v01, include_v02, method):
             for (a1, (ka,)), ca in _slot_terms(va, 1, part_i).items():
                 for (a2, (kb,)), cb in terms_b:
                     key = (a1 + a2, (ka, kb))
-                    combined[key] = combined.get(key, mp.mpf(0)) + ca * cb
+                    combined[key] = combined.get(key, mp.mpf(0)) + w * ca * cb
             pieces.append(combined)
     two_pi = 2 * mp.pi
     for piece in pieces:

@@ -154,6 +154,8 @@ class TestTruncation:
             Truncation(*bounds)
         with pytest.raises(ExactCoreError, match=f"^{message}$"):
             Truncation(*bounds, hmin=-1, hmax=1, amin=-1, amax=1)
+        with pytest.raises(ExactCoreError, match=f"^{message}$"):
+            Truncation(1, 2, 2, 0)._replace(**dict(zip(Truncation._fields, bounds)))
 
 
 TR = Truncation(gmax=2, kmax=3, dmax=4, smax=4)

@@ -108,6 +108,8 @@ class TestGeneratingPolynomials:
 class TestKappaPsiNumbers:
     def test_seed_values(self):
         assert kappa_psi_number(1, 1, (1,), (0,)) == Fraction(1, 24)
+        # a trailing zero exponent names no kappa factor
+        assert kappa_psi_number(1, 1, (1, 0), (0,)) == Fraction(1, 24)
         assert kappa_psi_number(0, 4, (1,), (0, 0, 0, 0)) == 1
         assert kappa_psi_number(0, 3, (), (0, 0, 0)) == 1
 

@@ -90,22 +90,22 @@ class TestTrTables:
     def test_airy_values(self):
         t = tr_correlators(spectral_curve("airy", 16), 1, 3)
         # coefficients are {power of the curve's parameter: value}
-        assert t.get(0, (0, 0, 0)) == {0: 1}
-        assert t.get(1, (1,)) == {0: Fraction(1, 24)}
-        assert t.get(1, (0, 2)) == {0: Fraction(1, 24)}
-        assert t.get(1, (1, 1)) == {0: Fraction(1, 24)}
+        assert t.entries[(0, (0, 0, 0))] == {0: 1}
+        assert t.entries[(1, (1,))] == {0: Fraction(1, 24)}
+        assert t.entries[(1, (0, 2))] == {0: Fraction(1, 24)}
+        assert t.entries[(1, (1, 1))] == {0: Fraction(1, 24)}
 
     def test_bessel_values(self):
         t = tr_correlators(spectral_curve("bessel", 16), 2, 2)
-        assert t.get(1, (0,)) == {0: Fraction(1, 8)}
-        assert t.get(2, (1,)) == {0: Fraction(3, 128)}
+        assert t.entries[(1, (0,))] == {0: Fraction(1, 8)}
+        assert t.entries[(2, (1,))] == {0: Fraction(3, 128)}
         # no genus-0 output: Theta-class degree exceeds the dimension
         assert not any(g == 0 for (g, _) in t.entries)
 
     def test_ck_values(self):
         t = tr_correlators(spectral_curve("ck", 16), 1, 1)
-        assert t.get(1, (0,)) == {0: Fraction(1, 8)}
-        assert t.get(1, (1,)) == {1: Fraction(1, 24)}  # s^2/24
+        assert t.entries[(1, (0,))] == {0: Fraction(1, 8)}
+        assert t.entries[(1, (1,))] == {1: Fraction(1, 24)}  # s^2/24
 
     def test_ck_at_s_zero_is_bessel(self):
         ck = tr_correlators(spectral_curve("ck", 16), 2, 2)
@@ -217,8 +217,8 @@ class TestTableComparison:
 class TestEtaReexpansion:
     def test_worked_example(self):
         eta = eta_reexpand(tr_correlators(spectral_curve("ck", 16), 1, 1), smax=2)
-        assert eta.get(1, (0,)) == {0: Fraction(1, 8)}
-        assert eta.get(1, (1,)) == {1: Fraction(5, 48)}  # 5 s^2/48
+        assert eta.entries[(1, (0,))] == {0: Fraction(1, 8)}
+        assert eta.entries[(1, (1,))] == {1: Fraction(5, 48)}  # 5 s^2/48
 
     def test_s_zero_slice_unchanged(self):
         ck = tr_correlators(spectral_curve("ck", 16), 1, 2)

@@ -25,12 +25,11 @@ from superkdv.spincorr import (
     alpha_coefficient,
     assemble_z_omega,
     d_operator_apply,
-    f01_series,
-    f02_series,
     genus0_closed_form,
     spin_correlators,
     spin_free_energy,
     triple_route_compare,
+    unstable_series,
 )
 from superkdv.virasoro import bgw_correlators
 from test_exactcore import reference_exp
@@ -129,10 +128,11 @@ class TestUnstableSeries:
             assert alpha_coefficient(m) / (2 * m + 1) == genus0_closed_form((m,))
 
     def test_f02_displayed_coefficients(self):
-        f02 = f02_series(TRS)
-        assert f02.terms[(-1, 1, ((0, 2),))] == Fraction(1, 2)
-        # ordered double sum: t0 t1 appears twice
-        assert f02.terms[(-1, 2, ((0, 1), (1, 1)))] == Fraction(1, 4)
+        # F02/2 with F02 an ordered double sum: t0^2 gets <tau_0 tau_0>_0 / 2
+        # and t0 t1, which F02 holds twice, gets <tau_0 tau_1>_0
+        unstable = unstable_series(TRS)
+        assert unstable.terms[(-1, 1, ((0, 2),))] == Fraction(1, 4)
+        assert unstable.terms[(-1, 2, ((0, 1), (1, 1)))] == Fraction(1, 8)
 
 
 class TestAssembly:
@@ -160,8 +160,7 @@ class TestAssembly:
         chi = {(g - 1, 1 - g, ()): -euler_characteristic_constant(g) for g in genera}
         f_k = zk_free_energy(wide) + GradedSeries(wide, vacuum)
         z_k = reference_exp(f_k, 2 * f_k._exp_pad()).with_window(work)
-        exponent = f01_series(wide) + f02_series(wide).scale(Fraction(1, 2))
-        exponent = exponent.with_window(work) + GradedSeries(work, chi)
+        exponent = unstable_series(wide).with_window(work) + GradedSeries(work, chi)
         literal = reference_exp(exponent, 2 * exponent._exp_pad()) * z_k.substitute(1)
         got = d_operator_apply(zk_partition_function(trunc), trunc)
         assert got == literal.restrict(trunc)
@@ -179,8 +178,7 @@ class TestTripleRoute:
         # assembly works where t-degree 1 or 2 lies outside it
         for dmax in (0, 1):
             trunc = Truncation(gmax=1, kmax=2, dmax=dmax, smax=4)
-            for series in (f01_series(trunc), f02_series(trunc)):
-                assert all(trunc.contains(*key) for key in series.terms)
+            assert all(trunc.contains(*key) for key in unstable_series(trunc).terms)
         report = triple_route_compare(Truncation(gmax=1, kmax=1, dmax=1, smax=2))
         assert (report["compared"], report["nonzero"], report["mismatches"]) == (4, 4, [])
 

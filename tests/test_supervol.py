@@ -67,26 +67,27 @@ class TestVolumePolynomial:
     def test_one_one(self):
         vp = volume_polynomial(1, 1, 4)
         # coefficients are {power of pi^2: value}
-        assert vp.coefficient(0, (0,)) == {0: Fraction(1, 8)}
-        assert vp.coefficient(1, (1,)) == {0: Fraction(5, 96)}
-        assert vp.coefficient(1, (0,)) == {1: Fraction(5, 8)}
+        assert vp.terms.get((0, (0,)), {}) == {0: Fraction(1, 8)}
+        assert vp.terms.get((1, (1,)), {}) == {0: Fraction(5, 96)}
+        assert vp.terms.get((1, (0,)), {}) == {1: Fraction(5, 8)}
 
     def test_zero_three(self):
         vp = volume_polynomial(0, 3, 4)
-        assert vp.coefficient(1, (0, 0, 0)) == {0: 1}
+        assert vp.terms.get((1, (0, 0, 0)), {}) == {0: 1}
 
     def test_one_two_s_zero_constant(self):
         vp = volume_polynomial(1, 2, 2)
-        assert vp.coefficient(0, (0, 0)) == {0: Fraction(1, 8)}
+        assert vp.terms.get((0, (0, 0)), {}) == {0: Fraction(1, 8)}
         # s^0 slice is constant in L for g = 1
         assert all(k == (0, 0) for (a, k) in vp.terms if a == 0)
 
-    def test_symmetry_under_slot_permutation(self):
-        vp = volume_polynomial(0, 4, 4)
+    @pytest.mark.parametrize("g, n, smax", [(0, 4, 4), (2, 2, 2), (1, 3, 2)])
+    def test_symmetry_under_slot_permutation(self, g, n, smax):
+        vp = volume_polynomial(g, n, smax)
         seen = 0
         for (a, k), poly in vp.terms.items():
             for perm in permutations(k):
-                assert vp.coefficient(a, perm) == poly
+                assert vp.terms.get((a, perm), {}) == poly
                 seen += 1
         assert seen > 10
 
@@ -94,15 +95,15 @@ class TestVolumePolynomial:
         v01 = volume_polynomial(0, 1, 4)
         v02 = volume_polynomial(0, 2, 4)
         assert not v01.terms.get((0, (0,)))  # no s^0 disk term
-        assert v02.coefficient(1, (0, 0)) == {0: Fraction(1, 2)}
+        assert v02.terms.get((1, (0, 0)), {}) == {0: Fraction(1, 2)}
 
     def test_edit_does_not_reach_the_cache(self):
         vp = volume_polynomial(1, 1, 2)
         vp.terms[(0, (0,))][0] += 1
         vp.terms[(1, (1,))] = {0: Fraction(7)}
         again = volume_polynomial(1, 1, 2)
-        assert again.coefficient(0, (0,)) == {0: Fraction(1, 8)}
-        assert again.coefficient(1, (1,)) == {0: Fraction(5, 96)}
+        assert again.terms.get((0, (0,)), {}) == {0: Fraction(1, 8)}
+        assert again.terms.get((1, (1,)), {}) == {0: Fraction(5, 96)}
 
     @pytest.mark.parametrize("g, n", [(0, 3), (0, 4)])
     def test_empty_volume_warns_on_every_call(self, g, n):
@@ -209,6 +210,8 @@ class TestRecursionResidual:
         cases = [
             (0, 1, [1.3]), (0, 2, [1.0, 0.7]), (1, 1, [1.0]), (0, 3, [1.0, 0.7, 1.3]),
             (1, 2, [1.0, 0.7]), (2, 1, [1.1]), (2, 2, [1.0, 0.7]), (3, 1, [1.1]),
+            # equal lengths; at (0,3) the equal pair splits once, counted twice
+            (0, 3, [1.0, 0.7, 0.7]), (1, 2, [1.0, 1.0]),
         ]
         for g, n, L in cases:
             orders = recursion_residual_orders(g, n, L, smax=4, **PASSING_CONVENTION)
