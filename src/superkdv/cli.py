@@ -489,7 +489,6 @@ def tr(args) -> None:
         "curve": args.curve,
         "gmax": args.gmax,
         "nmax": args.nmax,
-        "order": args.order,
         "eta": args.eta,
         "smax": args.smax if args.eta else None,
     }
@@ -498,7 +497,7 @@ def tr(args) -> None:
         from .spectral import eta_reexpand, spectral_curve, tr_correlators
 
         def compute():
-            table = tr_correlators(spectral_curve(args.curve, args.order), args.gmax, args.nmax)
+            table = tr_correlators(spectral_curve(args.curve), args.gmax, args.nmax)
             if args.eta:
                 table = eta_reexpand(table, args.smax)
             return table.to_json()
@@ -594,7 +593,7 @@ def _parser(prog_name: str | None) -> argparse.ArgumentParser:
     sub.add_argument("--curve", choices=CURVES, required=True)
     sub.add_argument("--gmax", type=int, default=2, help="max genus")
     sub.add_argument("--nmax", type=int, default=2, help="max number of points")
-    sub.add_argument("--order", type=int, default=40, help="series order of the curve")
+    sub.add_argument("--order", type=int, default=40, help="ignored: each genus reads the curve exactly")
     sub.add_argument("--eta", action="store_true", help="re-expand the ck table in the eta coordinate")
     sub.add_argument("--smax", type=int, default=4, help="s-truncation of the eta table")
 

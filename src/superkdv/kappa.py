@@ -139,7 +139,6 @@ def _kappa_psi(g: int, kappa: tuple[int, ...], psi: tuple[int, ...]) -> Fraction
 # correlator tables of the full kappa class
 
 
-@lru_cache(maxsize=None)
 def _zk_route_kappa(g: int, k: tuple[int, ...]) -> Fraction:
     """Route (a): expand K_m, m = 3g - 3 + n - |k|, into kappa monomials
     and integrate each by the pushforward recursion."""
@@ -150,10 +149,12 @@ def _zk_route_kappa(g: int, k: tuple[int, ...]) -> Fraction:
     return k_m_integral(g, n, m, psi_exponents=k)
 
 
+@lru_cache(maxsize=None)
 def _zk_route_shift(g: int, k: tuple[int, ...]) -> Fraction:
     """Route (b): the constant translation t_j -> t_j + (-1)^j (2j-1)!! for
     j >= 2 of the KW correlators, summed over the partitions of the kappa
-    degree m into extra insertions tau_{x+1}."""
+    degree m into extra insertions tau_{x+1}.  Memoized: the super
+    volumes read their kappa-class correlators here."""
     m = 3 * g - 3 + len(k) - sum(k)
     if m < 0:
         return Fraction(0)

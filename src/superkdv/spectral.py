@@ -21,13 +21,13 @@ Up to the residue orientation, the coefficient of xi_{k_1}(z_1) prod
 xi_rest is then 2/(2k_1+1)!! sum_p bracket_p G_{-2k_1-2-p}, where the
 bracket depends only on (g, rest) and is built from lower tables
 (`_bracket`).  With G reaching down to z^{-2c}, every nonzero
-omega_{g,n} entry has |k| <= (1+2c)(g-1) + c n (`_omega_cached`).  G is
-exact for airy, bessel and ck, and B is never truncated, so the series
-order matters only for cns, which keys the caches by the order the
-requested genus needs (`SpectralCurve.series_order`).  The
-overall residue orientation is calibrated once so that the airy (0,3)
-coefficient is 1; after that every cross-check against the symbolic
-correlator tables is a genuine test.
+omega_{g,n} entry has |k| <= (1+2c)(g-1) + c n (`_omega_cached`).  The
+genus-g residue reads G only through z^{2g-2}, so each genus holds G to
+that power: all of it on airy, bessel and ck, the secant series up to it
+on cns.  B is never truncated, so every table is exact and a curve is
+its label.  The overall residue orientation is calibrated once so that
+the airy (0,3) coefficient is 1; after that every cross-check against
+the symbolic correlator tables is a genuine test.
 
 A coefficient sum_e c_e P^e is a sparse {e: c_e} (`Coeff`) in the
 curve's one parameter P (s^2 for ck, pi^2 for cns, none for airy and
@@ -39,7 +39,7 @@ parameter; the recursion carries e, so the s-power checks stay genuine.
 from __future__ import annotations
 
 import warnings
-from collections import Counter, namedtuple
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -72,33 +72,11 @@ Coeff = dict[int, Fraction]
 # spectral curves
 
 
-class SpectralCurve(namedtuple("SpectralCurve", "label order")):
-    """x = z^2/2 with y given as a truncated Laurent series in z; an
-    immutable (label, order) record."""
-
-    __slots__ = ()
-
-    def series_order(self, gmax: int) -> int:
-        """The order the caches are keyed by for tables up to genus gmax.
-
-        G is exact from order 4 on every curve but cns.  On cns (c = 0,
-        so omega_{g,n} has |k| <= g - 1) the genus-g residue reads
-        G_{-2k_1-2-p} with p >= -2g: a pair term sits at p = -2a-2b-4 with
-        a + b <= g - 2, and a B term at p = 2m-2b-2 with b <= g - 1.  So G
-        is read up to z^{2g-2}, and order max(4, 2 gmax - 2) gives the
-        tables of every higher order.
-        """
-        if self.label != "cns":
-            return 4
-        return min(self.order, max(4, 2 * gmax - 2))
-
-
-def spectral_curve(label: str, order: int = 40) -> SpectralCurve:
+def spectral_curve(label: str) -> str:
+    """The checked label, which is all that names a curve."""
     if label not in CURVE_LABELS:
         raise ExactCoreError(f"unknown curve {label!r}")
-    if order < 4:
-        raise ExactCoreError("series order too small")
-    return SpectralCurve(label, order)
+    return label
 
 
 def _dot(pairs) -> Coeff:
@@ -110,15 +88,22 @@ def _dot(pairs) -> Coeff:
 
 
 @lru_cache(maxsize=None)
-def _g_series(label: str, order: int) -> dict[int, Coeff]:
-    """G(z) = 1/(4 z y(z)), the even kernel prefactor, in closed form:
-    1/(4z^2) on airy, 1/4 on bessel, (z^2+s^2)/(4z^2) on ck, and on cns
-    sec(2 pi z)/4 = sum_j |E_2j| (2 pi z)^{2j} / (4 (2j)!) up to z^order,
-    with (2 pi)^{2j} stored as 4^j (pi^2)^j."""
+def _g_series(label: str, g: int) -> dict[int, Coeff]:
+    """G(z) = 1/(4 z y(z)), the even kernel prefactor, through the power
+    z^{2g-2} that the genus-g residue reads: exactly 1/(4z^2) on airy, 1/4
+    on bessel and (z^2+s^2)/(4z^2) on ck, and on cns sec(2 pi z)/4 =
+    sum_j |E_2j| (2 pi z)^{2j} / (4 (2j)!) for j <= max(g - 1, 0), with
+    (2 pi)^{2j} stored as 4^j (pi^2)^j.
+
+    The residue reads G_{-2k_1-2-p} at bracket powers p >= -2g: a pair
+    term sits at p = -2a-2b-4 with a + b <= g - 2 (on cns, where
+    omega_{g,n} has |k| <= g - 1), a B term at p = 2m-2b-2 with
+    b <= g - 1, and the (1,1) and (0,3) seeds at p = -2 and p >= 0.
+    """
     if label == "cns":
         return {
             2 * j: {j: Fraction(e * 4**j, 4 * factorial(2 * j))}
-            for j, e in enumerate(secant_numbers(order // 2))
+            for j, e in enumerate(secant_numbers(max(g - 1, 0)))
         }
     quarter = Fraction(1, 4)
     return {
@@ -168,7 +153,7 @@ def _support_bound(c: int, g: int, n: int) -> int:
     return (1 + 2 * c) * (g - 1) + c * n
 
 
-def _bracket(label: str, order: int, g: int, rest: tuple[int, ...]) -> dict[int, Coeff]:
+def _bracket(label: str, g: int, rest: tuple[int, ...]) -> dict[int, Coeff]:
     """{p: coefficient of z^p prod xi_rest dz^2} in the bracket
 
         omega_{g-1,n+1}(z, -z, J) + sum' omega_{g1}(z, I) omega_{g2}(-z, J \\ I)
@@ -182,7 +167,7 @@ def _bracket(label: str, order: int, g: int, rest: tuple[int, ...]) -> dict[int,
     Only p <= 2c - 2, the powers the residue against G can see, are kept.
     `_omega_cached` builds each bracket once, for every entry it serves.
     """
-    c = -min(_g_series(label, order)) // 2
+    c = -min(_g_series(label, g)) // 2
     n = len(rest) + 1
     acc = {}  # (p, e) -> coefficient
 
@@ -191,7 +176,7 @@ def _bracket(label: str, order: int, g: int, rest: tuple[int, ...]) -> dict[int,
         acc[key] = value if got is None else got + value
 
     def rows(gi: int, legs: tuple[int, ...]):
-        return _omega_cached(label, order, gi, len(legs) + 1)[1].get(legs, ())
+        return _omega_cached(label, gi, len(legs) + 1)[1].get(legs, ())
 
     if (g, n) == (1, 1):
         # omega_{0,2}(z, -z) = -dz^2/(4 z^2)
@@ -231,14 +216,11 @@ def _bracket(label: str, order: int, g: int, rest: tuple[int, ...]) -> dict[int,
     for (p, e), v in acc.items():
         if v and p <= 2 * c - 2:
             out.setdefault(p, {})[e] = v
-    # only the cns series is truncated: its G holds z^q for q <= order
-    if label == "cns" and out and -2 - min(out) > order:
-        raise ExactCoreError("insufficient series order for the requested correlators")
     return out
 
 
 @lru_cache(maxsize=None)
-def _omega_cached(label: str, order: int, g: int, n: int) -> tuple[dict, dict]:
+def _omega_cached(label: str, g: int, n: int) -> tuple[dict, dict]:
     """({sorted k: coefficient of prod xi_{k_i}(z_i)}, leg rows) of
     omega_{g,n}, nonzero entries only.  The leg rows {sorted rest:
     [(k_1, e, (2k_1+1)!! c)]} hold the z^{-2k_1-2} dz coefficients c P^e of
@@ -268,12 +250,12 @@ def _omega_cached(label: str, order: int, g: int, n: int) -> tuple[dict, dict]:
     """
     if 2 * g - 2 + n <= 0 or n < 1 or g < 0:
         raise ExactCoreError(f"({g}, {n}) is not stable")
-    gser = _g_series(label, order)
+    gser = _g_series(label, g)
     top = _support_bound(-min(gser) // 2, g, n)
     values: dict[tuple[int, ...], Coeff] = {}
     rows: dict[tuple[int, ...], list] = {}
     for rest in _index_vectors(n - 1, top):
-        bracket = _bracket(label, order, g, rest)
+        bracket = _bracket(label, g, rest)
         rows[rest] = []
         for k1 in range(top - sum(rest) + 1):
             total = _dot((row, gser.get(-2 * k1 - 2 - p, {})) for p, row in bracket.items())
@@ -286,7 +268,7 @@ def _omega_cached(label: str, order: int, g: int, n: int) -> tuple[dict, dict]:
     return {k: v for k, v in values.items() if v}, rows
 
 
-def tr_correlators(curve: SpectralCurve, gmax: int, nmax: int) -> OddDifferentialTable:
+def tr_correlators(curve: str, gmax: int, nmax: int) -> OddDifferentialTable:
     """All stable omega_{g,n} coefficient tables with g <= gmax, n <= nmax.
 
     Output entries are keyed by (g, sorted k-vector); the value is the
@@ -300,13 +282,11 @@ def tr_correlators(curve: SpectralCurve, gmax: int, nmax: int) -> OddDifferentia
     )
 
 
-def _tr_table(curve: SpectralCurve, pairs: list) -> OddDifferentialTable:
-    """The omega_{g,n} of the stable (g, n) in `pairs`, read at the
-    series order of their top genus."""
-    out = OddDifferentialTable(f"tr-{curve.label}")
-    order = curve.series_order(max((g for g, _ in pairs), default=0))
+def _tr_table(curve: str, pairs: list) -> OddDifferentialTable:
+    """The omega_{g,n} of the stable (g, n) in `pairs`."""
+    out = OddDifferentialTable(f"tr-{curve}")
     for g, n in pairs:
-        for k, coeff in _omega_cached(curve.label, order, g, n)[0].items():
+        for k, coeff in _omega_cached(curve, g, n)[0].items():
             # a copy, so a caller's edit cannot reach the cache
             out.entries[(g, k)] = dict(coeff)
     return out
@@ -323,7 +303,7 @@ def _stable_range(chi_bound: int):
                 yield g, n
 
 
-def compare_to_tables(curve: SpectralCurve, chi_bound: int = 4) -> dict:
+def compare_to_tables(curve: str, chi_bound: int = 4) -> dict:
     """Exact comparison of TR coefficients with the correlator tables.
 
     airy <-> psi-class intersections; bessel <-> Theta-class
@@ -340,7 +320,7 @@ def compare_to_tables(curve: SpectralCurve, chi_bound: int = 4) -> dict:
     pairs = list(_stable_range(chi_bound))
     lattice = [(g, k) for g, n in pairs for k in _index_vectors(n, 3 * g - 3 + n)]
     keys = set(lattice)
-    if curve.label == "ck":
+    if curve == "ck":
         got = _tr_table(curve, pairs).entries
         # s-power 1 - g + |k|; the kappa degree is 3g-3+n-|k| >= 0
         want = {
@@ -348,20 +328,20 @@ def compare_to_tables(curve: SpectralCurve, chi_bound: int = 4) -> dict:
             for g, k in lattice
             if 1 - g + sum(k) >= 0 and (v := _zk_route_kappa(g, k))
         }
-    elif curve.label in ("airy", "bessel"):
+    elif curve in ("airy", "bessel"):
         gtop = max(g for g, _ in pairs)
         ntop = max(n for _, n in pairs)
         got = tr_correlators(curve, gtop, ntop).entries
-        if curve.label == "airy":
+        if curve == "airy":
             store = kw_correlators(Truncation(gtop, 3 * gtop - 3 + ntop, ntop, 0))
         else:
             store = bgw_correlators(Truncation(gtop, max(gtop - 1, 0), ntop, 0))
         want = {key: {0: value} for key, value in store.entries.items()}
         keys |= got.keys() | want.keys()
     else:
-        raise ExactCoreError(f"no symbolic reference table for {curve.label!r}")
+        raise ExactCoreError(f"no symbolic reference table for {curve!r}")
     return {
-        "curve": curve.label,
+        "curve": curve,
         "chi_bound": chi_bound,
         "compared": len(keys),
         "mismatches": mismatches(got, want, keys),
@@ -411,12 +391,12 @@ def eta_reexpand(table: OddDifferentialTable, smax: int) -> OddDifferentialTable
     return out
 
 
-def eta_spin_compare(curve: SpectralCurve, chi_bound: int = 3, smax: int = 4) -> dict:
+def eta_spin_compare(curve: str, chi_bound: int = 3, smax: int = 4) -> dict:
     """Compare the eta re-expansion of the ck table with the spin
     correlators carrying the grading s^{2(1-g+|k|)}."""
     from .supervol import spin_value
 
-    if curve.label != "ck":
+    if curve != "ck":
         raise ExactCoreError("the eta comparison is defined for the ck curve")
     pairs = list(_stable_range(chi_bound))
     eta = eta_reexpand(_tr_table(curve, pairs), smax)
@@ -457,7 +437,7 @@ def cns_laplace_check(g: int, n: int) -> dict:
 
     if 2 * g - 2 + n <= 0:
         raise ExactCoreError(f"({g}, {n}) is not stable")
-    table = _tr_table(spectral_curve("cns"), [(g, n)])
+    table = _tr_table("cns", [(g, n)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         vp = volume_polynomial(g, n, 0)

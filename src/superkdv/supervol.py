@@ -33,7 +33,7 @@ from .exactcore import (
     partitions,
     rational_to_str,
 )
-from .kappa import _zk_route_kappa, bracket_expansion
+from .kappa import _zk_route_shift, bracket_expansion
 from .spincorr import genus0_closed_form, spin_free_energy
 from .virasoro import apply_virasoro_oracle
 
@@ -49,7 +49,7 @@ def spin_value(g: int, k: tuple[int, ...]) -> Fraction:
     Genus 0 uses the closed form (valid for all n >= 1, the Ramond
     points stabilize the curve); higher genus expands the bracketed psi
     classes psi^{(k)} = sum_j psi^{k-j}/(2^j j!) over kappa-class
-    correlators.
+    correlators, read through the KW shift route (b) of `kappa`.
     """
     k = tuple(sorted(int(x) for x in k))
     if not k:
@@ -60,7 +60,7 @@ def spin_value(g: int, k: tuple[int, ...]) -> Fraction:
         raise ExactCoreError("genus must be nonnegative")
     if g == 0:
         return genus0_closed_form(k)
-    return bracket_expansion(k, lambda d: _zk_route_kappa(g, d), 3 * g - 3 + len(k))
+    return bracket_expansion(k, lambda d: _zk_route_shift(g, d), 3 * g - 3 + len(k))
 
 
 # ---------------------------------------------------------------------------

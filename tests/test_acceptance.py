@@ -187,12 +187,12 @@ def test_c07_spectral_cross_checks():
     # 2g-2+n <= 3 including the worked value 5/48 s^2; runtime < 120 s
     start = time.monotonic()
     for label in ("airy", "bessel", "ck"):
-        rep = compare_to_tables(spectral_curve(label, 24), chi_bound=4)
+        rep = compare_to_tables(spectral_curve(label), chi_bound=4)
         assert rep["mismatches"] == [], label
         assert rep["compared"] > 0, label
-    rep = eta_spin_compare(spectral_curve("ck", 24), chi_bound=3, smax=4)
+    rep = eta_spin_compare(spectral_curve("ck"), chi_bound=3, smax=4)
     assert rep["mismatches"] == []
-    eta = eta_reexpand(tr_correlators(spectral_curve("ck", 24), 1, 1), smax=2)
+    eta = eta_reexpand(tr_correlators(spectral_curve("ck"), 1, 1), smax=2)
     assert eta.entries[(1, (1,))] == {1: Fraction(5, 48)}  # 5 s^2/48
     elapsed = time.monotonic() - start
     assert elapsed < 120, elapsed

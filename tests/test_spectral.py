@@ -44,51 +44,48 @@ class TestCurves:
     def test_bad_inputs(self):
         with pytest.raises(ExactCoreError):
             spectral_curve("cubic")
-        with pytest.raises(ExactCoreError):
-            spectral_curve("airy", 2)
-
-    def test_curves_are_equal_by_value(self):
-        curve = spectral_curve("ck", 24)
-        assert curve == spectral_curve("ck", 24) and hash(curve) == hash(spectral_curve("ck", 24))
-        assert curve != spectral_curve("ck", 40) and curve != spectral_curve("cns", 24)
-        assert (curve.label, curve.order) == ("ck", 24)
-        with pytest.raises(AttributeError):
-            curve.order = 40
+        assert spectral_curve("cns") == "cns"
 
     def test_kernel_prefactor_exact(self):
         # G = 1/(4 z y): airy 1/(4z^2), bessel 1/4, ck 1/4 + s^2/(4z^2)
-        # as {power of z: {power of the curve's parameter: coefficient}}
-        assert spectral._g_series("airy", 12) == {-2: {0: Fraction(1, 4)}}
-        assert spectral._g_series("bessel", 12) == {0: {0: Fraction(1, 4)}}
-        assert spectral._g_series("ck", 12) == {0: {0: Fraction(1, 4)}, -2: {1: Fraction(1, 4)}}
+        # as {power of z: {power of the curve's parameter: coefficient}},
+        # whole at every genus
+        for g in range(5):
+            assert spectral._g_series("airy", g) == {-2: {0: Fraction(1, 4)}}
+            assert spectral._g_series("bessel", g) == {0: {0: Fraction(1, 4)}}
+            assert spectral._g_series("ck", g) == {0: {0: Fraction(1, 4)}, -2: {1: Fraction(1, 4)}}
 
     def test_cns_prefactor_series(self):
-        # (1/4) sec(2 pi z) = 1/4 + (pi^2/2) z^2 + (5 pi^4/6) z^4 + ...
-        g = spectral._g_series("cns", 12)
-        assert g[0] == {0: Fraction(1, 4)}
-        assert g[2] == {1: Fraction(1, 2)}
-        assert g[4] == {2: Fraction(5, 6)}
+        # (1/4) sec(2 pi z) = 1/4 + (pi^2/2) z^2 + (5 pi^4/6) z^4 + ...,
+        # held at genus g through z^{2g-2}, the power its residue reads
+        terms = [{0: Fraction(1, 4)}, {1: Fraction(1, 2)}, {2: Fraction(5, 6)}]
+        for g in range(5):
+            got = spectral._g_series("cns", g)
+            assert sorted(got) == list(range(0, max(2 * g - 2, 0) + 1, 2)), g
+            for p, want in enumerate(terms[: len(got)]):
+                assert got[2 * p] == want, (g, p)
 
-    @pytest.mark.parametrize("order", [4, 40, 120])
+    @pytest.mark.parametrize("top", [4, 40, 120])
     @pytest.mark.parametrize("label", CURVE_LABELS)
-    def test_kernel_prefactor_inverts_4zy(self, label, order):
-        # G * 4 z y = 1 at every power within `order` of z^0, for the
-        # closed-form G against the curve's own y series
+    def test_kernel_prefactor_inverts_4zy(self, label, top):
+        # G * 4 z y = 1 at every power within `top` of z^0, for the
+        # closed-form G of the genus that reads it through z^top against
+        # the curve's own y series
         out = {}
-        for p1, g1 in spectral._g_series(label, order).items():
-            for p2, y2 in y_series(label, order).items():
+        for p1, g1 in spectral._g_series(label, top // 2 + 1).items():
+            for p2, y2 in y_series(label, top).items():
                 for e1, c1 in g1.items():
                     for e2, c2 in y2.items():
                         row = out.setdefault(p1 + p2 + 1, {})
                         row[e1 + e2] = row.get(e1 + e2, 0) + 4 * c1 * c2
-        for p in range(-order, order + 1):
+        for p in range(-top, top + 1):
             nonzero = {e: c for e, c in out.get(p, {}).items() if c}
-            assert nonzero == ({0: 1} if p == 0 else {}), (label, order, p)
+            assert nonzero == ({0: 1} if p == 0 else {}), (label, top, p)
 
 
 class TestTrTables:
     def test_airy_values(self):
-        t = tr_correlators(spectral_curve("airy", 16), 1, 3)
+        t = tr_correlators(spectral_curve("airy"), 1, 3)
         # coefficients are {power of the curve's parameter: value}
         assert t.entries[(0, (0, 0, 0))] == {0: 1}
         assert t.entries[(1, (1,))] == {0: Fraction(1, 24)}
@@ -96,54 +93,54 @@ class TestTrTables:
         assert t.entries[(1, (1, 1))] == {0: Fraction(1, 24)}
 
     def test_bessel_values(self):
-        t = tr_correlators(spectral_curve("bessel", 16), 2, 2)
+        t = tr_correlators(spectral_curve("bessel"), 2, 2)
         assert t.entries[(1, (0,))] == {0: Fraction(1, 8)}
         assert t.entries[(2, (1,))] == {0: Fraction(3, 128)}
         # no genus-0 output: Theta-class degree exceeds the dimension
         assert not any(g == 0 for (g, _) in t.entries)
 
     def test_ck_values(self):
-        t = tr_correlators(spectral_curve("ck", 16), 1, 1)
+        t = tr_correlators(spectral_curve("ck"), 1, 1)
         assert t.entries[(1, (0,))] == {0: Fraction(1, 8)}
         assert t.entries[(1, (1,))] == {1: Fraction(1, 24)}  # s^2/24
 
     def test_ck_at_s_zero_is_bessel(self):
-        ck = tr_correlators(spectral_curve("ck", 16), 2, 2)
-        bes = tr_correlators(spectral_curve("bessel", 16), 2, 2)
+        ck = tr_correlators(spectral_curve("ck"), 2, 2)
+        bes = tr_correlators(spectral_curve("bessel"), 2, 2)
         slice0 = {key: {0: c[0]} for key, c in ck.entries.items() if c.get(0)}
         assert slice0 == bes.entries
 
-    def test_order_stability(self):
-        # --order truncates y; G is still exact for airy, bessel and ck,
-        # and cns at order 4 holds every G coefficient up to (3,1)
-        for label in CURVE_LABELS:
-            for gmax, nmax in ((3, 1), (2, 3)):
-                big = tr_correlators(spectral_curve(label, 40), gmax, nmax)
-                for order in (4, 16):
-                    small = tr_correlators(spectral_curve(label, order), gmax, nmax)
-                    assert small.entries == big.entries, (label, order, gmax, nmax)
+    @pytest.mark.parametrize("label", CURVE_LABELS)
+    def test_longer_prefactor_changes_nothing(self, label, monkeypatch):
+        # each genus reads G through z^{2g-2}; ten more powers of z in
+        # every genus's G (five more secant terms on cns) leave every
+        # table through genus 4 as it is
+        exact = tr_correlators(label, 4, 2).entries
+        original = spectral._g_series
+        assert len(original("cns", 9)) == len(original("cns", 4)) + 5
+        monkeypatch.setattr(spectral, "_g_series", lambda curve, g: original(curve, g + 5))
+        spectral._omega_cached.cache_clear()
+        try:
+            assert tr_correlators(label, 4, 2).entries == exact
+        finally:
+            spectral._omega_cached.cache_clear()
 
     def test_entries_do_not_alias_the_cache(self):
         # editing a returned table must not change the next call's table
-        curve = spectral_curve("ck", 16)
+        curve = spectral_curve("ck")
         first = tr_correlators(curve, 1, 2)
         expect = {key: dict(coeff) for key, coeff in first.entries.items()}
         first.entries[(1, (1,))][1] += 1
         first.entries[(1, (0, 0))].clear()
         assert tr_correlators(curve, 1, 2).entries == expect
 
-    def test_cns_insufficient_order(self):
-        # (4,1) needs the z^6 coefficient of G; order 4 holds it to z^4
-        with pytest.raises(ExactCoreError, match="insufficient series order"):
-            tr_correlators(spectral_curve("cns", 4), 4, 1)
-
     def test_corrupted_bracket_is_asymmetric(self, monkeypatch):
         # <tau_0 tau_2>_1 is read with first leg 0 and with first leg 2;
         # a change to the bracket behind one of them must be caught
         original = spectral._bracket
 
-        def corrupted(label, order, g, rest):
-            out = dict(original(label, order, g, rest))
+        def corrupted(label, g, rest):
+            out = dict(original(label, g, rest))
             if (g, rest) == (1, (2,)):
                 # {z power: {parameter power: coefficient}}
                 row = dict(out.get(0, {}))
@@ -155,42 +152,24 @@ class TestTrTables:
         spectral._omega_cached.cache_clear()
         try:
             with pytest.raises(ExactCoreError, match="asymmetric correlator"):
-                tr_correlators(spectral_curve("airy", 16), 1, 2)
+                tr_correlators(spectral_curve("airy"), 1, 2)
         finally:
             spectral._omega_cached.cache_clear()
-
-    def test_caches_keyed_by_needed_order(self):
-        # G is exact on airy, bessel and ck, and cns reads G only up to
-        # z^{2g-2}, so a sweep over --order past what the request needs
-        # must neither grow the caches nor change a table
-        caches = (spectral._omega_cached, spectral._g_series)
-        for label, orders in (
-            ("airy", range(5, 105)),
-            ("bessel", range(5, 105)),
-            ("ck", range(5, 105)),
-            ("cns", range(8, 108)),
-        ):
-            first = tr_correlators(spectral_curve(label, orders[0]), 3, 3)
-            sizes = [f.cache_info().currsize for f in caches]
-            for order in orders[1:]:
-                again = tr_correlators(spectral_curve(label, order), 3, 3)
-                assert again.entries == first.entries, (label, order)
-            assert [f.cache_info().currsize for f in caches] == sizes, label
 
 
 class TestTableComparison:
     def test_airy_matches_psi_intersections(self):
-        rep = compare_to_tables(spectral_curve("airy", 24), chi_bound=3)
+        rep = compare_to_tables(spectral_curve("airy"), chi_bound=3)
         assert rep["mismatches"] == []
         assert rep["compared"] >= 10
 
     def test_bessel_matches_theta_intersections(self):
-        rep = compare_to_tables(spectral_curve("bessel", 24), chi_bound=3)
+        rep = compare_to_tables(spectral_curve("bessel"), chi_bound=3)
         assert rep["mismatches"] == []
         assert rep["compared"] >= 4
 
     def test_ck_matches_kappa_entries(self):
-        rep = compare_to_tables(spectral_curve("ck", 24), chi_bound=3)
+        rep = compare_to_tables(spectral_curve("ck"), chi_bound=3)
         assert rep["mismatches"] == []
         assert rep["compared"] >= 20
 
@@ -206,28 +185,28 @@ class TestTableComparison:
             return table
 
         monkeypatch.setattr(spectral, "tr_correlators", planted)
-        rep = compare_to_tables(spectral_curve(label, 24), chi_bound=3)
+        rep = compare_to_tables(spectral_curve(label), chi_bound=3)
         assert rep["mismatches"] == [((1, (0, 0, 0, 0, 1)), {0: Fraction(1)}, None)]
 
     def test_no_reference_for_cns(self):
         with pytest.raises(ExactCoreError):
-            compare_to_tables(spectral_curve("cns", 16))
+            compare_to_tables(spectral_curve("cns"))
 
 
 class TestEtaReexpansion:
     def test_worked_example(self):
-        eta = eta_reexpand(tr_correlators(spectral_curve("ck", 16), 1, 1), smax=2)
+        eta = eta_reexpand(tr_correlators(spectral_curve("ck"), 1, 1), smax=2)
         assert eta.entries[(1, (0,))] == {0: Fraction(1, 8)}
         assert eta.entries[(1, (1,))] == {1: Fraction(5, 48)}  # 5 s^2/48
 
     def test_s_zero_slice_unchanged(self):
-        ck = tr_correlators(spectral_curve("ck", 16), 1, 2)
+        ck = tr_correlators(spectral_curve("ck"), 1, 2)
         eta = eta_reexpand(ck, smax=4)
         for key, coeff in ck.entries.items():
             assert eta.entries[key].get(0, 0) == coeff.get(0, 0)
 
     def test_matches_spin_correlators(self):
-        rep = eta_spin_compare(spectral_curve("ck", 24), chi_bound=3, smax=4)
+        rep = eta_spin_compare(spectral_curve("ck"), chi_bound=3, smax=4)
         assert rep["mismatches"] == []
         assert rep["compared"] >= 15
 
@@ -235,7 +214,7 @@ class TestEtaReexpansion:
     def test_matches_brute_force(self, gmax, nmax, smax):
         # every ordering of each key times every j-vector in [0, smax/2]^n,
         # kept when the shifted key is sorted: the sum the walk prunes
-        table = tr_correlators(spectral_curve("ck", 40), gmax, nmax)
+        table = tr_correlators(spectral_curve("ck"), gmax, nmax)
         jmax = smax // 2
         ref = {}
         for (g, k), coeff in table.entries.items():
@@ -259,14 +238,14 @@ class TestEtaReexpansion:
         assert canonical_bytes(got.to_json()) == canonical_bytes(expect.to_json())
 
     def test_rejects_wrong_engine(self):
-        t = tr_correlators(spectral_curve("airy", 16), 1, 1)
+        t = tr_correlators(spectral_curve("airy"), 1, 1)
         with pytest.raises(ExactCoreError):
             eta_reexpand(t, smax=2)
 
 
 class TestLaplaceCheck:
     def test_calibration_and_consequences(self):
-        for g, n in [(1, 1), (0, 3), (1, 2), (2, 1), (2, 2)]:
+        for g, n in [(1, 1), (0, 3), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]:
             rep = cns_laplace_check(g, n)
             assert rep["mismatches"] == [], (g, n)
 

@@ -17,6 +17,7 @@ import pytest
 
 from superkdv.exactcore import ExactCoreError, GradedSeries, Truncation
 from superkdv import swnumeric
+from superkdv.kappa import _kappa_psi
 from superkdv.cli import canonical_bytes
 from superkdv.spincorr import spin_correlators, spin_free_energy
 from superkdv.supervol import (
@@ -55,6 +56,15 @@ class TestSpinValue:
         _volume_terms.cache_clear()
         volume_polynomial(2, 4, 6)
         assert spin_value.cache_info().currsize == 33
+
+    def test_volume_leaves_the_pushforward_memo_empty(self):
+        # the volumes read kappa-class correlators through the memoized KW
+        # shift route, so the pushforward recursion keeps no entry for them
+        _kappa_psi.cache_clear()
+        _volume_terms.cache_clear()
+        spin_value.cache_clear()
+        volume_polynomial(3, 1, 6)
+        assert _kappa_psi.cache_info().currsize == 0
 
     def test_rejects_empty_and_negative(self):
         with pytest.raises(ExactCoreError):
