@@ -345,6 +345,24 @@ def _verify_laplace(trunc: Truncation) -> dict:
     }
 
 
+def _verify_tr(trunc: Truncation) -> dict:
+    from .spectral import cns_laplace_check, compare_to_tables, eta_spin_compare
+
+    reports = {curve: compare_to_tables(curve, 4) for curve in ("airy", "bessel", "ck")}
+    reports["ck-eta"] = eta_spin_compare("ck", 3, 4)
+    for g, n in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (2, 3)]:
+        reports[f"cns {g},{n}"] = cns_laplace_check(g, n)
+    cases = {
+        name: {"compared": rep["compared"], "mismatches": len(rep["mismatches"])}
+        for name, rep in reports.items()
+    }
+    # a case that compares no key would pass vacuously
+    return {
+        "cases": cases,
+        "ok": all(c["compared"] and not c["mismatches"] for c in cases.values()),
+    }
+
+
 def _verify_recursion(trunc: Truncation) -> dict:
     # the numeric route is the package's only user of mpmath; importing
     # it here keeps mpmath out of every other command's process
@@ -389,6 +407,7 @@ VERIFY_IMPL = {
     "vanishing": _verify_vanishing,
     "trr": _verify_trr,
     "laplace": _verify_laplace,
+    "tr": _verify_tr,
     "recursion": _verify_recursion,
 }
 # the layers each suite computes with, loaded on a miss before `fetch_or_compute`;
@@ -401,10 +420,11 @@ SUITE_LAYERS = {
     "vanishing": ("kappa",),
     "trr": ("spincorr",),
     "laplace": ("spectral", "supervol"),
+    "tr": ("spectral", "kappa", "virasoro", "supervol"),
     "recursion": ("supervol",),
 }
 # suites that read no window: one cache entry serves every --gmax/--kmax/--dmax/--smax
-WINDOWLESS = ("vanishing", "trr", "laplace")
+WINDOWLESS = ("vanishing", "trr", "laplace", "tr")
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,13 @@ the symbolic correlator tables is a genuine test.
 
 A coefficient sum_e c_e P^e is a sparse {e: c_e} (`Coeff`) in the
 curve's one parameter P (s^2 for ck, pi^2 for cns, none for airy and
-bessel), from the recursion through the tables to their JSON, where
+bessel), from the tables to their JSON, where
 `OddDifferentialTable.to_json` puts e in the column of its engine's
 parameter; the recursion carries e, so the s-power checks stay genuine.
+Inside the recursion no Fraction is summed: each omega_{g,n} table keeps
+its leg rows as int numerators over one denominator, brackets and the
+kernel dot with G run on ints, and a `Coeff` of Fractions is built only
+for each output entry.
 """
 
 from __future__ import annotations
@@ -42,12 +46,11 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 
 from .exactcore import (
     ExactCoreError,
     Truncation,
-    accumulate,
     automorphism_factor,
     double_factorial,
     fixed_sum_multisets,
@@ -77,14 +80,6 @@ def spectral_curve(label: str) -> str:
     if label not in CURVE_LABELS:
         raise ExactCoreError(f"unknown curve {label!r}")
     return label
-
-
-def _dot(pairs) -> Coeff:
-    """sum x y over the coefficient pairs (x, y), zero terms dropped."""
-    return accumulate(
-        {},
-        ((e1 + e2, c1 * c2) for x, y in pairs for e1, c1 in x.items() for e2, c2 in y.items()),
-    )
 
 
 @lru_cache(maxsize=None)
@@ -153,8 +148,9 @@ def _support_bound(c: int, g: int, n: int) -> int:
     return (1 + 2 * c) * (g - 1) + c * n
 
 
-def _bracket(label: str, g: int, rest: tuple[int, ...]) -> dict[int, Coeff]:
-    """{p: coefficient of z^p prod xi_rest dz^2} in the bracket
+def _bracket(label: str, g: int, rest: tuple[int, ...]) -> tuple[int, dict]:
+    """(D, {p: {e: N}}): the coefficient N/D P^e of z^p prod xi_rest dz^2
+    in the bracket
 
         omega_{g-1,n+1}(z, -z, J) + sum' omega_{g1}(z, I) omega_{g2}(-z, J \\ I)
 
@@ -165,27 +161,33 @@ def _bracket(label: str, g: int, rest: tuple[int, ...]) -> dict[int, Coeff]:
     B(z, z_j) omega(-z) and its mirror cancel at odd powers of z_j; at
     z_j^{-2m-2} they give -2(2m+1)(2b+1)!!/(2m+1)!! at p = 2m-2b-2.
     Only p <= 2c - 2, the powers the residue against G can see, are kept.
+
+    The numerators are ints: each term is an int product over the
+    denominator of its source (the omega_{g-1,n+1} table; the product of
+    a pair's two tables; (2m+1)!! times the omega_{g,n-1} table; 4 and
+    (2m_2+1)!!(2m_3+1)!! for the seeds), summed per source denominator,
+    and the partial sums are brought to their lcm D once.
     `_omega_cached` builds each bracket once, for every entry it serves.
     """
     c = -min(_g_series(label, g)) // 2
     n = len(rest) + 1
-    acc = {}  # (p, e) -> coefficient
-
-    def add(key: tuple[int, int], value: Fraction) -> None:
-        got = acc.get(key)
-        acc[key] = value if got is None else got + value
+    sums = {}  # source denominator -> {(p, e): numerator}
 
     def rows(gi: int, legs: tuple[int, ...]):
-        return _omega_cached(label, gi, len(legs) + 1)[1].get(legs, ())
+        _, table, den = _omega_cached(label, gi, len(legs) + 1)
+        return table.get(legs, ()), den
 
     if (g, n) == (1, 1):
         # omega_{0,2}(z, -z) = -dz^2/(4 z^2)
-        add((-2, 0), Fraction(-1, 4))
+        sums[4] = {(-2, 0): -1}
     elif g >= 1:
         for b in range(_support_bound(c, g - 1, n + 1) - sum(rest) + 1):
             w = -_df(b)
-            for a, e, v in rows(g - 1, tuple(sorted(rest + (b,)))):
-                add((-2 * a - 2 * b - 4, e), w * v)
+            row, den = rows(g - 1, tuple(sorted(rest + (b,))))
+            acc = sums.setdefault(den, {})
+            for a, e, v in row:
+                key = (-2 * a - 2 * b - 4, e)
+                acc[key] = acc.get(key, 0) + w * v
 
     for left, right, weight in labelled_splits(rest):
         for g1 in range(g + 1):
@@ -194,44 +196,57 @@ def _bracket(label: str, g: int, rest: tuple[int, ...]) -> dict[int, Coeff]:
             if (g1, left) > (g2, right) or 2 * g1 + len(left) <= 1 or 2 * g2 + len(right) <= 1:
                 continue
             weight2 = -weight if (g1, left) == (g2, right) else -2 * weight
-            row2 = rows(g2, right)
-            for a, e1, v1 in rows(g1, left):
+            row2, den2 = rows(g2, right)
+            row1, den1 = rows(g1, left)
+            acc = sums.setdefault(den1 * den2, {})
+            for a, e1, v1 in row1:
                 w = weight2 * v1
                 for b, e2, v2 in row2:
-                    add((-2 * a - 2 * b - 4, e1 + e2), w * v2)
+                    key = (-2 * a - 2 * b - 4, e1 + e2)
+                    acc[key] = acc.get(key, 0) + w * v2
 
     if (g, n) == (0, 3):
         # B(z, z_2) B(-z, z_3) and its mirror, at even powers of z_2 and z_3
         m2, m3 = rest
-        add((2 * m2 + 2 * m3, 0), Fraction(-2 * (2 * m2 + 1) * (2 * m3 + 1), _df(m2) * _df(m3)))
+        sums[_df(m2) * _df(m3)] = {(2 * m2 + 2 * m3, 0): -2 * (2 * m2 + 1) * (2 * m3 + 1)}
     elif n >= 2:
         for m, mult in Counter(rest).items():
             others = list(rest)
             others.remove(m)
-            w = Fraction(-2 * mult * (2 * m + 1), _df(m))
-            for b, e, v in rows(g, tuple(others)):
-                add((2 * m - 2 * b - 2, e), w * v)
+            w = -2 * mult * (2 * m + 1)
+            row, den = rows(g, tuple(others))
+            acc = sums.setdefault(_df(m) * den, {})
+            for b, e, v in row:
+                key = (2 * m - 2 * b - 2, e)
+                acc[key] = acc.get(key, 0) + w * v
 
+    den = lcm(*sums)
     out = {}
-    for (p, e), v in acc.items():
-        if v and p <= 2 * c - 2:
-            out.setdefault(p, {})[e] = v
-    return out
+    for d, part in sums.items():
+        scale = den // d
+        for (p, e), v in part.items():
+            if p <= 2 * c - 2:
+                row = out.setdefault(p, {})
+                row[e] = row.get(e, 0) + scale * v
+    return den, out
 
 
 @lru_cache(maxsize=None)
-def _omega_cached(label: str, g: int, n: int) -> tuple[dict, dict]:
-    """({sorted k: coefficient of prod xi_{k_i}(z_i)}, leg rows) of
+def _omega_cached(label: str, g: int, n: int) -> tuple[dict, dict, int]:
+    """({sorted k: coefficient of prod xi_{k_i}(z_i)}, leg rows, D) of
     omega_{g,n}, nonzero entries only.  The leg rows {sorted rest:
-    [(k_1, e, (2k_1+1)!! c)]} hold the z^{-2k_1-2} dz coefficients c P^e of
-    omega_{g,n}(z, rest), which is how `_bracket` reads lower tables.
+    [(k_1, e, N)]} hold the z^{-2k_1-2} dz coefficients N/D P^e of
+    omega_{g,n}(z, rest) as int numerators over the one denominator D,
+    the lcm of their reduced denominators; this is how `_bracket` reads
+    lower tables.  A `Coeff` of Fractions is built only for the entries.
 
     The kernel K(z_1, z) = 2 sum_k xi_k(z_1) z^{2k+1} G(z)/((2k+1)!! dz)
     turns the residue into coefficient form:
 
         omega[k_1, rest] = 2 _KERNEL_SIGN/(2k_1+1)!! sum_p bracket_p G_{-2k_1-2-p}
 
-    with the bracket of `_bracket`.  Support: G reaches down to z^{-2c}
+    with the bracket of `_bracket`, dotted with G in ints over one
+    denominator per (curve, g).  Support: G reaches down to z^{-2c}
     (c = 1 for airy and ck, 0 for bessel and cns), so a bracket term at
     z^p reaches k_1 <= c - 1 - p/2.  Assume the bound below for every
     lower table.  The omega_{g-1,n+1} and split terms sit at p = -2a-2b-4
@@ -251,21 +266,45 @@ def _omega_cached(label: str, g: int, n: int) -> tuple[dict, dict]:
     if 2 * g - 2 + n <= 0 or n < 1 or g < 0:
         raise ExactCoreError(f"({g}, {n}) is not stable")
     gser = _g_series(label, g)
+    # 2 _KERNEL_SIGN G, in ints over gden
+    gden = lcm(*(v.denominator for row in gser.values() for v in row.values()))
+    gint = [
+        (q, [(e, int(2 * _KERNEL_SIGN * gden * v)) for e, v in row.items()])
+        for q, row in gser.items()
+    ]
     top = _support_bound(-min(gser) // 2, g, n)
-    values: dict[tuple[int, ...], Coeff] = {}
-    rows: dict[tuple[int, ...], list] = {}
+    cells = []  # (rest, k_1, {e: numerator over dens[rest]})
+    dens = {}  # rest -> the denominator of its bracket times gden
     for rest in _index_vectors(n - 1, top):
-        bracket = _bracket(label, g, rest)
-        rows[rest] = []
+        bden, bracket = _bracket(label, g, rest)
+        dens[rest] = bden * gden
         for k1 in range(top - sum(rest) + 1):
-            total = _dot((row, gser.get(-2 * k1 - 2 - p, {})) for p, row in bracket.items())
-            rows[rest].extend((k1, e, 2 * _KERNEL_SIGN * v) for e, v in total.items())
-            scale = Fraction(2 * _KERNEL_SIGN, _df(k1))
-            value = {e: scale * v for e, v in total.items()}
-            key = tuple(sorted(rest + (k1,)))
-            if values.setdefault(key, value) != value:
-                raise ExactCoreError(f"asymmetric correlator at ({g}, {n}): {key}")
-    return {k: v for k, v in values.items() if v}, rows
+            total = {}
+            for q, grow in gint:
+                brow = bracket.get(-2 * k1 - 2 - q)
+                if brow:
+                    for e1, c1 in brow.items():
+                        for e2, c2 in grow:
+                            total[e1 + e2] = total.get(e1 + e2, 0) + c1 * c2
+            cells.append((rest, k1, total))
+    big = lcm(*dens.values())
+    common = gcd(big, *(big // dens[rest] * v for rest, _, t in cells for v in t.values()))
+    den = big // common
+    # an entry N/(D (2k_1+1)!!) is N (2top+1)!!/(2k_1+1)!! over D (2top+1)!!
+    stretch = [_df(top) // _df(k) for k in range(top + 1)]
+    rows: dict[tuple[int, ...], list] = {}
+    values: dict[tuple[int, ...], dict] = {}
+    for rest, k1, total in cells:
+        scale = big // dens[rest]
+        total = {e: scale * v // common for e, v in total.items() if v}
+        rows.setdefault(rest, []).extend((k1, e, v) for e, v in total.items())
+        value = {e: v * stretch[k1] for e, v in total.items()}
+        key = tuple(sorted(rest + (k1,)))
+        if values.setdefault(key, value) != value:
+            raise ExactCoreError(f"asymmetric correlator at ({g}, {n}): {key}")
+    out_den = den * _df(top)
+    entries = {k: {e: Fraction(v, out_den) for e, v in c.items()} for k, c in values.items() if c}
+    return entries, rows, den
 
 
 def tr_correlators(curve: str, gmax: int, nmax: int) -> OddDifferentialTable:

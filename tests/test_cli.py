@@ -182,6 +182,29 @@ class TestVerify:
         result = invoke(["verify", "laplace"])
         assert result.exit_code == 0
 
+    def test_tr_passes(self):
+        result = invoke(["verify", "tr"])
+        assert result.exit_code == 0
+        report = json.loads(result.stdout)
+        assert report["ok"] is True
+        assert all(c["compared"] and not c["mismatches"] for c in report["cases"].values())
+
+    @pytest.mark.parametrize(
+        "check, edit",
+        [
+            ("compare_to_tables", {"mismatches": [((0, (0, 0, 0)), {0: 1}, {0: 2})]}),
+            # a case that compares no key fails too
+            ("cns_laplace_check", {"compared": 0}),
+        ],
+        ids=["mismatch", "nothing-compared"],
+    )
+    def test_tr_failure_exits_1(self, monkeypatch, check, edit):
+        original = getattr(spectral, check)
+        monkeypatch.setattr(spectral, check, lambda *args: {**original(*args), **edit})
+        result = invoke(["verify", "tr"])
+        assert result.exit_code == 1
+        assert json.loads(result.stdout)["ok"] is False
+
     def test_failure_exits_1(self, monkeypatch):
         monkeypatch.setitem(
             cli.VERIFY_IMPL, "trr", lambda trunc: {"ok": False, "mismatches": 1}

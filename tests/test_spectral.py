@@ -5,6 +5,7 @@ other value compared here is an independent check against the symbolic
 correlator tables or a frozen literature constant.
 """
 
+import hashlib
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
@@ -140,13 +141,14 @@ class TestTrTables:
         original = spectral._bracket
 
         def corrupted(label, g, rest):
-            out = dict(original(label, g, rest))
+            den, out = original(label, g, rest)
+            out = dict(out)
             if (g, rest) == (1, (2,)):
-                # {z power: {parameter power: coefficient}}
+                # {z power: {parameter power: int numerator over den}}; +1
                 row = dict(out.get(0, {}))
-                row[0] = row.get(0, 0) + 1
+                row[0] = row.get(0, 0) + den
                 out[0] = row
-            return out
+            return den, out
 
         monkeypatch.setattr(spectral, "_bracket", corrupted)
         spectral._omega_cached.cache_clear()
@@ -155,6 +157,22 @@ class TestTrTables:
                 tr_correlators(spectral_curve("airy"), 1, 2)
         finally:
             spectral._omega_cached.cache_clear()
+
+    @pytest.mark.parametrize(
+        "label, g, n, digest",
+        [
+            ("ck", 4, 4, "42c3aa4d6f3b945a9650c23fdcf66685f4b3af286ed8b5449236cc16c8d08b54"),
+            ("airy", 5, 3, "f242056b3865a13bb3f11cc7a9d86f9c156f473e6dc94a84f5a54585f95628a1"),
+            ("cns", 5, 3, "cb75e1aa5aad3730c79590f78513a78da8a5e7dd52c86030fe01c356ca927051"),
+            ("bessel", 6, 6, "f87dd2f1806436a74434eac4c3f2c408bcfe2082d26bbf48c6e7c614a349b7f1"),
+        ],
+        ids=["ck-4-4", "airy-5-3", "cns-5-3", "bessel-6-6"],
+    )
+    def test_frozen_bytes(self, label, g, n, digest):
+        # sha256 of the canonical JSON bytes, frozen while the recursion
+        # still summed Fractions term by term
+        payload = canonical_bytes(tr_correlators(label, g, n).to_json())
+        assert hashlib.sha256(payload).hexdigest() == digest
 
 
 class TestTableComparison:

@@ -26,8 +26,6 @@ SRC = Path(superkdv.__file__).parent
 #: definitions kept although nothing in the package calls them, with why
 ALLOWED = {
     "GradedSeries.log": "its power series cross-checks GradedSeries.exp",
-    "compare_to_tables": "TR against the symbolic tables, run by the acceptance tests",
-    "eta_spin_compare": "the eta re-expansion against spin, run by the acceptance tests",
 }
 
 
