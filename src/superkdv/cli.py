@@ -284,15 +284,13 @@ def _verify_homogeneity(trunc: Truncation) -> dict:
 
 
 def _verify_virasoro(trunc: Truncation) -> dict:
-    from .exactcore import Truncation
     from .virasoro import virasoro_oracle_residual
 
     mmax = 4
     cases = {}
     for model, mlo in (("KW", -1), ("gBGW", 0)):
-        tr_model = trunc if model == "gBGW" else Truncation(trunc.gmax, trunc.kmax, trunc.dmax, 0)
         cases[model] = {
-            str(m): virasoro_oracle_residual(model, tr_model, m).is_zero()
+            str(m): virasoro_oracle_residual(model, trunc, m).is_zero()
             for m in range(mlo, mmax + 1)
         }
     return {

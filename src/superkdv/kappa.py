@@ -22,6 +22,8 @@ free energy.  Route (a) places the slots one at a time and merges equal
 sorted partial targets, with int weights over prod 2^{k_i} k_i!; it
 drops a target whose index sum passes the budget 3g-3+n, since later
 slots only add and every kappa-class correlator above the dimension is 0.
+Neither route function of the "zk" table is memoized: the table reads
+each entry once, and the super volumes read the gBGW store of `virasoro`.
 """
 
 from __future__ import annotations
@@ -149,12 +151,10 @@ def _zk_route_kappa(g: int, k: tuple[int, ...]) -> Fraction:
     return k_m_integral(g, n, m, psi_exponents=k)
 
 
-@lru_cache(maxsize=None)
 def _zk_route_shift(g: int, k: tuple[int, ...]) -> Fraction:
     """Route (b): the constant translation t_j -> t_j + (-1)^j (2j-1)!! for
     j >= 2 of the KW correlators, summed over the partitions of the kappa
-    degree m into extra insertions tau_{x+1}.  Memoized: the super
-    volumes read their kappa-class correlators here."""
+    degree m into extra insertions tau_{x+1}."""
     m = 3 * g - 3 + len(k) - sum(k)
     if m < 0:
         return Fraction(0)
@@ -228,7 +228,8 @@ def bracket_expansion(k: tuple[int, ...], value, budget: int) -> Fraction:
     """Expand each psi^{(k_i)} = sum_j psi^{k_i-j} / (2^j j!) and combine,
     by the int walk of the module docstring: drop j in slot k_i weighs
     2^{k_i-j} k_i!/j!, and targets past `budget` are dropped.  `value`
-    maps each distinct sorted target to its correlator, read once."""
+    maps each distinct sorted target to its correlator, read once; route
+    (a) of the "zk-bracket" table is its one package reader."""
     level, den = {(): 1}, 1
     for ki in k:
         den *= 2**ki * factorial(ki)

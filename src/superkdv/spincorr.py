@@ -79,9 +79,9 @@ def _spin_genus0(k: tuple[int, ...]) -> Fraction:
 def genus0_closed_form(m) -> Fraction:
     """Genus-0 spin correlator in closed form, for any n >= 1.
 
-    For n >= 3: 2^{-|m|-1} * 2 (2|m|+n-1)! / (2|m|+2)! * prod 1/m_i!.
-    For n = 1 and n = 2 the values are the displayed one- and two-point
-    series coefficients.
+    2^{-|m|-1} * 2 (2|m|+n-1)! / (2|m|+2)! * prod 1/m_i!; at n = 2 it is
+    the two-point series coefficient 2^{-|m|-1} / (|m|+1) * prod 1/m_i!,
+    at n = 1 the one-point 2^{-m-1} / ((m+1)(2m+1) m!).
     """
     m = tuple(int(x) for x in m)
     if any(x < 0 for x in m):
@@ -90,13 +90,6 @@ def genus0_closed_form(m) -> Fraction:
     w = sum(m)
     if n == 0:
         raise ExactCoreError("empty index")
-    if n == 1:
-        return Fraction(1, 2 ** (w + 1) * (w + 1) * (2 * w + 1) * factorial(w))
-    if n == 2:
-        value = Fraction(1, 2 ** (w + 1) * (w + 1))
-        for x in m:
-            value /= factorial(x)
-        return value
     value = Fraction(2 * factorial(2 * w + n - 1), 2 ** (w + 1) * factorial(2 * w + 2))
     for x in m:
         value /= factorial(x)

@@ -69,12 +69,11 @@ def _tail_radius(m: int, x, tol) -> mp.mpf:
 def _moment(m: int, x, method: str) -> mp.mpf:
     """M_m(x) = integral over u > 0 of u^m D(x, u, 0)."""
     radius = _tail_radius(m, x, mp.mpf(10) ** (-12))
-    quad_method = "tanh-sinh" if method == "tanh-sinh" else "gauss-legendre"
 
     def integrand(u):
         return u**m * kernel_d(x, u, 0)
 
-    return mp.quad(integrand, [0, radius / 2, radius], method=quad_method)
+    return mp.quad(integrand, [0, radius / 2, radius], method=method)
 
 
 def kernel_moment(kernel: str, fixed, powers, method: str = "tanh-sinh"):
@@ -87,12 +86,14 @@ def kernel_moment(kernel: str, fixed, powers, method: str = "tanh-sinh"):
     R is the mean of M_{2a+1} at l1 + lj and l1 - lj, and D depends on
     x and y only through u = x + y, whose Beta integral over the simplex
     gives (2a+1)! (2b+1)! / (2a+2b+3)! M_{2a+2b+3}(l1).  `method`
-    selects tanh-sinh or adaptive Gauss-Legendre quadrature; both are
-    exposed for cross-validation.
+    selects "tanh-sinh" or adaptive "gauss-legendre" quadrature; both are
+    exposed for cross-validation, and any other name is rejected.
     """
     powers = tuple(int(p) for p in powers)
     if any(p < 0 for p in powers):
         raise ExactCoreError("moment powers must be nonnegative")
+    if method not in ("tanh-sinh", "gauss-legendre"):
+        raise ExactCoreError(f"unknown quadrature method {method!r}")
     with mp.workdps(max(mp.mp.dps, 50)):
         fixed = tuple(mp.mpf(v) for v in fixed)
         if kernel == "R":

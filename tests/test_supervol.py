@@ -16,10 +16,10 @@ import mpmath as mp
 import pytest
 
 from superkdv.exactcore import ExactCoreError, GradedSeries, Truncation
-from superkdv import swnumeric
-from superkdv.kappa import _kappa_psi
+from superkdv import supervol, swnumeric
+from superkdv.kappa import _kappa_psi, _zk_route_shift, bracket_expansion
 from superkdv.cli import canonical_bytes
-from superkdv.spincorr import spin_correlators, spin_free_energy
+from superkdv.spincorr import genus0_closed_form, spin_correlators, spin_free_energy
 from superkdv.supervol import (
     _volume_terms,
     spin_value,
@@ -31,7 +31,7 @@ from superkdv.swnumeric import (
     kernel_moment,
     recursion_residual_orders,
 )
-from superkdv.virasoro import apply_virasoro_oracle
+from superkdv.virasoro import _correlator, apply_virasoro_oracle
 
 
 class TestSpinValue:
@@ -57,9 +57,33 @@ class TestSpinValue:
         volume_polynomial(2, 4, 6)
         assert spin_value.cache_info().currsize == 33
 
+    def test_store_matches_shift_route_on_volume_entries(self, monkeypatch):
+        # the volumes read the gBGW store; the route they read before (the
+        # genus-0 closed form, else bracketed psi over the KW shift route)
+        # checks every entry that (3, 2, 6), (4, 1, 4) and (0, 6, 4) read
+        read = set()
+
+        def record(model, g, k):
+            read.add((g, k))
+            return _correlator(model, g, k)
+
+        monkeypatch.setattr(supervol, "_correlator", record)
+        spin_value.cache_clear()
+        _volume_terms.cache_clear()
+        volume_polynomial(3, 2, 6)
+        volume_polynomial(4, 1, 4)
+        volume_polynomial(0, 6, 4)
+        assert len(read) == 80
+        for g, k in sorted(read):
+            if g == 0:
+                old = genus0_closed_form(k)
+            else:
+                old = bracket_expansion(k, lambda d: _zk_route_shift(g, d), 3 * g - 3 + len(k))
+            assert _correlator("gBGW", g, k) == old, (g, k)
+
     def test_volume_leaves_the_pushforward_memo_empty(self):
-        # the volumes read kappa-class correlators through the memoized KW
-        # shift route, so the pushforward recursion keeps no entry for them
+        # the volumes read the gBGW store, which no kappa route feeds, so
+        # the pushforward recursion keeps no entry for them
         _kappa_psi.cache_clear()
         _volume_terms.cache_clear()
         spin_value.cache_clear()
@@ -135,12 +159,17 @@ class TestVolumePolynomial:
             (3, 1, 6, "d5f30901df08efc9536e4112cafbfb6e37819b98a3e27cbbaa7eb9751197e86f"),
             (3, 2, 4, "f6e57cd65f8d181245ee9bc9c444ce189382eb619aaf43ef59b4ab641bd39de5"),
             (4, 1, 4, "0b0ff6bf63975eb6deda139b4f0fdd290eeb2862ffae5d72d12c63c0d788f755"),
+            (5, 1, 4, "90df7e694a9811eee9d0dce52a0fb69cacad7731a3f151a0fdf047f73cf20d7e"),
+            (4, 2, 4, "0be26094b90a78eb6e49840b085b0403a05bc5913d940af4d6ef08ba3470b79a"),
+            (3, 3, 6, "79d70233ba1a19fe89841b0502c6d1331cae05ac738d3fa3393c9bbf74fae929"),
+            (2, 3, 6, "2c9c4d3e7896e58d45321fbcb4c16a9623143a57306bb225d592b644df8a85a7"),
         ],
-        ids=["3-1-6", "3-2-4", "4-1-4"],
+        ids=["3-1-6", "3-2-4", "4-1-4", "5-1-4", "4-2-4", "3-3-6", "2-3-6"],
     )
     def test_frozen_bytes_genus_3_and_4(self, g, n, smax, digest):
         # sha256 of the canonical JSON bytes, frozen when mixed kappa-psi
-        # numbers were still computed by the symbolic translation
+        # numbers were still computed by the symbolic translation (the
+        # first three) or read through the KW shift route (the rest)
         payload = canonical_bytes(volume_polynomial(g, n, smax).to_json())
         assert hashlib.sha256(payload).hexdigest() == digest
 
@@ -209,6 +238,8 @@ class TestKernelMoments:
             kernel_moment("R", (1.0, 1.0), (-1,))
         with pytest.raises(ExactCoreError):
             kernel_moment("Q", (1.0,), (0,))
+        with pytest.raises(ExactCoreError):
+            kernel_moment("D", (1.0,), (0, 0), method="tanh_sinh")
 
 
 class TestRecursionResidual:
