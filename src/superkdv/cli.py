@@ -512,10 +512,10 @@ def tr(args) -> None:
     }
 
     def prepare():
-        from .spectral import eta_reexpand, spectral_curve, tr_correlators
+        from .spectral import eta_reexpand, tr_correlators
 
         def compute():
-            table = tr_correlators(spectral_curve(args.curve), args.gmax, args.nmax)
+            table = tr_correlators(args.curve, args.gmax, args.nmax)
             if args.eta:
                 table = eta_reexpand(table, args.smax)
             return table.to_json()

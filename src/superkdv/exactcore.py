@@ -24,10 +24,11 @@ in a padded window (`_exp_pad`) and restricts at the end; it keeps its
 power series as an independent check of `exp`.
 
 `FormalPolynomial` is a small sparse polynomial ring over Fraction in
-named symbols, used for the kappa-class polynomials K_m of `kappa`, which
-need several symbols; it deliberately stays tiny -- no general computer
-algebra.  A coefficient in one parameter (s^2 or pi^2) in the TR tables
-and the volume polynomials is a plain {power: Fraction} instead.
+named symbols that no package code reads any more: it stays only
+because `perfbench/tracer.py` wraps its `__mul__` by name.  A
+coefficient in one parameter (s^2 or pi^2) in the TR tables and the
+volume polynomials is a plain {power: Fraction}, and the kappa-class
+polynomials K_m of `kappa` are sums over partitions.
 """
 
 from __future__ import annotations
@@ -597,13 +598,15 @@ def free_energy_series(trunc: Truncation, entries) -> GradedSeries:
 
 
 # ---------------------------------------------------------------------------
-# formal polynomials (the kappa-class polynomials K_m)
+# formal polynomials
 
 PMono = tuple[tuple[str, int], ...]
 
 
 class FormalPolynomial:
-    """Sparse polynomial over Fraction in named formal symbols."""
+    """Sparse polynomial over Fraction in named formal symbols.  No package
+    code reads it; it stays because `perfbench/tracer.py` binds its
+    `__mul__` by name."""
 
     __slots__ = ("terms",)
 
@@ -614,10 +617,6 @@ class FormalPolynomial:
     def const(cls, v: Fraction | int) -> "FormalPolynomial":
         v = Fraction(v)
         return cls({(): v} if v else {})
-
-    @classmethod
-    def symbol(cls, name: str) -> "FormalPolynomial":
-        return cls({((name, 1),): Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -667,24 +666,7 @@ class FormalPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# univariate truncated series helpers (generic coefficient ring)
-
-
-def useries_exp_poly(a: list[FormalPolynomial], order: int) -> list[FormalPolynomial]:
-    """exp of a FormalPolynomial-coefficient series with a[0] == 0.
-
-    Uses the derivative recurrence m*e_m = sum_j j*a_j*e_{m-j}.
-    """
-    if a and not a[0].is_zero():
-        raise ExactCoreError("useries_exp_poly requires zero constant term")
-    e = [FormalPolynomial.const(1)] + [FormalPolynomial() for _ in range(order)]
-    for m in range(1, order + 1):
-        acc = FormalPolynomial()
-        for j in range(1, m + 1):
-            if j < len(a):
-                acc = acc + (a[j] * e[m - j]).scale(j)
-        e[m] = acc.scale(Fraction(1, m))
-    return e
+# univariate truncated series
 
 
 def useries_log(a: list, order: int) -> list[Fraction]:

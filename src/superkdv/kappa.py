@@ -1,9 +1,12 @@
 """Kappa-class machinery: mixed kappa-psi intersection numbers.
 
-The generating polynomials K_m are produced by exponentiating the
-sigma-weighted kappa series, where the sigma_i are fixed by requiring
-exp(-sum sigma_i t^i) to equal the alternating double-factorial series
-sum (-1)^k (2k+1)!! t^k.
+The combination class K_m is the degree-m part of exp(sum sigma_i
+kappa_i t^i), where the sigma_i are fixed by requiring exp(-sum sigma_i
+t^i) to equal the alternating double-factorial series
+sum (-1)^k (2k+1)!! t^k.  Expanding the exponential factor by factor
+gives it in closed form, one term per partition lambda of m:
+K_m = sum prod sigma_{lambda_i} kappa_{lambda_i} / |Aut lambda|
+(Kaufmann-Manin-Zagier).
 
 Mixed numbers int kappa_1^{a_1} kappa_2^{a_2} ... prod psi_i^{k_i} are
 computed by the pushforward recursion: int kappa_a Y = int psi^{a+1}
@@ -35,7 +38,6 @@ from math import factorial, lcm, prod
 
 from .exactcore import (
     ExactCoreError,
-    FormalPolynomial,
     GradedSeries,
     Truncation,
     automorphism_factor,
@@ -45,14 +47,13 @@ from .exactcore import (
     labelled_splits,
     mono_from_dict,
     partitions,
-    useries_exp_poly,
     useries_log,
 )
 from .tables import CorrelatorTable
 from .virasoro import _correlator
 
 # ---------------------------------------------------------------------------
-# generating polynomials
+# the combination classes K_m
 
 
 @lru_cache(maxsize=None)
@@ -65,19 +66,17 @@ def sigma_coefficients(N: int) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def k_polynomials(N: int) -> tuple[FormalPolynomial, ...]:
-    """K_0..K_N, homogeneous of weighted degree m in kappa_1..kappa_m.
-
-    Generated by sum K_m t^m = exp(sum sigma_i kappa_i t^i); symbols are
-    named "k1", "k2", ... with weight j for "kj".
-    """
-    if N < 0:
-        raise ExactCoreError("k_polynomials requires N >= 0")
-    sigma = sigma_coefficients(N) if N >= 1 else ()
-    gen = [FormalPolynomial()] + [
-        FormalPolynomial.symbol(f"k{i}").scale(sigma[i - 1]) for i in range(1, N + 1)
-    ]
-    return tuple(useries_exp_poly(gen, order=N))
+def _k_m_terms(m: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """K_m as (lambda, coefficient) pairs, one per partition lambda of m:
+    the kappa monomial prod kappa_{lambda_i} with coefficient
+    prod sigma_{lambda_i} / |Aut lambda|."""
+    if m < 0:
+        raise ExactCoreError(f"K_m requires m >= 0, got {m}")
+    sigma = sigma_coefficients(m) if m else ()
+    return tuple(
+        (lam, Fraction(prod(sigma[x - 1] for x in lam), automorphism_factor(Counter(lam).values())))
+        for lam in partitions(m)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +285,12 @@ def bracket_psi_correlators(trunc: Truncation) -> CorrelatorTable:
 def k_m_integral(g: int, n: int, m: int, companion_kappa=(), psi_exponents=()) -> Fraction:
     """int K_m * prod kappa_j^{a_j} * prod psi_i^{k_i} at genus g."""
     companion = _normalize_kappa(companion_kappa)
-    poly = k_polynomials(m)[m]
     total = Fraction(0)
-    for mono, coeff in poly.terms.items():
-        exps: dict[int, int] = {int(name[1:]): e for name, e in mono}
-        for j, e in enumerate(companion):
-            if e:
-                exps[j + 1] = exps.get(j + 1, 0) + e
-        top = max(exps, default=0)
-        kappa = tuple(exps.get(j, 0) for j in range(1, top + 1))
-        total += coeff * kappa_psi_number(g, n, kappa, psi_exponents)
+    for lam, coeff in _k_m_terms(m):
+        exps = list(companion) + [0] * (max(lam, default=0) - len(companion))
+        for x in lam:
+            exps[x - 1] += 1
+        total += coeff * kappa_psi_number(g, n, exps, psi_exponents)
     return total
 
 

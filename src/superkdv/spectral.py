@@ -313,7 +313,9 @@ def tr_correlators(curve: str, gmax: int, nmax: int) -> OddDifferentialTable:
     Output entries are keyed by (g, sorted k-vector); the value is the
     coefficient of the ordered basis monomial prod xi_{k_i}(z_i), a
     symmetric function of the k_i (asserted per entry by `_omega_cached`).
+    An unknown curve label raises `ExactCoreError` (`spectral_curve`).
     """
+    curve = spectral_curve(curve)
     if gmax < 0 or nmax < 0:
         raise ExactCoreError("gmax and nmax must be nonnegative")
     return _tr_table(

@@ -16,13 +16,12 @@ from math import factorial
 import pytest
 
 from superkdv.exactcore import (
-    FormalPolynomial,
     Truncation,
     euler_characteristic_constant,
 )
 from superkdv.kappa import (
+    _k_m_terms,
     k_m_integral,
-    k_polynomials,
     vanishing_check,
     zk_free_energy,
 )
@@ -114,24 +113,23 @@ def test_c03_literature_constants():
         assert genus0_closed_form((m1, 0)) == Fraction(
             1, 2 ** (m1 + 1) * factorial(m1 + 1)
         )
-    # the displayed combination polynomials K_1..K_4
-    K = k_polynomials(4)
-    k1 = FormalPolynomial.symbol("k1")
-    k2 = FormalPolynomial.symbol("k2")
-    k3 = FormalPolynomial.symbol("k3")
-    k4 = FormalPolynomial.symbol("k4")
-    assert K[1] == k1.scale(3)
-    assert K[2] == ((k1**2).scale(3) - k2.scale(7)).scale(Fraction(3, 2))
-    assert K[3] == (
-        (k1**3).scale(3) - (k1 * k2).scale(21) + k3.scale(46)
-    ).scale(Fraction(3, 2))
-    assert K[4] == (
-        (k1**4).scale(3)
-        - (k1 * k1 * k2).scale(42)
-        + (k2**2).scale(49)
-        + (k1 * k3).scale(184)
-        - k4.scale(562)
-    ).scale(Fraction(9, 8))
+    # the displayed combination polynomials K_1..K_4, one coefficient per
+    # partition of m (kappa_1^2 kappa_2 is (1, 1, 2))
+    K = {m: dict(_k_m_terms(m)) for m in range(1, 5)}
+    assert K[1] == {(1,): 3}
+    assert K[2] == {(1, 1): Fraction(3, 2) * 3, (2,): Fraction(3, 2) * -7}
+    assert K[3] == {
+        (1, 1, 1): Fraction(3, 2) * 3,
+        (1, 2): Fraction(3, 2) * -21,
+        (3,): Fraction(3, 2) * 46,
+    }
+    assert K[4] == {
+        (1, 1, 1, 1): Fraction(9, 8) * 3,
+        (1, 1, 2): Fraction(9, 8) * -42,
+        (2, 2): Fraction(9, 8) * 49,
+        (1, 3): Fraction(9, 8) * 184,
+        (4,): Fraction(9, 8) * -562,
+    }
     # genus-2 vacuum value
     assert k_m_integral(2, 0, 3) == Fraction(-1, 240)
     assert k_m_integral(2, 0, 3) == euler_characteristic_constant(2)

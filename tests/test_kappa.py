@@ -16,15 +16,15 @@ import pytest
 
 from superkdv.exactcore import (
     ExactCoreError,
-    FormalPolynomial,
     Truncation,
+    double_factorial,
     euler_characteristic_constant,
 )
 from superkdv.kappa import (
+    _k_m_terms,
     bracket_expansion,
     bracket_psi_correlators,
     k_m_integral,
-    k_polynomials,
     kappa_psi_number,
     sigma_coefficients,
     vanishing_check,
@@ -62,6 +62,39 @@ def cycle_kappa(a, perm):
     return tuple(weights[i] for i in range(1, max(weights) + 1))
 
 
+def fraction_series_exp(a, order):
+    """exp of a Fraction series with a[0] == 0 through t^order, by the
+    derivative recurrence m e_m = sum_j j a_j e_{m-j}."""
+    e = [Fraction(1)]
+    for m in range(1, order + 1):
+        e.append(sum(j * a[j] * e[m - j] for j in range(1, m + 1)) / m)
+    return e
+
+
+def generating_k_polynomials(N):
+    """K_0..K_N from their definition sum K_m t^m = exp(sum sigma_i kappa_i t^i),
+    by the same recurrence over polynomials in kappa_1..kappa_N; a monomial
+    is the sorted tuple of its kappa indices (kappa_1^2 kappa_3 is (1, 1, 3))."""
+
+    def times(p, q):
+        out = Counter()
+        for m1, v1 in p.items():
+            for m2, v2 in q.items():
+                out[tuple(sorted(m1 + m2))] += v1 * v2
+        return {m: v for m, v in out.items() if v}
+
+    sigma = sigma_coefficients(N)
+    a = [{}] + [{(i,): sigma[i - 1]} for i in range(1, N + 1)]
+    e = [{(): Fraction(1)}]
+    for m in range(1, N + 1):
+        acc = Counter()
+        for j in range(1, m + 1):
+            for mono, v in times(a[j], e[m - j]).items():
+                acc[mono] += j * v
+        e.append({mono: v / m for mono, v in acc.items() if v})
+    return e
+
+
 class TestGeneratingPolynomials:
     def test_sigma_values(self):
         sigma = sigma_coefficients(2)
@@ -70,39 +103,43 @@ class TestGeneratingPolynomials:
 
     def test_sigma_defining_identity(self):
         # exp(-sum sigma_i t^i) must re-expand to sum (-1)^k (2k+1)!! t^k
-        from superkdv.exactcore import double_factorial, useries_exp_poly
-
         N = 6
-        sigma = sigma_coefficients(N)
-        gen = [FormalPolynomial()] + [
-            FormalPolynomial.const(-s) for s in sigma
-        ]
-        back = useries_exp_poly(gen, order=N)
-        for k in range(N + 1):
-            assert back[k].terms.get((), 0) == (-1) ** k * double_factorial(2 * k + 1)
+        back = fraction_series_exp([Fraction(0)] + [-s for s in sigma_coefficients(N)], N)
+        assert back == [(-1) ** k * double_factorial(2 * k + 1) for k in range(N + 1)]
 
     def test_k_polynomials_displayed(self):
-        K = k_polynomials(4)
-        k1 = FormalPolynomial.symbol("k1")
-        k2 = FormalPolynomial.symbol("k2")
-        k3 = FormalPolynomial.symbol("k3")
-        k4 = FormalPolynomial.symbol("k4")
-        assert K[0] == 1
-        assert K[1] == k1.scale(3)
-        assert K[2] == (k1 * k1.scale(3) - k2.scale(7)).scale(Fraction(3, 2))
-        expected4 = (
-            (k1**4).scale(3)
-            - (k1 * k1 * k2).scale(42)
-            + (k2 * k2).scale(49)
-            + (k1 * k3).scale(184)
-            - k4.scale(562)
-        ).scale(Fraction(9, 8))
-        assert K[4] == expected4
+        K = {m: dict(_k_m_terms(m)) for m in range(5)}
+        assert K[0] == {(): 1}
+        assert K[1] == {(1,): 3}
+        assert K[2] == {(1, 1): Fraction(9, 2), (2,): Fraction(-21, 2)}
+        assert K[4] == {
+            (1, 1, 1, 1): Fraction(27, 8),
+            (1, 1, 2): Fraction(-189, 4),
+            (2, 2): Fraction(441, 8),
+            (1, 3): 207,
+            (4,): Fraction(-2529, 4),
+        }
+
+    def test_partition_sum_matches_generating_function(self):
+        # the closed form over partitions is the exponential's expansion
+        reference = generating_k_polynomials(9)
+        for m in range(10):
+            assert dict(_k_m_terms(m)) == reference[m], m
 
     def test_k_homogeneity(self):
-        for m, poly in enumerate(k_polynomials(6)):
-            for mono in poly.terms:
-                assert sum(int(name[1:]) * e for name, e in mono) == m
+        # one term per partition of m, each of weighted degree m
+        for m in range(7):
+            lams = [lam for lam, _ in _k_m_terms(m)]
+            assert len(set(lams)) == len(lams)
+            assert all(sum(lam) == m and list(lam) == sorted(lam) for lam in lams)
+        assert [len(_k_m_terms(m)) for m in range(7)] == [1, 1, 2, 3, 5, 7, 11]
+
+    def test_negative_degree_rejected(self):
+        # no partition of m < 0 exists, but K_m is undefined there, not 0
+        with pytest.raises(ExactCoreError):
+            k_m_integral(2, 0, -1)
+        with pytest.raises(ExactCoreError):
+            k_m_integral(1, 1, -2, psi_exponents=(3,))
 
 
 class TestKappaPsiNumbers:

@@ -46,6 +46,9 @@ class TestCurves:
         with pytest.raises(ExactCoreError):
             spectral_curve("cubic")
         assert spectral_curve("cns") == "cns"
+        # checked before any kernel prefactor is looked up by label
+        with pytest.raises(ExactCoreError, match="unknown curve 'cubic'"):
+            tr_correlators("cubic", 1, 1)
 
     def test_kernel_prefactor_exact(self):
         # G = 1/(4 z y): airy 1/(4z^2), bessel 1/4, ck 1/4 + s^2/(4z^2)

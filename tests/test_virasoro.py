@@ -24,6 +24,7 @@ from superkdv.virasoro import (
     linear_coefficient,
     quadratic_coefficient,
     virasoro_oracle_residual,
+    _correlator,
     _recursion,
 )
 
@@ -170,6 +171,15 @@ class TestStore:
                 assert _recursion(model, g, k, p) == v, (g, k, p)
                 checked += 1
         assert checked == pivots
+
+    def test_one_point_closed_forms(self):
+        # one-point entries up to genus 10, past every table window of the
+        # package: <tau_{3g-2}>_g = 1/(24^g g!) for KW, and
+        # <tau_{g-1}>_g = (2g-1)!!(2g-3)!!/(8^g g!) for gBGW (Do-Norbury)
+        for g in range(1, 11):
+            assert _correlator("KW", g, (3 * g - 2,)) == Fraction(1, 24**g * factorial(g)), g
+            bgw = Fraction(double_factorial(2 * g - 1) * double_factorial(2 * g - 3), 8**g * factorial(g))
+            assert _correlator("gBGW", g, (g - 1,)) == bgw, g
 
     @pytest.mark.parametrize(
         "cached, args",
