@@ -166,26 +166,30 @@ def _bracket(label: str, g: int, rest: tuple[int, ...]) -> tuple[int, dict]:
     denominator of its source (the omega_{g-1,n+1} table; the product of
     a pair's two tables; (2m+1)!! times the omega_{g,n-1} table; 4 and
     (2m_2+1)!!(2m_3+1)!! for the seeds), summed per source denominator,
-    and the partial sums are brought to their lcm D once.
+    and the partial sums are brought to their lcm D once.  Each lower
+    (g, n) table is fetched from `_omega_cached` once per bracket, and
     `_omega_cached` builds each bracket once, for every entry it serves.
     """
     c = -min(_g_series(label, g)) // 2
     n = len(rest) + 1
     sums = {}  # source denominator -> {(p, e): numerator}
+    lower = {}  # (genus, points) -> the omega_cached triple, fetched once per bracket
 
-    def rows(gi: int, legs: tuple[int, ...]):
-        _, table, den = _omega_cached(label, gi, len(legs) + 1)
-        return table.get(legs, ()), den
+    def table(gi: int, points: int):
+        got = lower.get((gi, points))
+        if got is None:
+            got = lower[gi, points] = _omega_cached(label, gi, points)
+        return got
 
     if (g, n) == (1, 1):
         # omega_{0,2}(z, -z) = -dz^2/(4 z^2)
         sums[4] = {(-2, 0): -1}
-    elif g >= 1:
-        for b in range(_support_bound(c, g - 1, n + 1) - sum(rest) + 1):
+    elif g >= 1 and (top := _support_bound(c, g - 1, n + 1) - sum(rest)) >= 0:
+        _, rows, den = table(g - 1, n + 1)
+        acc = sums.setdefault(den, {})
+        for b in range(top + 1):
             w = -_df(b)
-            row, den = rows(g - 1, tuple(sorted(rest + (b,))))
-            acc = sums.setdefault(den, {})
-            for a, e, v in row:
+            for a, e, v in rows.get(tuple(sorted(rest + (b,))), ()):
                 key = (-2 * a - 2 * b - 4, e)
                 acc[key] = acc.get(key, 0) + w * v
 
@@ -196,10 +200,11 @@ def _bracket(label: str, g: int, rest: tuple[int, ...]) -> tuple[int, dict]:
             if (g1, left) > (g2, right) or 2 * g1 + len(left) <= 1 or 2 * g2 + len(right) <= 1:
                 continue
             weight2 = -weight if (g1, left) == (g2, right) else -2 * weight
-            row2, den2 = rows(g2, right)
-            row1, den1 = rows(g1, left)
+            _, rows2, den2 = table(g2, len(right) + 1)
+            _, rows1, den1 = table(g1, len(left) + 1)
             acc = sums.setdefault(den1 * den2, {})
-            for a, e1, v1 in row1:
+            row2 = rows2.get(right, ())
+            for a, e1, v1 in rows1.get(left, ()):
                 w = weight2 * v1
                 for b, e2, v2 in row2:
                     key = (-2 * a - 2 * b - 4, e1 + e2)
@@ -210,13 +215,13 @@ def _bracket(label: str, g: int, rest: tuple[int, ...]) -> tuple[int, dict]:
         m2, m3 = rest
         sums[_df(m2) * _df(m3)] = {(2 * m2 + 2 * m3, 0): -2 * (2 * m2 + 1) * (2 * m3 + 1)}
     elif n >= 2:
+        _, rows, den = table(g, n - 1)
         for m, mult in Counter(rest).items():
             others = list(rest)
             others.remove(m)
             w = -2 * mult * (2 * m + 1)
-            row, den = rows(g, tuple(others))
             acc = sums.setdefault(_df(m) * den, {})
-            for b, e, v in row:
+            for b, e, v in rows.get(tuple(others), ()):
                 key = (2 * m - 2 * b - 2, e)
                 acc[key] = acc.get(key, 0) + w * v
 

@@ -43,10 +43,19 @@ gBGW genus-0 one-point factors at the largest pivot) the same genus and
 points with a smaller index sum; the small pivots drop n by one.  So
 the recursion terminates, and one memoized function of (model, g,
 sorted k) is the correlator store of each model.  The tables and the
-free energy are views of it.  The direct-operator oracle below, the
-KdV and the homogeneity checks test its output independently on log Z
-itself: conjugated by e^F, the constraint operator reads
-d_i Z / Z = F_i and d_i d_j Z / Z = F_ij + F_i F_j.
+free energy are views of it.
+
+The recursion sums no Fraction: each term is an int product over the
+denominator of its source entries, summed per denominator; the sums are
+brought to their lcm once and one Fraction is built per entry.  The
+(i, j) and (j, i) quadratic terms are equal, since the labelled splits
+are symmetric under swapping I and J with g1 <-> g2, so each unordered
+pair i <= j is formed once.
+
+The direct-operator oracle below, the KdV and the homogeneity checks
+test the store's output independently on log Z itself: conjugated by
+e^F, the constraint operator reads d_i Z / Z = F_i and
+d_i d_j Z / Z = F_ij + F_i F_j.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .exactcore import (
     ExactCoreError,
@@ -148,34 +158,56 @@ def _correlator(model: str, g: int, k: tuple[int, ...]) -> Fraction:
 
 def _recursion(model: str, g: int, k: tuple[int, ...], kstar: int) -> Fraction:
     """The constraint m = kstar - c read off at the entry <tau_k>_g, solved
-    for it; `kstar` is any index of the sorted tuple k."""
+    for it; `kstar` is any index of the sorted tuple k.
+
+    Each term is an int product over the denominator of its source
+    entries, summed per denominator in `sums` (`linear_coefficient` is
+    an int since m >= -1); the sums are brought to their lcm once, and
+    one Fraction is built for the entry.  Each unordered pair
+    i <= j = m-1-i is formed once, with weight (2i+1)!!(2j+1)!!, over 2
+    when i = j: the (i, j) and (j, i) terms are equal, since
+    `labelled_splits` is symmetric under swapping left and right, and
+    the genus sum under g1 <-> g - g1.
+    """
     at = k.index(kstar)
     rest = k[:at] + k[at + 1:]
     m = kstar - OFFSET[model]
-    val = Fraction(0)
+    sums: dict[int, int] = {}  # source denominator -> numerator
     for kj, e in Counter(rest).items():
         if kj + m >= 0:
             p = rest.index(kj)
-            lowered = _with(rest[:p] + rest[p + 1:], kj + m)
-            val += e * linear_coefficient(kj, m) * _correlator(model, g, lowered)
+            v = _correlator(model, g, _with(rest[:p] + rest[p + 1:], kj + m))
+            if v:
+                w = e * linear_coefficient(kj, m).numerator
+                d = v.denominator
+                sums[d] = sums.get(d, 0) + w * v.numerator
     splits = labelled_splits(rest) if m >= 1 else []
-    for i in range(m):
+    for i in range((m + 1) // 2):
         j = m - 1 - i
-        piece = _correlator(model, g - 1, _with(rest, i, j))
+        qc = quadratic_coefficient(i, j)
+        half = 2 if i == j else 1
+        v = _correlator(model, g - 1, _with(rest, i, j))
+        if v:
+            d = half * v.denominator
+            sums[d] = sums.get(d, 0) + qc * v.numerator
         for left, right, w in splits:
+            left, right, qw = _with(left, i), _with(right, j), qc * w
             for g1 in range(g + 1):
-                lv = _correlator(model, g1, _with(left, i))
+                lv = _correlator(model, g1, left)
                 if lv:
-                    piece += w * lv * _correlator(model, g - g1, _with(right, j))
-        val += Fraction(quadratic_coefficient(i, j), 2) * piece
+                    rv = _correlator(model, g - g1, right)
+                    if rv:
+                        d = half * lv.denominator * rv.denominator
+                        sums[d] = sums.get(d, 0) + qw * lv.numerator * rv.numerator
     if m == 0 and not rest:
         if g == 1:
-            val += Fraction(1, 8)
+            sums[8] = sums.get(8, 0) + 1
         if g == 0 and model == "gBGW":
-            val += Fraction(1, 2)
+            sums[2] = sums.get(2, 0) + 1
     if m == -1 and g == 0 and rest == (0, 0):
-        val += 1
-    return val / double_factorial(2 * kstar + 1)
+        sums[1] = sums.get(1, 0) + 1
+    den = lcm(*sums)
+    return Fraction(sum(den // d * v for d, v in sums.items()), den * double_factorial(2 * kstar + 1))
 
 
 def _stored_entries(model: str, window: Truncation):

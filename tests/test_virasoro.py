@@ -5,12 +5,20 @@ and genus-1 formulas, the string/dilaton recursions evaluated by hand,
 and literature constants for low-genus psi-class integrals.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from superkdv.exactcore import ExactCoreError, GradedSeries, Truncation, double_factorial
+from superkdv.exactcore import (
+    ExactCoreError,
+    GradedSeries,
+    Truncation,
+    double_factorial,
+    fixed_sum_multisets,
+    labelled_splits,
+)
 from superkdv.kappa import zk_correlators
 from superkdv.spincorr import spin_correlators
 from superkdv.virasoro import (
@@ -24,8 +32,10 @@ from superkdv.virasoro import (
     linear_coefficient,
     quadratic_coefficient,
     virasoro_oracle_residual,
+    _admissible_sums,
     _correlator,
     _recursion,
+    _with,
 )
 
 TR = Truncation(gmax=2, kmax=6, dmax=4, smax=6)
@@ -33,6 +43,55 @@ TRSMALL = Truncation(gmax=2, kmax=4, dmax=3, smax=4)
 
 
 TR5 = Truncation(gmax=2, kmax=6, dmax=5, smax=6)
+
+
+#: the windows the store is checked on entry by entry, per model
+PIVOT_WINDOWS = [("KW", Truncation(3, 12, 7, 0), 1174), ("gBGW", Truncation(3, 5, 5, 10), 720)]
+
+
+def fraction_recursion(model, g, k, kstar):
+    """The store's recursion as it was written first, kept as a reference:
+    Fraction arithmetic throughout, every ordered pair (i, j) formed, no
+    common denominator."""
+    at = k.index(kstar)
+    rest = k[:at] + k[at + 1:]
+    m = kstar - OFFSET[model]
+    val = Fraction(0)
+    for kj, e in Counter(rest).items():
+        if kj + m >= 0:
+            p = rest.index(kj)
+            lowered = _with(rest[:p] + rest[p + 1:], kj + m)
+            val += e * linear_coefficient(kj, m) * _correlator(model, g, lowered)
+    splits = labelled_splits(rest) if m >= 1 else []
+    for i in range(m):
+        j = m - 1 - i
+        piece = _correlator(model, g - 1, _with(rest, i, j))
+        for left, right, w in splits:
+            for g1 in range(g + 1):
+                lv = _correlator(model, g1, _with(left, i))
+                if lv:
+                    piece += w * lv * _correlator(model, g - g1, _with(right, j))
+        val += Fraction(quadratic_coefficient(i, j), 2) * piece
+    if m == 0 and not rest:
+        if g == 1:
+            val += Fraction(1, 8)
+        if g == 0 and model == "gBGW":
+            val += Fraction(1, 2)
+    if m == -1 and g == 0 and rest == (0, 0):
+        val += 1
+    return val / double_factorial(2 * kstar + 1)
+
+
+def window_keys(model, window):
+    """(g, k) of every entry of `window` the store enumerates, in the
+    order of its tables."""
+    return [
+        (g, k)
+        for g in range(window.gmax + 1)
+        for n in range(1, window.dmax + 1)
+        for total in _admissible_sums(model, window, g, n)
+        for k in fixed_sum_multisets(n, total, window.kmax)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -155,28 +214,42 @@ class TestStore:
         }
         assert small.entries and small.entries == inside
 
-    @pytest.mark.parametrize(
-        "model, trunc, pivots",
-        [("KW", Truncation(3, 12, 7, 0), 1174), ("gBGW", Truncation(3, 5, 5, 10), 720)],
-        ids=["KW", "gBGW"],
-    )
+    @pytest.mark.parametrize("model, trunc, pivots", PIVOT_WINDOWS, ids=["KW", "gBGW"])
     def test_every_pivot_agrees(self, model, trunc, pivots):
         # the recursion holds at every index of an entry, the store uses
         # one per entry; the others must give the same value, so the
-        # table meets every constraint L_m the window reaches
+        # table meets every constraint L_m the window reaches.  The
+        # Fraction reference gives it too, from the same lower entries.
         view = kw_correlators if model == "KW" else bgw_correlators
         checked = 0
         for (g, k), v in view(trunc).entries.items():
             for p in set(k):
                 assert _recursion(model, g, k, p) == v, (g, k, p)
+                assert fraction_recursion(model, g, k, p) == v, (g, k, p)
                 checked += 1
         assert checked == pivots
 
+    def test_results_do_not_depend_on_call_order(self):
+        # a store filled from the top of each window down holds the same
+        # entries as one filled from the bottom up
+        def fill(order):
+            _correlator.cache_clear()
+            return {
+                (model, g, k): _correlator(model, g, k)
+                for model, trunc, _ in PIVOT_WINDOWS
+                for g, k in order(window_keys(model, trunc))
+            }
+
+        backward = fill(lambda keys: keys[::-1])
+        forward = fill(list)
+        assert backward == forward
+        assert len(forward) == 377 + 327 and all(forward.values())
+
     def test_one_point_closed_forms(self):
-        # one-point entries up to genus 10, past every table window of the
+        # one-point entries up to genus 12, past every table window of the
         # package: <tau_{3g-2}>_g = 1/(24^g g!) for KW, and
         # <tau_{g-1}>_g = (2g-1)!!(2g-3)!!/(8^g g!) for gBGW (Do-Norbury)
-        for g in range(1, 11):
+        for g in range(1, 13):
             assert _correlator("KW", g, (3 * g - 2,)) == Fraction(1, 24**g * factorial(g)), g
             bgw = Fraction(double_factorial(2 * g - 1) * double_factorial(2 * g - 3), 8**g * factorial(g))
             assert _correlator("gBGW", g, (g - 1,)) == bgw, g
