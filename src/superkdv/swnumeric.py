@@ -66,17 +66,18 @@ def _tail_radius(m: int, x, tol) -> mp.mpf:
 
 
 @lru_cache(maxsize=_MOMENT_CACHE_SIZE)
-def _moment(m: int, x, method: str) -> mp.mpf:
-    """M_m(x) = integral over u > 0 of u^m D(x, u, 0)."""
+def _moment(m: int, x) -> mp.mpf:
+    """M_m(x) = integral over u > 0 of u^m D(x, u, 0), by tanh-sinh
+    quadrature (`mp.quad`'s default)."""
     radius = _tail_radius(m, x, mp.mpf(10) ** (-12))
 
     def integrand(u):
         return u**m * kernel_d(x, u, 0)
 
-    return mp.quad(integrand, [0, radius / 2, radius], method=method)
+    return mp.quad(integrand, [0, radius / 2, radius])
 
 
-def kernel_moment(kernel: str, fixed, powers, method: str = "tanh-sinh"):
+def kernel_moment(kernel: str, fixed, powers):
     """Moment of a recursion kernel against odd monomial weights.
 
     kernel "R": integral over x of x^{2a+1} R(l1, lj, x) with
@@ -85,43 +86,29 @@ def kernel_moment(kernel: str, fixed, powers, method: str = "tanh-sinh"):
     powers = (a, b).  Both reduce to the 1D moments M_m of `_moment`:
     R is the mean of M_{2a+1} at l1 + lj and l1 - lj, and D depends on
     x and y only through u = x + y, whose Beta integral over the simplex
-    gives (2a+1)! (2b+1)! / (2a+2b+3)! M_{2a+2b+3}(l1).  `method`
-    selects "tanh-sinh" or adaptive "gauss-legendre" quadrature; both are
-    exposed for cross-validation, and any other name is rejected.
+    gives (2a+1)! (2b+1)! / (2a+2b+3)! M_{2a+2b+3}(l1).
     """
     powers = tuple(int(p) for p in powers)
     if any(p < 0 for p in powers):
         raise ExactCoreError("moment powers must be nonnegative")
-    if method not in ("tanh-sinh", "gauss-legendre"):
-        raise ExactCoreError(f"unknown quadrature method {method!r}")
     with mp.workdps(max(mp.mp.dps, 50)):
         fixed = tuple(mp.mpf(v) for v in fixed)
         if kernel == "R":
             (a,) = powers
             l1, lj = fixed
             m = 2 * a + 1
-            return (_moment(m, l1 + lj, method) + _moment(m, l1 - lj, method)) / 2
+            return (_moment(m, l1 + lj) + _moment(m, l1 - lj)) / 2
         if kernel == "D":
             a, b = powers
             (l1,) = fixed
             m = 2 * a + 2 * b + 3
             beta = mp.factorial(2 * a + 1) * mp.factorial(2 * b + 1) / mp.factorial(m)
-            return beta * _moment(m, l1, method)
+            return beta * _moment(m, l1)
     raise ExactCoreError(f"unknown kernel {kernel!r}")
 
 
 # ---------------------------------------------------------------------------
 # the recursion residual
-
-
-def _volume_or_none(g: int, n: int, smax: int, include_v01: bool, include_v02: bool):
-    if g == 0 and n == 1:
-        return volume_polynomial(0, 1, smax) if include_v01 else None
-    if g == 0 and n == 2:
-        return volume_polynomial(0, 2, smax) if include_v02 else None
-    if g < 0 or n == 0 or 2 * g - 2 + n <= 0:
-        return None
-    return volume_polynomial(g, n, smax)
 
 
 def _slot_terms(vp: VolumePolynomial, nfree: int, L_rest):
@@ -141,27 +128,18 @@ def _slot_terms(vp: VolumePolynomial, nfree: int, L_rest):
     return out
 
 
-def recursion_residual_orders(
-    g: int,
-    n: int,
-    L,
-    smax: int = 4,
-    include_v01: bool = True,
-    include_v02: bool = True,
-    method: str = "tanh-sinh",
-) -> dict:
+def recursion_residual_orders(g: int, n: int, L, smax: int = 4) -> dict:
     """LHS - RHS of the Stanford-Witten recursion, per s^2-order.
 
     LHS = L_1 V_{g,n}(s, L).  RHS integrates the D kernel against
     P_{g,n+1} (one handle-splitting term plus genus/boundary
-    splittings, with the unstable (0,1)/(0,2) factors controlled by
-    the convention flags) and the R kernel against the volumes with
-    one boundary removed, plus the disk/torus delta terms.  All volume
-    factors are polynomials in the squared integration variables, so
-    the integrals reduce to finitely many kernel moments, and every
-    piece carries a definite s^2-order, so the residual splits exactly
-    by order (orders above smax are truncation-incomplete and not
-    reported).
+    splittings, the unstable V_{0,1} and V_{0,2} factors included) and
+    the R kernel against the volumes with one boundary removed, plus
+    the disk/torus delta terms.  All volume factors are polynomials in
+    the squared integration variables, so the integrals reduce to
+    finitely many kernel moments, and every piece carries a definite
+    s^2-order, so the residual splits exactly by order (orders above
+    smax are truncation-incomplete and not reported).
 
     Each kernel term carries a measure normalization 1/(2 pi).  It
     comes from the lowest moment M_1(x) = 2 pi x: every M_m(x) is 2 pi
@@ -173,72 +151,47 @@ def recursion_residual_orders(
     if len(L) != n or n < 1:
         raise ExactCoreError("need boundary lengths matching n")
     with mp.workdps(max(mp.mp.dps, 50)):
-        return _residual_orders_impl(
-            g, n, [mp.mpf(x) for x in L], smax, include_v01, include_v02, method
-        )
-
-
-def _residual_orders_impl(g, n, L, smax, include_v01, include_v02, method):
-    l1, rest = L[0], L[1:]
-    amax = smax // 2
-    orders = {a: mp.mpf(0) for a in range(amax + 1)}
-    for (a, _), coeff in _slot_terms(volume_polynomial(g, n, smax), 0, L).items():
-        if a <= amax:
-            orders[a] += l1 * coeff
-
-    # handle-splitting and splitting terms through the D kernel
-    pieces = []
-    vpn = _volume_or_none(g - 1, n + 1, smax, include_v01, include_v02)
-    if vpn is not None:
-        pieces.append(_slot_terms(vpn, 2, rest))
-    for g1 in range(g + 1):
-        g2 = g - g1
-        for part_i, part_j, w in labelled_splits(tuple(rest)):
-            va = _volume_or_none(g1, len(part_i) + 1, smax, include_v01, include_v02)
-            vb = _volume_or_none(g2, len(part_j) + 1, smax, include_v01, include_v02)
-            if va is None or vb is None:
-                continue
-            combined: dict[tuple, mp.mpf] = {}
-            terms_b = _slot_terms(vb, 1, part_j).items()
-            for (a1, (ka,)), ca in _slot_terms(va, 1, part_i).items():
-                for (a2, (kb,)), cb in terms_b:
-                    key = (a1 + a2, (ka, kb))
-                    combined[key] = combined.get(key, mp.mpf(0)) + w * ca * cb
-            pieces.append(combined)
-    two_pi = 2 * mp.pi
-    for piece in pieces:
-        for (a, (ka, kb)), coeff in piece.items():
+        L = [mp.mpf(x) for x in L]
+        l1, rest = L[0], L[1:]
+        amax = smax // 2
+        orders = {a: mp.mpf(0) for a in range(amax + 1)}
+        for (a, _), coeff in _slot_terms(volume_polynomial(g, n, smax), 0, L).items():
             if a <= amax:
-                orders[a] -= (
-                    coeff
-                    * kernel_moment("D", (l1,), (ka, kb), method=method)
-                    / (2 * two_pi)
-                )
-    # boundary-joining terms through the R kernel
-    vr = _volume_or_none(g, n - 1, smax, include_v01, include_v02)
-    if vr is not None:
-        for j, lj in enumerate(rest):
-            others = tuple(x for idx, x in enumerate(rest) if idx != j)
-            for (a, (kx,)), coeff in _slot_terms(vr, 1, others).items():
+                orders[a] += l1 * coeff
+
+        # handle-splitting and splitting terms through the D kernel; both
+        # sides of a split have g >= 0 and n >= 1, so every split is a volume
+        pieces = []
+        if g >= 1:
+            pieces.append(_slot_terms(volume_polynomial(g - 1, n + 1, smax), 2, rest))
+        for g1 in range(g + 1):
+            for part_i, part_j, w in labelled_splits(tuple(rest)):
+                va = volume_polynomial(g1, len(part_i) + 1, smax)
+                vb = volume_polynomial(g - g1, len(part_j) + 1, smax)
+                combined: dict[tuple, mp.mpf] = {}
+                terms_b = _slot_terms(vb, 1, part_j).items()
+                for (a1, (ka,)), ca in _slot_terms(va, 1, part_i).items():
+                    for (a2, (kb,)), cb in terms_b:
+                        key = (a1 + a2, (ka, kb))
+                        combined[key] = combined.get(key, mp.mpf(0)) + w * ca * cb
+                pieces.append(combined)
+        two_pi = 2 * mp.pi
+        for piece in pieces:
+            for (a, (ka, kb)), coeff in piece.items():
                 if a <= amax:
-                    orders[a] -= (
-                        coeff
-                        * kernel_moment("R", (l1, lj), (kx,), method=method)
-                        / two_pi
-                    )
-    # disk and torus delta terms
-    if n == 1:
-        if g == 0:
-            orders[1] -= l1 / 2
-        if g == 1:
-            orders[0] -= l1 / 8
-    return orders
-
-
-#: Unstable-factor convention under which the integral recursion holds:
-#: both the (0,1) and (0,2) geometric extensions participate in the
-#: splitting sum, with the 1/(2 pi) kernel-measure normalization.
-#: Its residuals vanish (below 1e-8) through s^4 at (0,1), (0,2), (1,1),
-#: (0,3), (1,2), (2,1), (2,2) and (3,1); every other flag setting leaves
-#: a residual above 1 at the (1,1) s^2 order, so it is the unique one.
-PASSING_CONVENTION = {"include_v01": True, "include_v02": True}
+                    orders[a] -= coeff * kernel_moment("D", (l1,), (ka, kb)) / (2 * two_pi)
+        # boundary-joining terms through the R kernel
+        if n >= 2:
+            vr = volume_polynomial(g, n - 1, smax)
+            for j, lj in enumerate(rest):
+                others = tuple(x for idx, x in enumerate(rest) if idx != j)
+                for (a, (kx,)), coeff in _slot_terms(vr, 1, others).items():
+                    if a <= amax:
+                        orders[a] -= coeff * kernel_moment("R", (l1, lj), (kx,)) / two_pi
+        # disk and torus delta terms
+        if n == 1:
+            if g == 0:
+                orders[1] -= l1 / 2
+            if g == 1:
+                orders[0] -= l1 / 8
+        return orders

@@ -43,7 +43,7 @@ from superkdv.spincorr import (
     unstable_series,
 )
 from superkdv.supervol import translated_virasoro_check
-from superkdv.swnumeric import PASSING_CONVENTION, recursion_residual_orders
+from superkdv.swnumeric import recursion_residual_orders
 from superkdv.virasoro import (
     check_homogeneity,
     free_energy,
@@ -206,16 +206,13 @@ def test_c09_stanford_witten_recursion():
     # exact form: translated Virasoro residuals identically zero
     report = translated_virasoro_check(Truncation(2, 2, 3, 6))
     assert report["all_zero"]
-    # numeric form with the documented convention flags
-    assert PASSING_CONVENTION == {"include_v01": True, "include_v02": True}
-    orders = recursion_residual_orders(0, 1, [1.3], smax=2, **PASSING_CONVENTION)
+    # numeric form, the unstable V_{0,1} and V_{0,2} factors included
+    orders = recursion_residual_orders(0, 1, [1.3], smax=2)
     assert abs(orders[1]) < 1e-9
-    orders = recursion_residual_orders(1, 1, [1.0], smax=4, **PASSING_CONVENTION)
+    orders = recursion_residual_orders(1, 1, [1.0], smax=4)
     assert abs(orders[0]) < 1e-9
     assert all(abs(v) < 1e-8 for v in orders.values())
-    orders = recursion_residual_orders(
-        0, 3, [1.0, 0.7, 1.3], smax=4, **PASSING_CONVENTION
-    )
+    orders = recursion_residual_orders(0, 3, [1.0, 0.7, 1.3], smax=4)
     assert all(abs(v) < 1e-8 for v in orders.values())
 
 

@@ -13,7 +13,7 @@ import mpmath as mp
 import pytest
 
 import superkdv
-from superkdv import cli, spectral, supervol, swnumeric
+from superkdv import cli, spectral, supervol, swnumeric, virasoro
 from superkdv.exactcore import GradedSeries, Truncation
 
 
@@ -241,8 +241,8 @@ class TestVerifyRecursion:
             values={"0,1": 1e-12, "1,1": 1e-12, "0,3": 1e-12}, calls=[]
         )
 
-        def fake_orders(g, n, L, smax=4, **flags):
-            route.calls.append((g, n, len(L), smax, flags))
+        def fake_orders(g, n, L, smax=4):
+            route.calls.append((g, n, len(L), smax))
             value = mp.mpf(route.values[f"{g},{n}"])
             return {a: (-1) ** a * value for a in range(smax // 2 + 1)}
 
@@ -254,19 +254,14 @@ class TestVerifyRecursion:
         assert result.exit_code == 0, result.output
         report = json.loads(result.stdout)
         assert set(report) == {
-            "suite", "exact_trunc", "exact_all_zero", "m_checked",
-            "convention", "numeric", "ok",
+            "suite", "exact_trunc", "exact_all_zero", "m_checked", "numeric", "ok",
         }
         assert report["ok"] and report["exact_all_zero"]
-        assert report["convention"] == swnumeric.PASSING_CONVENTION
         assert set(report["numeric"]) == {"0,1", "1,1", "0,3"}
         for case in report["numeric"].values():
             assert isinstance(case["max_residual"], float)
             assert case["max_residual"] == 1e-12 and case["ok"]
-        assert [c[:4] for c in fake_route.calls] == [
-            (0, 1, 1, 4), (1, 1, 1, 4), (0, 3, 3, 4)
-        ]
-        assert all(c[4] == swnumeric.PASSING_CONVENTION for c in fake_route.calls)
+        assert fake_route.calls == [(0, 1, 1, 4), (1, 1, 1, 4), (0, 3, 3, 4)]
 
     def test_residual_above_tolerance_exits_1(self, fake_route):
         fake_route.values["1,1"] = 2e-8  # tolerance 1e-8
@@ -285,6 +280,43 @@ class TestVerifyRecursion:
         result = invoke(self.ARGS)
         assert result.exit_code == 1
         assert not json.loads(result.stdout)["exact_all_zero"]
+
+    def test_window_with_no_exact_term_exits_2(self, fake_route, monkeypatch):
+        # a genus-0 entry of log Z^Omega carries s^2 or more: at gmax 0 and
+        # smax 0 the exact check reads no d/dt_m F term and would pass vacuously
+        def refuse(*args, **kwargs):
+            raise AssertionError("a refused window ran a check")
+
+        window = ["verify", "recursion", "--gmax", "0", "--smax"]
+        assert invoke(window + ["2"]).exit_code == 0
+        monkeypatch.setattr(swnumeric, "recursion_residual_orders", refuse)
+        monkeypatch.setattr(supervol, "translated_virasoro_check", refuse)
+        result = invoke(window + ["0"])
+        assert result.exit_code == 2
+        assert "needs gmax >= 1 or smax >= 2" in result.output
+
+
+class TestVerifyVirasoroWindow:
+    """At gmax 0, the KW constraint reads a coefficient of log Z only from
+    dmax 2 and the gBGW one only from smax 2; below either, `verify virasoro`
+    refuses the window (exit 2) instead of passing on nothing."""
+
+    @pytest.mark.parametrize(
+        "dmax, smax", [(1, 2), (2, 0), (1, 0), (2, 2)], ids=["kw", "gbgw", "both", "neither"]
+    )
+    def test_refused_exactly_when_a_model_reads_nothing(self, dmax, smax):
+        # count the d/dt_{m+c} F terms inside the window that
+        # `virasoro_oracle_residual` certifies, per model
+        reads = []
+        for model, c in virasoro.OFFSET.items():
+            F = virasoro.free_energy(model, Truncation(0, 2, dmax, smax))
+            cert = Truncation(0, min(2, F.trunc.kmax), dmax, smax if c == 0 else 0)
+            reads.append(sum(len(F.derive(m + c).restrict(cert).terms) for m in range(-c, 5)))
+        args = ["verify", "virasoro", "--gmax", "0", "--kmax", "2"]
+        result = invoke(args + ["--dmax", str(dmax), "--smax", str(smax)])
+        assert result.exit_code == (2 if 0 in reads else 0), reads
+        if 0 in reads:
+            assert "needs gmax >= 1, or dmax >= 2 and smax >= 2" in result.output
 
 
 def _imported_modules(verbose_stderr: str) -> list[str]:

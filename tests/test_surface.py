@@ -11,7 +11,9 @@ Imports do not count as uses, so a name that is only imported and
 re-exported is not live.
 
 A parameter with a default is likewise dead when no call in the package
-sets it: by keyword, by position, or by `*`/`**` forwarding.  A call
+sets it: by keyword, by position, or by `*` forwarding.  A `**mapping`
+forward sets none: it names no keyword, so it can hide a parameter that
+only ever takes one value.  A call
 `Class(...)` is a call of `Class.__init__`, and calls are matched by
 name as loosely as above.
 """
@@ -117,11 +119,7 @@ def unset_defaults() -> list[str]:
         forwarded = any(isinstance(a, ast.Starred) for a in call.args)
         keywords = {k.arg for k in call.keywords}
         for qualname, index, name in params.get(callee, ()):
-            if (
-                None in keywords
-                or name in keywords
-                or index is not None and (forwarded or index < len(call.args))
-            ):
+            if name in keywords or index is not None and (forwarded or index < len(call.args)):
                 unset.discard((qualname, name))
     return sorted(f"{qualname}({name})" for qualname, name in unset)
 
