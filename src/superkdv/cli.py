@@ -234,11 +234,15 @@ def _verify_theorem1(trunc: Truncation) -> dict:
 
 
 def _verify_kdv(trunc: Truncation) -> dict:
-    from .exactcore import Truncation
+    from .exactcore import ExactCoreError, Truncation
     from .kappa import zk_free_energy
     from .spincorr import spin_free_energy
     from .virasoro import free_energy, kdv_residual
 
+    # U = hbar F_00 keeps genus g <= gmax - 1 (hbar^g), and a genus-0 gBGW
+    # or spin entry carries s^2 or more: below that, a case reads no U term
+    if trunc.gmax == 0 or (trunc.gmax == 1 and trunc.smax == 0):
+        raise ExactCoreError("the KdV check needs gmax >= 2, or gmax 1 and smax >= 2")
     # the residual reads five t_0-derivatives; dmax below 5 certifies nothing
     trunc = Truncation(trunc.gmax, trunc.kmax, max(trunc.dmax, 5), trunc.smax)
     kw = Truncation(trunc.gmax, trunc.kmax, trunc.dmax, 0)
@@ -266,9 +270,12 @@ def _verify_homogeneity(trunc: Truncation) -> dict:
     from .virasoro import check_homogeneity, free_energy
 
     # at genus 0 the first nonzero KW residual key, from <tau_0^3>_0, has
-    # t-degree 2, which a certified degree dmax - 1 <= 1 does not hold
+    # t-degree 2, which a certified degree dmax - 1 <= 1 does not hold;
+    # a genus-0 gBGW or spin entry carries s^2 or more, none at smax 0
     if trunc.gmax == 0 and trunc.dmax <= 2:
         raise ExactCoreError("the KW negative control needs gmax >= 1 or dmax >= 3")
+    if trunc.gmax == 0 and trunc.smax == 0:
+        raise ExactCoreError("the gBGW and spin checks need gmax >= 1 or smax >= 2")
     kw_trunc = Truncation(trunc.gmax, trunc.kmax, trunc.dmax, 0)
     bgw = check_homogeneity(free_energy("gBGW", trunc).restrict(trunc)).is_zero()
     spin_trunc = Truncation(trunc.gmax, min(trunc.kmax, 3), min(trunc.dmax, 4), min(trunc.smax, 6))
@@ -421,7 +428,7 @@ SUITE_LAYERS = {
     "trr": ("spincorr",),
     "laplace": ("spectral", "supervol"),
     "tr": ("spectral", "kappa", "virasoro", "supervol"),
-    "recursion": ("supervol",),
+    "recursion": ("spincorr", "supervol"),
 }
 # suites that read no window: one cache entry serves every --gmax/--kmax/--dmax/--smax
 WINDOWLESS = ("vanishing", "trr", "laplace", "tr")

@@ -6,15 +6,17 @@ Every symbolic computation in this package happens over `Fraction`
 
     hbar (tracked by its integer power h),
     s**2 (tracked by its integer power a, possibly negative),
-    t_0, t_1, ..., t_K (tracked by a sorted exponent monomial),
+    t_0, t_1, ..., t_K (tracked by a t-monomial: the sorted tuple of
+        its indices with repeats, t_0^2 t_3 = (0, 0, 3), the same key as
+        the correlator <tau_0 tau_0 tau_3>; its t-degree is its length),
 
 supporting ring arithmetic, exp/log, differentiation in t_k and the
 index shift t_k -> sum_j (s**2)^j t_{k+j} / (2^j j!) (`substitute`, which
 expands each t-monomial leg by leg with `shift_expansion` and forms no
-series product).  A product scales each operand once to int
-numerators over the lcm of its denominators, grouped by t-monomial in
-increasing t-degree, so the inner loop multiplies ints, stops at dmax
-and builds one Fraction per output key.
+series product).  A product scales each operand once to int numerators
+over the lcm of its denominators, grouped by t-monomial in increasing
+t-degree, so the inner loop multiplies ints, stops at dmax and builds
+one Fraction per output key.
 
 `exp` shares that int kernel: it takes series whose every term has
 t-degree >= 1, runs the t-degree recurrence n Z_n = sum_k k x_k Z_{n-k}
@@ -24,11 +26,12 @@ in a padded window (`_exp_pad`) and restricts at the end; it keeps its
 power series as an independent check of `exp`.
 
 `FormalPolynomial` is a small sparse polynomial ring over Fraction in
-named symbols that no package code reads any more: it stays only
-because `perfbench/tracer.py` wraps its `__mul__` by name.  A
-coefficient in one parameter (s^2 or pi^2) in the TR tables and the
-volume polynomials is a plain {power: Fraction}, and the kappa-class
-polynomials K_m of `kappa` are sums over partitions.
+named symbols, each monomial the sorted tuple of its symbol names.  No
+package code reads it any more: it stays only because
+`perfbench/tracer.py` wraps its `__mul__` by name.  A coefficient in one
+parameter (s^2 or pi^2) in the TR tables and the volume polynomials is a
+plain {power: Fraction}, and the kappa-class polynomials K_m of `kappa`
+are sums over partitions.
 """
 
 from __future__ import annotations
@@ -36,15 +39,15 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, floor, gcd, lcm
+from math import comb, factorial, floor, gcd, lcm, prod
 
 
 class ExactCoreError(ValueError):
     """Raised for domain violations in the exact-arithmetic layer."""
 
 
-TMono = tuple[tuple[int, int], ...]  # sorted ((index, exponent), ...)
-Key = tuple[int, int, TMono]  # (h, a, t-monomial)
+TMono = tuple[int, ...]  # sorted t-indices with repeats: t_0^2 t_3 = (0, 0, 3)
+Key = tuple[int, int, TMono]  # (h, a, t): the term hbar^h s^{2a} t
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +119,11 @@ def partitions(w: int):
         yield from fixed_sum_multisets(r, w, w, low=1)
 
 
-def automorphism_factor(exponents) -> int:
-    """prod e! over the exponents of a monomial, i.e. over the
-    multiplicities of a multiset: its number of symmetries."""
-    out = 1
-    for e in exponents:
-        out *= factorial(e)
-    return out
+def automorphism_factor(multiset) -> int:
+    """prod e! over the multiplicities e of a multiset (a t-monomial, a
+    correlator index or a partition): its number of symmetries, e.g.
+    2! 1! 3! = 12 for (0, 0, 1, 2, 2, 2)."""
+    return prod(factorial(e) for e in Counter(multiset).values())
 
 
 @lru_cache(maxsize=None)
@@ -194,29 +195,11 @@ def rational_to_str(v: Fraction) -> str:
 # t-monomials
 
 
-def mono_from_dict(d: dict[int, int]) -> TMono:
-    return tuple(sorted((k, e) for k, e in d.items() if e))
-
-
-def mono_mul(a: TMono, b: TMono) -> TMono:
-    """Product of two sorted (variable, exponent) monomials: t-monomials,
-    and the named-symbol monomials of `FormalPolynomial`."""
-    if not a:
-        return b
-    if not b:
-        return a
-    d = dict(a)
-    for k, e in b:
-        d[k] = d.get(k, 0) + e
-    return mono_from_dict(d)
-
-
-def mono_degree(m: TMono) -> int:
-    return sum(e for _, e in m)
-
-
-def mono_max_index(m: TMono) -> int:
-    return max((k for k, _ in m), default=-1)
+def mono_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two monomials, each the sorted tuple of its variables
+    with repeats: their sorted merge.  It serves t-monomials and the
+    named-symbol monomials of `FormalPolynomial`."""
+    return tuple(sorted(a + b))
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +248,8 @@ class Truncation(namedtuple("Truncation", "gmax kmax dmax smax hmin hmax amin am
         return (
             self.hmin <= h <= self.hmax
             and self.amin <= a <= self.amax
-            and mono_degree(t) <= self.dmax
-            and mono_max_index(t) <= self.kmax
+            and len(t) <= self.dmax
+            and (not t or t[-1] <= self.kmax)
         )
 
     def z_window(self) -> "Truncation":
@@ -313,7 +296,7 @@ def _int_groups(terms: dict[Key, Fraction]):
     by_mono: dict[TMono, list[tuple[int, int, int]]] = {}
     for (h, a, t), v in terms.items():
         by_mono.setdefault(t, []).append((h, a, v.numerator * (den // v.denominator)))
-    return den, sorted((mono_degree(t), t, hs) for t, hs in by_mono.items())
+    return den, sorted((len(t), t, hs) for t, hs in by_mono.items())
 
 
 def _int_product(acc, left, right, dmax: int, bounds, scale: int = 1) -> None:
@@ -352,7 +335,7 @@ def _lowest_terms(acc: dict[Key, int], den: int):
     by_mono: dict[TMono, list[tuple[int, int, int]]] = {}
     for (h, a, t), n in acc.items():
         by_mono.setdefault(t, []).append((h, a, n // g))
-    return den // g, [(mono_degree(t), t, hs) for t, hs in by_mono.items()]
+    return den // g, [(len(t), t, hs) for t, hs in by_mono.items()]
 
 
 class GradedSeries:
@@ -455,12 +438,10 @@ class GradedSeries:
         """d/dt_k."""
         out: dict[Key, Fraction] = {}
         for (h, a, t), v in self.terms.items():
-            d = dict(t)
-            e = d.get(k)
-            if not e:
-                continue
-            d[k] = e - 1
-            out[(h, a, mono_from_dict(d))] = v * e
+            e = t.count(k)
+            if e:
+                i = t.index(k)
+                out[(h, a, t[:i] + t[i + 1:])] = v * e
         return GradedSeries(self.trunc, out)
 
     def times_t(self, k: int) -> "GradedSeries":
@@ -468,7 +449,7 @@ class GradedSeries:
         tr = self.trunc
         out = {}
         for (h, a, t), v in self.terms.items():
-            t2 = mono_mul(t, ((k, 1),))
+            t2 = mono_mul(t, (k,))
             if tr.contains(h, a, t2):
                 out[(h, a, t2)] = v
         return GradedSeries(tr, out)
@@ -499,8 +480,8 @@ class GradedSeries:
                     f"exp requires every term to carry a t-variable; offending key {(h, a, t)}"
                 )
         base = self.trunc
-        sh = [Fraction(h, mono_degree(t)) for h, _, t in self.terms] or [0]
-        sa = [Fraction(a, mono_degree(t)) for _, a, t in self.terms] or [0]
+        sh = [Fraction(h, len(t)) for h, _, t in self.terms] or [0]
+        sa = [Fraction(a, len(t)) for _, a, t in self.terms] or [0]
 
         def reach(m: int) -> tuple[int, int, int, int]:
             # (hmin, hmax, amin, amax) of the keys of Z_m worth keeping
@@ -569,15 +550,13 @@ class GradedSeries:
         den, groups = _int_groups(self.terms)
         acc: dict[Key, int] = {}
         for _, t, hs in groups:
-            legs = tuple(k for k, e in t for _ in range(e))
             budget = tr.amax - min(a for _, a, _ in hs) if s2_step else top
-            for (target, jt), n in shift_expansion(legs, budget, tr.kmax).items():
+            for (target, jt), n in shift_expansion(t, budget, tr.kmax).items():
                 n *= unit // (2**jt * factorial(jt))
-                mono = mono_from_dict(Counter(target))
                 for h, a, m in hs:
                     a += s2_step * jt
                     if a <= tr.amax:
-                        acc[h, a, mono] = acc.get((h, a, mono), 0) + n * m
+                        acc[h, a, target] = acc.get((h, a, target), 0) + n * m
         den *= unit
         return GradedSeries(tr, {k: Fraction(n, den) for k, n in acc.items() if n})
 
@@ -586,21 +565,20 @@ class GradedSeries:
 
 
 def free_energy_series(trunc: Truncation, entries) -> GradedSeries:
-    """log Z from correlator entries (g, k, a, v): each sits at
-    hbar^{g-1} s^{2a} t^k with factor 1/|Aut k|; keys outside `trunc`
-    are dropped."""
+    """log Z from correlator entries (g, k, a, v), k a sorted index tuple:
+    each sits at hbar^{g-1} s^{2a} t^k, keyed by k itself, with factor
+    1/|Aut k|; keys outside `trunc` are dropped."""
     terms = {}
     for g, k, a, v in entries:
-        mono = mono_from_dict(Counter(k))
-        if trunc.contains(g - 1, a, mono):
-            terms[(g - 1, a, mono)] = v / automorphism_factor(e for _, e in mono)
+        if trunc.contains(g - 1, a, k):
+            terms[(g - 1, a, k)] = v / automorphism_factor(k)
     return GradedSeries(trunc, terms)
 
 
 # ---------------------------------------------------------------------------
 # formal polynomials
 
-PMono = tuple[tuple[str, int], ...]
+PMono = tuple[str, ...]  # sorted symbol names with repeats: a^2 b = ("a", "a", "b")
 
 
 class FormalPolynomial:
@@ -660,7 +638,7 @@ class FormalPolynomial:
             return "0"
         bits = []
         for m in sorted(self.terms):
-            mono = "*".join(f"{s}^{e}" if e > 1 else s for s, e in m) or "1"
+            mono = "*".join(m) or "1"
             bits.append(f"{rational_to_str(self.terms[m])}*{mono}")
         return " + ".join(bits)
 

@@ -31,7 +31,6 @@ each entry once, and the super volumes read the gBGW store of `virasoro`.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
@@ -45,7 +44,6 @@ from .exactcore import (
     fixed_sum_multisets,
     free_energy_series,
     labelled_splits,
-    mono_from_dict,
     partitions,
     useries_log,
 )
@@ -74,7 +72,7 @@ def _k_m_terms(m: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
         raise ExactCoreError(f"K_m requires m >= 0, got {m}")
     sigma = sigma_coefficients(m) if m else ()
     return tuple(
-        (lam, Fraction(prod(sigma[x - 1] for x in lam), automorphism_factor(Counter(lam).values())))
+        (lam, Fraction(prod(sigma[x - 1] for x in lam), automorphism_factor(lam)))
         for lam in partitions(m)
     )
 
@@ -161,7 +159,7 @@ def _zk_route_shift(g: int, k: tuple[int, ...]) -> Fraction:
     for parts in partitions(m):
         insertions = tuple(x + 1 for x in parts)
         signed = prod((-1) ** j * double_factorial(2 * j - 1) for j in insertions)
-        weight = Fraction(signed, automorphism_factor(Counter(parts).values()))
+        weight = Fraction(signed, automorphism_factor(parts))
         total += weight * _kw_table(g, k + insertions)
     return total
 
@@ -265,9 +263,7 @@ def bracket_psi_correlators(trunc: Truncation) -> CorrelatorTable:
             for total in range(0, n * trunc.kmax + 1):
                 for k in fixed_sum_multisets(n, total, trunc.kmax):
                     va = bracket_expansion(k, lambda d: ints.get(d, 0), 3 * g - 3 + n) / den
-                    counts = Counter(k)
-                    vb = shifted.coefficient(g - 1, 0, mono_from_dict(counts))
-                    vb *= automorphism_factor(counts.values())
+                    vb = shifted.coefficient(g - 1, 0, k) * automorphism_factor(k)
                     if va != vb:
                         raise ExactCoreError(
                             f"bracket route disagreement at (g={g}, k={k}): {va} != {vb}"

@@ -419,12 +419,12 @@ def eta_reexpand(table: OddDifferentialTable, smax: int) -> OddDifferentialTable
     jmax = smax // 2
     acc = {}  # (g, target, s-power) -> coefficient
     for (g, k), coeff in table.entries.items():
-        aut_k = automorphism_factor(Counter(k).values())
+        aut_k = automorphism_factor(k)
         budget = jmax - min(coeff, default=jmax)
         # the expansion is that of t^k; one ordered monomial of the target
         # carries Aut(target)/Aut(k) times its t^target coefficient
         for (target, jtot), n in shift_expansion(k, budget).items():
-            aut = automorphism_factor(Counter(target).values())
+            aut = automorphism_factor(target)
             w = Fraction(n * aut, aut_k * 2**jtot * factorial(jtot))
             for e, c in coeff.items():
                 if e + jtot <= jmax:

@@ -22,7 +22,6 @@ quadrature, is in `swnumeric`.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
@@ -35,7 +34,6 @@ from .exactcore import (
     partitions,
     rational_to_str,
 )
-from .spincorr import spin_free_energy
 from .virasoro import _correlator, apply_virasoro_oracle
 
 
@@ -70,7 +68,7 @@ def _insertion_weight(parts: tuple[int, ...]) -> Fraction:
     weight = Fraction(1)
     for j in parts:
         weight *= Fraction((-1) ** (j + 1) * 2**j, factorial(j))
-    return weight / automorphism_factor(Counter(parts).values())
+    return weight / automorphism_factor(parts)
 
 
 class VolumePolynomial:
@@ -155,6 +153,8 @@ def translated_virasoro_check(trunc: Truncation) -> dict:
     s^2-power keeps F_i F_j complete against a term at s^{-2}, which
     log Z^Omega should not have.
     """
+    from .spincorr import spin_free_energy  # here, so `volume` loads no spincorr or kappa
+
     mmax = min(trunc.kmax, 3)
     work = Truncation(
         trunc.gmax,

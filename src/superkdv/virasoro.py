@@ -301,7 +301,7 @@ def apply_virasoro_oracle(F: GradedSeries, model: str, m: int) -> GradedSeries:
         if model == "gBGW":
             res = res - GradedSeries.term(tr, Fraction(1, 2), h=-1, a=1)
     if m == -1:
-        res = res - GradedSeries.term(tr, Fraction(1, 2), h=-1, t=((0, 2),))
+        res = res - GradedSeries.term(tr, Fraction(1, 2), h=-1, t=(0, 0))
     return res
 
 

@@ -104,9 +104,8 @@ def test_c03_literature_constants():
     for m1 in range(6):
         for m2 in range(m1, 6):
             a = m1 + m2 + 1
-            key = ((m1, 2),) if m1 == m2 else ((m1, 1), (m2, 1))
             aut = 2 if m1 == m2 else 1
-            assert unstable.terms.get((-1, a, key)) == genus0_closed_form(
+            assert unstable.terms.get((-1, a, (m1, m2))) == genus0_closed_form(
                 (m1, m2)
             ) / aut, (m1, m2)
         # spot family: <tau_m tau_0>_0 = 1 / (2^{m+1} (m+1)!)

@@ -13,7 +13,7 @@ import mpmath as mp
 import pytest
 
 import superkdv
-from superkdv import cli, spectral, supervol, swnumeric, virasoro
+from superkdv import cli, kappa, spectral, spincorr, supervol, swnumeric, virasoro
 from superkdv.exactcore import GradedSeries, Truncation
 
 
@@ -319,6 +319,44 @@ class TestVerifyVirasoroWindow:
             assert "needs gmax >= 1, or dmax >= 2 and smax >= 2" in result.output
 
 
+class TestVerifyKdvAndHomogeneityWindows:
+    """`verify kdv` reads U = hbar F_00 and `verify homogeneity` reads F
+    itself; where one of their cases reads no term of it, the suite refuses
+    the window (exit 2) instead of passing on nothing."""
+
+    @pytest.mark.parametrize("gmax, smax", [(0, 0), (0, 4), (1, 0), (1, 2), (2, 0)])
+    def test_kdv_refused_exactly_when_a_case_reads_nothing(self, gmax, smax):
+        # the four cases on the windows `verify kdv` builds them on
+        trunc, kw = Truncation(gmax, 3, 5, smax), Truncation(gmax, 3, 5, 0)
+        cases = [
+            virasoro.free_energy("KW", kw).restrict(kw),
+            virasoro.free_energy("gBGW", trunc).restrict(trunc),
+            kappa.zk_free_energy(trunc, graded=False),
+            spincorr.spin_free_energy(Truncation(gmax, 2, 5, min(smax, 6))),
+        ]
+        reads = [len(F.derive(0).derive(0).shift(dh=1).terms) for F in cases]
+        args = ["verify", "kdv", "--gmax", str(gmax), "--kmax", "3", "--dmax", "5"]
+        result = invoke(args + ["--smax", str(smax)])
+        assert result.exit_code == (2 if 0 in reads else 0), reads
+        if 0 in reads:
+            assert "needs gmax >= 2, or gmax 1 and smax >= 2" in result.output
+
+    @pytest.mark.parametrize("gmax, smax", [(0, 0), (0, 2), (1, 0)])
+    def test_homogeneity_refused_exactly_when_a_case_reads_nothing(self, gmax, smax):
+        # the gBGW and spin cases; at dmax 3 the KW negative control reads a term
+        trunc = Truncation(gmax, 3, 3, smax)
+        cases = [
+            virasoro.free_energy("gBGW", trunc).restrict(trunc),
+            spincorr.spin_free_energy(Truncation(gmax, 3, 3, min(smax, 6))),
+        ]
+        reads = [len(F.terms) for F in cases]
+        args = ["verify", "homogeneity", "--gmax", str(gmax), "--kmax", "3", "--dmax", "3"]
+        result = invoke(args + ["--smax", str(smax)])
+        assert result.exit_code == (2 if 0 in reads else 0), reads
+        if 0 in reads:
+            assert "need gmax >= 1 or smax >= 2" in result.output
+
+
 def _imported_modules(verbose_stderr: str) -> list[str]:
     """Module names from the `import 'name'` lines that `python -v` writes to
     stderr for every module it loads, also through `importlib.import_module`
@@ -351,7 +389,7 @@ def test_cli_processes_do_not_import_mpmath(cli_child_env):
     kw = ["correlators", "kw", "--gmax", "1", "--kmax", "3", "--dmax", "2", "--smax", "0"]
     tr = ["tr", "--curve", "airy", "--gmax", "1", "--nmax", "2", "--order", "24"]
     trr = ["verify", "trr"]
-    supervol_layers = {"kappa", "spincorr", "supervol", "virasoro"}
+    supervol_layers = {"supervol", "virasoro"}
     runs = [
         (python + ["-c", "import superkdv.cli"], None, None),
         (cli_args + volume, "# cache fresh", supervol_layers),

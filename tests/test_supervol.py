@@ -190,7 +190,7 @@ class TestExactRoute:
         F = spin_free_energy(Truncation(1, 4, 5, 6))
         assert apply_virasoro_oracle(F, "gBGW", 0).restrict(trunc).is_zero()
         bad = dict(F.terms)
-        key = (-1, 1, ((0, 1),))
+        key = (-1, 1, (0,))
         bad[key] += Fraction(1, 7)
         res = apply_virasoro_oracle(GradedSeries(F.trunc, bad), "gBGW", 0)
         assert not res.restrict(trunc).is_zero()
