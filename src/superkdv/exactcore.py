@@ -10,13 +10,16 @@ Every symbolic computation in this package happens over `Fraction`
         its indices with repeats, t_0^2 t_3 = (0, 0, 3), the same key as
         the correlator <tau_0 tau_0 tau_3>; its t-degree is its length),
 
-supporting ring arithmetic, exp/log, differentiation in t_k and the
-index shift t_k -> sum_j (s**2)^j t_{k+j} / (2^j j!) (`substitute`, which
-expands each t-monomial leg by leg with `shift_expansion` and forms no
-series product).  A product scales each operand once to int numerators
-over the lcm of its denominators, grouped by t-monomial in increasing
-t-degree, so the inner loop multiplies ints, stops at dmax and builds
-one Fraction per output key.
+supporting ring arithmetic, exp/log and the index shift
+t_k -> sum_j (s**2)^j t_{k+j} / (2^j j!) (`substitute`, which expands
+each t-monomial leg by leg with `shift_expansion` and forms no series
+product).  A series goes to ints through one conversion,
+`_int_numerators`: int numerators over the lcm D of its denominators.
+A product groups each operand's ints by t-monomial in increasing
+t-degree (`_int_groups`), so the inner loop (`_int_product`) multiplies
+ints, stops at dmax and builds one Fraction per output key.  The
+residual checks of `virasoro` take their t-derivatives and products on
+the same ints.
 
 `exp` shares that int kernel: it takes series whose every term has
 t-degree >= 1, runs the t-degree recurrence n Z_n = sum_k k x_k Z_{n-k}
@@ -285,18 +288,21 @@ class Truncation(namedtuple("Truncation", "gmax kmax dmax smax hmin hmax amin am
 # graded series
 
 
-def _int_groups(terms: dict[Key, Fraction]):
-    """One operand of a series product, prepared once.
-
-    Returns (D, groups): D is the lcm of the denominators, and groups
-    lists (t-degree, t, [(h, a, n), ...]) per t-monomial in increasing
-    t-degree, where each coefficient equals n / D with n an int.
-    """
+def _int_numerators(terms: dict[Key, Fraction]) -> tuple[int, dict[Key, int]]:
+    """(D, {key: n}) with each coefficient equal to n / D, n an int and D
+    the lcm of the denominators: the one conversion of a series to ints,
+    shared by the product, `exp`, `substitute` and the residual checks."""
     den = lcm(*(v.denominator for v in terms.values()))
+    return den, {k: v.numerator * (den // v.denominator) for k, v in terms.items()}
+
+
+def _int_groups(ints: dict[Key, int]):
+    """One operand of an int product, prepared once: (t-degree, t,
+    [(h, a, n), ...]) per t-monomial of `ints`, in increasing t-degree."""
     by_mono: dict[TMono, list[tuple[int, int, int]]] = {}
-    for (h, a, t), v in terms.items():
-        by_mono.setdefault(t, []).append((h, a, v.numerator * (den // v.denominator)))
-    return den, sorted((len(t), t, hs) for t, hs in by_mono.items())
+    for (h, a, t), n in ints.items():
+        by_mono.setdefault(t, []).append((h, a, n))
+    return sorted((len(t), t, hs) for t, hs in by_mono.items())
 
 
 def _int_product(acc, left, right, dmax: int, bounds, scale: int = 1) -> None:
@@ -326,16 +332,11 @@ def _int_product(acc, left, right, dmax: int, bounds, scale: int = 1) -> None:
 
 
 def _lowest_terms(acc: dict[Key, int], den: int):
-    """`_int_groups` of the series acc / den for int numerators: zeros
-    dropped, numerators and den divided by their gcd (so den becomes the
-    lcm of the reduced denominators).  The groups stay unsorted, which
-    `_int_product` allows only because all keys share one t-degree."""
-    acc = {k: n for k, n in acc.items() if n}
+    """(den, `_int_groups`) of the series acc / den for int numerators:
+    zeros dropped, numerators and den divided by their gcd (so den becomes
+    the lcm of the reduced denominators)."""
     g = gcd(den, *acc.values())
-    by_mono: dict[TMono, list[tuple[int, int, int]]] = {}
-    for (h, a, t), n in acc.items():
-        by_mono.setdefault(t, []).append((h, a, n // g))
-    return den // g, [(len(t), t, hs) for t, hs in by_mono.items()]
+    return den // g, _int_groups({k: n // g for k, n in acc.items() if n})
 
 
 class GradedSeries:
@@ -350,18 +351,12 @@ class GradedSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def term(
-        cls,
-        trunc: Truncation,
-        value: Fraction | int,
-        h: int = 0,
-        a: int = 0,
-        t: TMono = (),
-    ) -> "GradedSeries":
+    def term(cls, trunc: Truncation, value: Fraction | int) -> "GradedSeries":
+        """The constant `value`, kept only where `trunc` holds the key (0, 0, ())."""
         value = Fraction(value)
-        if value == 0 or not trunc.contains(h, a, t):
+        if value == 0 or not trunc.contains(0, 0, ()):
             return cls(trunc)
-        return cls(trunc, {(h, a, t): value})
+        return cls(trunc, {(0, 0, ()): value})
 
     # -- plumbing ----------------------------------------------------------
 
@@ -413,46 +408,18 @@ class GradedSeries:
             return GradedSeries(self.trunc)
         return GradedSeries(self.trunc, {k: c * v for k, v in self.terms.items()})
 
-    def shift(self, dh: int) -> "GradedSeries":
-        """Multiply by hbar^dh."""
-        tr = self.trunc
-        out = {}
-        for (h, a, t), v in self.terms.items():
-            if tr.contains(h + dh, a, t):
-                out[(h + dh, a, t)] = v
-        return GradedSeries(tr, out)
-
     # -- multiplicative ops ------------------------------------------------
 
     def __mul__(self, other: "GradedSeries") -> "GradedSeries":
         self._require_same(other)
         tr = self.trunc
-        d_left, left = _int_groups(self.terms)
-        d_right, right = _int_groups(other.terms)
+        d_left, left = _int_numerators(self.terms)
+        d_right, right = _int_numerators(other.terms)
         acc: dict[Key, int] = {}
-        _int_product(acc, left, right, tr.dmax, (tr.hmin, tr.hmax, tr.amin, tr.amax))
+        bounds = (tr.hmin, tr.hmax, tr.amin, tr.amax)
+        _int_product(acc, _int_groups(left), _int_groups(right), tr.dmax, bounds)
         den = d_left * d_right
         return GradedSeries(tr, {k: Fraction(n, den) for k, n in acc.items() if n})
-
-    def derive(self, k: int) -> "GradedSeries":
-        """d/dt_k."""
-        out: dict[Key, Fraction] = {}
-        for (h, a, t), v in self.terms.items():
-            e = t.count(k)
-            if e:
-                i = t.index(k)
-                out[(h, a, t[:i] + t[i + 1:])] = v * e
-        return GradedSeries(self.trunc, out)
-
-    def times_t(self, k: int) -> "GradedSeries":
-        """Multiply by t_k."""
-        tr = self.trunc
-        out = {}
-        for (h, a, t), v in self.terms.items():
-            t2 = mono_mul(t, (k,))
-            if tr.contains(h, a, t2):
-                out[(h, a, t2)] = v
-        return GradedSeries(tr, out)
 
     def _exp_pad(self) -> int:
         # Partial products inside log can leave the h/a window and
@@ -494,9 +461,9 @@ class GradedSeries:
             )
 
         zs = [(1, [(0, (), [(0, 0, 1)])])]  # Z_0 = 1, as (den, groups)
-        d_x, x_groups = _int_groups(self.terms)
+        d_x, x_ints = _int_numerators(self.terms)
         slices: dict[int, list] = {}
-        for group in x_groups:
+        for group in _int_groups(x_ints):
             slices.setdefault(group[0], []).append(group)
         for n in range(1, base.dmax + 1):
             pieces = [
@@ -547,9 +514,9 @@ class GradedSeries:
         tr = self.trunc
         top = tr.dmax * tr.kmax  # no shift inside the window moves further
         unit = 2**top * factorial(top)
-        den, groups = _int_groups(self.terms)
+        den, ints = _int_numerators(self.terms)
         acc: dict[Key, int] = {}
-        for _, t, hs in groups:
+        for _, t, hs in _int_groups(ints):
             budget = tr.amax - min(a for _, a, _ in hs) if s2_step else top
             for (target, jt), n in shift_expansion(t, budget, tr.kmax).items():
                 n *= unit // (2**jt * factorial(jt))

@@ -55,7 +55,17 @@ pair i <= j is formed once.
 The direct-operator oracle below, the KdV and the homogeneity checks
 test the store's output independently on log Z itself: conjugated by
 e^F, the constraint operator reads d_i Z / Z = F_i and
-d_i d_j Z / Z = F_ij + F_i F_j.
+d_i d_j Z / Z = F_ij + F_i F_j.  They sum no Fraction either: each
+scales F once to int numerators over D, the lcm of its denominators,
+derives and multiplies on those ints, adds every term into one
+{key: int} over a single denominator (8 D^2 for the oracle, 8 D for
+homogeneity, 12 D^2 for KdV) and builds one Fraction per nonzero key
+inside the window it certifies.  The oracle takes all the m of a suite
+at once and derives each index of F once for all of them.
+
+`free_energy(model, window)` holds the store entries inside `window` and
+fills no other; the oracle's caller passes the padded solve window
+`solve_truncation(model, trunc)`, and `partition_function` the z-window.
 """
 
 from __future__ import annotations
@@ -69,10 +79,14 @@ from .exactcore import (
     ExactCoreError,
     GradedSeries,
     Truncation,
+    _int_groups,
+    _int_numerators,
+    _int_product,
     double_factorial,
     fixed_sum_multisets,
     free_energy_series,
     labelled_splits,
+    mono_mul,
 )
 from .tables import CorrelatorTable
 
@@ -85,9 +99,10 @@ def quadratic_coefficient(i: int, j: int) -> int:
     return double_factorial(2 * i + 1) * double_factorial(2 * j + 1)
 
 
-def linear_coefficient(i: int, m: int) -> Fraction:
-    """(2i+2m+1)!!/(2i-1)!!, the weight of t_i d/dt_{i+m} in L_m."""
-    return Fraction(double_factorial(2 * i + 2 * m + 1), double_factorial(2 * i - 1))
+def linear_coefficient(i: int, m: int) -> int:
+    """(2i+2m+1)!!/(2i-1)!!, the weight of t_i d/dt_{i+m} in L_m: an int,
+    as m >= -1."""
+    return double_factorial(2 * i + 2 * m + 1) // double_factorial(2 * i - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +110,8 @@ def linear_coefficient(i: int, m: int) -> Fraction:
 
 
 def solve_truncation(model: str, trunc: Truncation) -> Truncation:
-    """Window of `free_energy(model, trunc)`, on which the oracle reads F.
+    """Window of the free energy the oracle reads to certify `trunc`;
+    `virasoro_oracle_residual` passes it to `free_energy`.
 
     The constraint at t-degree d reads F at degree d+2 (the hbar d2/dt_i
     dt_j term), so degrees are padded by 2.  The index bound comes from
@@ -161,9 +177,8 @@ def _recursion(model: str, g: int, k: tuple[int, ...], kstar: int) -> Fraction:
     for it; `kstar` is any index of the sorted tuple k.
 
     Each term is an int product over the denominator of its source
-    entries, summed per denominator in `sums` (`linear_coefficient` is
-    an int since m >= -1); the sums are brought to their lcm once, and
-    one Fraction is built for the entry.  Each unordered pair
+    entries, summed per denominator in `sums`; the sums are brought to
+    their lcm once, and one Fraction is built for the entry.  Each unordered pair
     i <= j = m-1-i is formed once, with weight (2i+1)!!(2j+1)!!, over 2
     when i = j: the (i, j) and (j, i) terms are equal, since
     `labelled_splits` is symmetric under swapping left and right, and
@@ -178,7 +193,7 @@ def _recursion(model: str, g: int, k: tuple[int, ...], kstar: int) -> Fraction:
             p = rest.index(kj)
             v = _correlator(model, g, _with(rest[:p] + rest[p + 1:], kj + m))
             if v:
-                w = e * linear_coefficient(kj, m).numerator
+                w = e * linear_coefficient(kj, m)
                 d = v.denominator
                 sums[d] = sums.get(d, 0) + w * v.numerator
     splits = labelled_splits(rest) if m >= 1 else []
@@ -225,16 +240,16 @@ def _stored_entries(model: str, window: Truncation):
 
 
 @lru_cache(maxsize=16)
-def free_energy(model: str, trunc: Truncation) -> GradedSeries:
-    """log Z for the model: every nonzero store entry of solve_truncation(model, trunc)."""
-    work = solve_truncation(model, trunc)
-    return free_energy_series(work, _stored_entries(model, work))
+def free_energy(model: str, window: Truncation) -> GradedSeries:
+    """log Z for the model on `window`: every nonzero store entry inside
+    it, and no other entry of the store is filled."""
+    return free_energy_series(window, _stored_entries(model, window))
 
 
 def partition_function(model: str, trunc: Truncation) -> GradedSeries:
-    """Z = exp(log Z), complete within trunc.z_window(): the solve window
-    holds every entry of degree <= trunc.dmax."""
-    return free_energy(model, trunc).restrict(trunc.z_window()).exp()
+    """Z = exp(log Z) on trunc.z_window(), from the store entries inside
+    that window: exp reads every entry of degree <= trunc.dmax there."""
+    return free_energy(model, trunc.z_window()).exp()
 
 
 # ---------------------------------------------------------------------------
@@ -259,89 +274,154 @@ def bgw_correlators(trunc: Truncation) -> CorrelatorTable:
 
 
 # ---------------------------------------------------------------------------
-# direct-operator oracle and residual checks
+# direct-operator oracle and residual checks, on int numerators
 
 
-def apply_virasoro_oracle(F: GradedSeries, model: str, m: int) -> GradedSeries:
-    """Residual e^{-F} ((2m+2c+1)!! d/dt_{m+c} - L_m - shift) e^F of a
-    free energy F, read on F through d_i Z/Z = F_i and d_i d_j Z/Z =
-    F_ij + F_i F_j:
+def _derive(ints: dict, k: int) -> dict:
+    """d/dt_k of a series held as int numerators over a common denominator."""
+    out = {}
+    for (h, a, t), n in ints.items():
+        e = t.count(k)
+        if e:
+            i = t.index(k)
+            out[h, a, t[:i] + t[i + 1:]] = n * e
+    return out
+
+
+def _hbar(ints: dict, hmax: int) -> dict:
+    """hbar times an int series, dropping the keys it lifts past h = hmax."""
+    return {(h + 1, a, t): n for (h, a, t), n in ints.items() if h < hmax}
+
+
+def _add(acc: dict, ints: dict, weight: int) -> None:
+    """Add weight * ints into acc."""
+    for key, n in ints.items():
+        acc[key] = acc.get(key, 0) + weight * n
+
+
+def _subtract_constant(acc: dict, window: Truncation, key, n: int) -> None:
+    """Subtract n at `key` when `window` holds it."""
+    if window.contains(*key):
+        acc[key] = acc.get(key, 0) - n
+
+
+def _fractions(window: Truncation, acc: dict, den: int) -> GradedSeries:
+    """The series acc / den on `window`: one Fraction per nonzero key inside it."""
+    return GradedSeries(
+        window, {k: Fraction(n, den) for k, n in acc.items() if n and window.contains(*k)}
+    )
+
+
+def apply_virasoro_oracle(
+    F: GradedSeries, model: str, ms, window: Truncation
+) -> dict[int, GradedSeries]:
+    """{m: residual on `window`} for each m of `ms`: the constraint
+    e^{-F} ((2m+2c+1)!! d/dt_{m+c} - L_m - shift) e^F of a free energy F,
+    read on F through d_i Z/Z = F_i and d_i d_j Z/Z = F_ij + F_i F_j:
 
         lhs F_{m+c} - sum_{i+j=m-1} (qc/2) hbar (F_ij + F_i F_j)
             - sum_i lin(i, m) t_i F_{i+m} - constants.
 
-    A constant term of F cancels under the conjugation.  The result is
-    exact on keys two t-degrees below F's window and where F holds every
-    index the linear terms read; callers certify via a restriction.
+    A constant term of F cancels under the conjugation.  Each term is
+    formed on F's window: hbar drops the keys it lifts past hmax, and
+    t_i runs only to kmax (after a t-derivative the degree stays inside
+    dmax), whatever `window` is read; the result is exact on keys two t-degrees below F's window and where
+    F holds every index the linear terms read, which callers certify
+    through `window`.  Every term is an int over 8 D^2, D the lcm of F's
+    denominators, and each index of F is derived once for all of `ms`.
     """
     c = OFFSET[model]
-    if m < -c:
-        raise ExactCoreError(f"m={m} below model minimum {-c}")
+    ms = list(ms)
+    if min(ms) < -c:
+        raise ExactCoreError(f"m={min(ms)} below model minimum {-c}")
     tr = F.trunc
-    derived: dict[int, GradedSeries] = {}
+    den, ints = _int_numerators(F.terms)
+    unit = 8 * den  # a term n / D is 8 D n / 8 D^2
+    # F_i F_j only on the degrees the result is exact on
+    low = max(tr.dmax - 2, 0)
+    product_bounds = (tr.hmin + 1, tr.hmax, tr.amin, tr.amax)  # of hbar F_i F_j
+    derived: dict[int, dict] = {}
+    grouped: dict[int, list] = {}
 
-    def d(i: int) -> GradedSeries:
+    def d(i: int) -> dict:
         if i not in derived:
-            derived[i] = F.derive(i)
+            derived[i] = _derive(ints, i)
         return derived[i]
 
-    res = d(m + c).scale(double_factorial(2 * m + 2 * c + 1))
-    # F_i F_j only on the degrees the result is exact on
-    low = tr._replace(dmax=max(tr.dmax - 2, 0))
-    # the (i, j) and (j, i) terms are equal: form each unordered pair once
-    for i in range((m + 1) // 2):
-        j = m - 1 - i
-        second = d(i).derive(j) + (d(i).restrict(low) * d(j).restrict(low)).with_window(tr)
-        weight = Fraction(quadratic_coefficient(i, j), 2 if i == j else 1)
-        res = res - second.shift(dh=1).scale(weight)
-    for i in range(max(-m, 0), tr.kmax - m + 1):
-        res = res - d(i + m).times_t(i).scale(linear_coefficient(i, m))
-    if m == 0:
-        res = res - GradedSeries.term(tr, Fraction(1, 8))
-        if model == "gBGW":
-            res = res - GradedSeries.term(tr, Fraction(1, 2), h=-1, a=1)
-    if m == -1:
-        res = res - GradedSeries.term(tr, Fraction(1, 2), h=-1, t=(0, 0))
-    return res
+    def groups(i: int) -> list:
+        if i not in grouped:
+            grouped[i] = _int_groups(d(i))
+        return grouped[i]
+
+    out = {}
+    for m in ms:
+        acc: dict = {}
+        _add(acc, d(m + c), unit * double_factorial(2 * m + 2 * c + 1))
+        # the (i, j) and (j, i) terms are equal: form each unordered pair once
+        for i in range((m + 1) // 2):
+            j = m - 1 - i
+            weight = -4 * quadratic_coefficient(i, j) * (1 if i == j else 2)
+            _add(acc, _hbar(_derive(d(i), j), tr.hmax), weight * den)
+            left = [(deg, t, [(h + 1, a, n) for h, a, n in hs]) for deg, t, hs in groups(i)]
+            _int_product(acc, left, groups(j), low, product_bounds, weight)
+        for i in range(max(-m, 0), tr.kmax - max(m, 0) + 1):
+            weight = -unit * linear_coefficient(i, m)
+            for (h, a, t), n in d(i + m).items():  # t-degree < dmax after d/dt
+                key = (h, a, mono_mul(t, (i,)))
+                acc[key] = acc.get(key, 0) + weight * n
+        if m == 0:
+            _subtract_constant(acc, tr, (0, 0, ()), den * den)
+            if model == "gBGW":
+                _subtract_constant(acc, tr, (-1, 1, ()), 4 * den * den)
+        if m == -1:
+            _subtract_constant(acc, tr, (-1, 0, (0, 0)), 4 * den * den)
+        out[m] = _fractions(window, acc, unit * den)
+    return out
 
 
-def virasoro_oracle_residual(model: str, trunc: Truncation, m: int) -> GradedSeries:
-    """Certified-zero oracle residual for the solved log Z of `model`.
+def virasoro_oracle_residual(model: str, trunc: Truncation, ms) -> dict[int, GradedSeries]:
+    """{m: certified-zero oracle residual} of the solved log Z of `model`.
 
-    Applies the constraint, conjugated by e^F, to the free energy on the
-    solve window and restricts to `trunc` (s-free for KW).  The window
-    holds F to degree trunc.dmax + 2, which every residual key of degree
-    <= trunc.dmax reads, and by the gradings no nonzero entry of that
-    degree has an index above the window's kmax: every index the linear
-    and derivative terms read is present, so the residual is complete on
-    indices up to min(trunc.kmax, kmax of the solve window).
+    Applies the constraints, conjugated by e^F, to the free energy on the
+    solve window `solve_truncation(model, trunc)` and keeps `trunc`'s
+    keys (s-free for KW).  The window holds F to degree trunc.dmax + 2,
+    which every residual key of degree <= trunc.dmax reads, and by the
+    gradings no nonzero entry of that degree has an index above the
+    window's kmax: every index the linear and derivative terms read is
+    present, so the residual is complete on indices up to
+    min(trunc.kmax, kmax of the solve window).
     """
-    F = free_energy(model, trunc)
+    work = solve_truncation(model, trunc)
     cert = Truncation(
         trunc.gmax,
-        min(trunc.kmax, F.trunc.kmax),
+        min(trunc.kmax, work.kmax),
         trunc.dmax,
         trunc.smax if model == "gBGW" else 0,
     )
-    return apply_virasoro_oracle(F, model, m).restrict(cert)
+    return apply_virasoro_oracle(free_energy(model, work), model, ms, cert)
 
 
 def check_homogeneity(F: GradedSeries) -> GradedSeries:
     """Residual of (d/dt_0 - sum (2k+1) t_k d/dt_k) F - s**2/(2 hbar) - 1/8
     for a free energy F = log Z.
 
-    Complete on keys with one t-degree of margin; restricted accordingly.
+    t_k d/dt_k multiplies a monomial by its number of t_k, so the sum is
+    the grading (|t| + 2 sum t) of each key.  Complete on keys with one
+    t-degree of margin; restricted accordingly.  Every term is an int
+    over 8 D, D the lcm of F's denominators.
     """
     tr = F.trunc
     if tr.dmax < 1:
         raise ExactCoreError("truncation too small to certify any homogeneity order")
-    res = F.derive(0)
-    for k in range(tr.kmax + 1):
-        res = res - F.derive(k).times_t(k).scale(2 * k + 1)
-    res = res - GradedSeries.term(tr, Fraction(1, 2), h=-1, a=1)
-    res = res - GradedSeries.term(tr, Fraction(1, 8))
-    cert = Truncation(tr.gmax, tr.kmax, tr.dmax - 1, tr.smax)
-    return res.restrict(cert)
+    den, ints = _int_numerators(F.terms)
+    acc: dict = {}
+    _add(acc, _derive(ints, 0), 8)
+    for (h, a, t), n in ints.items():
+        key = (h, a, t)
+        acc[key] = acc.get(key, 0) - 8 * (len(t) + 2 * sum(t)) * n
+    _subtract_constant(acc, tr, (-1, 1, ()), 4 * den)
+    _subtract_constant(acc, tr, (0, 0, ()), den)
+    return _fractions(Truncation(tr.gmax, tr.kmax, tr.dmax - 1, tr.smax), acc, 8 * den)
 
 
 def kdv_residual(F: GradedSeries) -> tuple[GradedSeries, int]:
@@ -351,17 +431,20 @@ def kdv_residual(F: GradedSeries) -> tuple[GradedSeries, int]:
     Returns (residual, certified t-degree): the residual is complete and
     exact for t-degrees up to dmax - 5.  F's own window suffices: U has
     hbar-power >= 0, so no product term reaches the certified keys from
-    outside it.
+    outside it.  Every term is an int over 12 D^2, D the lcm of F's
+    denominators; the product stops at the certified degree.
     """
     tr = F.trunc
     cert_deg = tr.dmax - 5
     if cert_deg < 0 or tr.kmax < 1:
         raise ExactCoreError("truncation too small to certify any KdV order")
-    U = F.derive(0).derive(0).shift(dh=1)
-    res = (
-        U.derive(1)
-        - U * U.derive(0)
-        - U.derive(0).derive(0).derive(0).shift(dh=1).scale(Fraction(1, 12))
-    )
+    den, ints = _int_numerators(F.terms)
+    U = _hbar(_derive(_derive(ints, 0), 0), tr.hmax)
+    U0 = _derive(U, 0)
+    acc: dict = {}
+    _add(acc, _derive(U, 1), 12 * den)
+    bounds = (tr.hmin, tr.hmax, tr.amin, tr.amax)
+    _int_product(acc, _int_groups(U), _int_groups(U0), cert_deg, bounds, -12)
+    _add(acc, _hbar(_derive(_derive(U0, 0), 0), tr.hmax), -den)
     cert = Truncation(tr.gmax, tr.kmax, cert_deg, tr.smax)
-    return res.restrict(cert), cert_deg
+    return _fractions(cert, acc, 12 * den * den), cert_deg

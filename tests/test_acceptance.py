@@ -169,10 +169,10 @@ def test_c05_kdv_residuals():
 def test_c06_virasoro_and_homogeneity():
     kw_trunc = Truncation(2, 6, 4, 0)
     bgw_trunc = Truncation(2, 4, 3, 4)
-    for m in range(-1, 5):
-        assert virasoro_oracle_residual("KW", kw_trunc, m).is_zero(), m
-    for m in range(0, 5):
-        assert virasoro_oracle_residual("gBGW", bgw_trunc, m).is_zero(), m
+    for m, res in virasoro_oracle_residual("KW", kw_trunc, range(-1, 5)).items():
+        assert res.is_zero(), m
+    for m, res in virasoro_oracle_residual("gBGW", bgw_trunc, range(0, 5)).items():
+        assert res.is_zero(), m
     assert check_homogeneity(free_energy("gBGW", bgw_trunc).restrict(bgw_trunc)).is_zero()
     assert check_homogeneity(spin_free_energy(Truncation(2, 3, 3, 6))).is_zero()
     assert not check_homogeneity(free_energy("KW", kw_trunc).restrict(kw_trunc)).is_zero()

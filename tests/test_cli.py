@@ -15,6 +15,7 @@ import pytest
 import superkdv
 from superkdv import cli, kappa, spectral, spincorr, supervol, swnumeric, virasoro
 from superkdv.exactcore import GradedSeries, Truncation
+from series_ops import derive, shift
 
 
 def run_cli(argv):
@@ -309,9 +310,10 @@ class TestVerifyVirasoroWindow:
         # `virasoro_oracle_residual` certifies, per model
         reads = []
         for model, c in virasoro.OFFSET.items():
-            F = virasoro.free_energy(model, Truncation(0, 2, dmax, smax))
-            cert = Truncation(0, min(2, F.trunc.kmax), dmax, smax if c == 0 else 0)
-            reads.append(sum(len(F.derive(m + c).restrict(cert).terms) for m in range(-c, 5)))
+            work = virasoro.solve_truncation(model, Truncation(0, 2, dmax, smax))
+            F = virasoro.free_energy(model, work)
+            cert = Truncation(0, min(2, work.kmax), dmax, smax if c == 0 else 0)
+            reads.append(sum(len(derive(F, m + c).restrict(cert).terms) for m in range(-c, 5)))
         args = ["verify", "virasoro", "--gmax", "0", "--kmax", "2"]
         result = invoke(args + ["--dmax", str(dmax), "--smax", str(smax)])
         assert result.exit_code == (2 if 0 in reads else 0), reads
@@ -329,12 +331,12 @@ class TestVerifyKdvAndHomogeneityWindows:
         # the four cases on the windows `verify kdv` builds them on
         trunc, kw = Truncation(gmax, 3, 5, smax), Truncation(gmax, 3, 5, 0)
         cases = [
-            virasoro.free_energy("KW", kw).restrict(kw),
-            virasoro.free_energy("gBGW", trunc).restrict(trunc),
+            virasoro.free_energy("KW", kw),
+            virasoro.free_energy("gBGW", trunc),
             kappa.zk_free_energy(trunc, graded=False),
             spincorr.spin_free_energy(Truncation(gmax, 2, 5, min(smax, 6))),
         ]
-        reads = [len(F.derive(0).derive(0).shift(dh=1).terms) for F in cases]
+        reads = [len(shift(derive(derive(F, 0), 0), 1).terms) for F in cases]
         args = ["verify", "kdv", "--gmax", str(gmax), "--kmax", "3", "--dmax", "5"]
         result = invoke(args + ["--smax", str(smax)])
         assert result.exit_code == (2 if 0 in reads else 0), reads
@@ -346,7 +348,7 @@ class TestVerifyKdvAndHomogeneityWindows:
         # the gBGW and spin cases; at dmax 3 the KW negative control reads a term
         trunc = Truncation(gmax, 3, 3, smax)
         cases = [
-            virasoro.free_energy("gBGW", trunc).restrict(trunc),
+            virasoro.free_energy("gBGW", trunc),
             spincorr.spin_free_energy(Truncation(gmax, 3, 3, min(smax, 6))),
         ]
         reads = [len(F.terms) for F in cases]

@@ -10,6 +10,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superkdv.exactcore import (
     ExactCoreError,
@@ -17,10 +19,11 @@ from superkdv.exactcore import (
     Truncation,
     double_factorial,
     fixed_sum_multisets,
+    free_energy_series,
     labelled_splits,
 )
-from superkdv.kappa import zk_correlators
-from superkdv.spincorr import spin_correlators
+from superkdv.kappa import zk_correlators, zk_free_energy
+from superkdv.spincorr import spin_correlators, spin_free_energy
 from superkdv.virasoro import (
     OFFSET,
     apply_virasoro_oracle,
@@ -31,12 +34,15 @@ from superkdv.virasoro import (
     kw_correlators,
     linear_coefficient,
     quadratic_coefficient,
+    solve_truncation,
     virasoro_oracle_residual,
     _admissible_sums,
     _correlator,
     _recursion,
+    _stored_entries,
     _with,
 )
+from series_ops import derive, monomial, shift, times_t
 
 TR = Truncation(gmax=2, kmax=6, dmax=4, smax=6)
 TRSMALL = Truncation(gmax=2, kmax=4, dmax=3, smax=4)
@@ -80,6 +86,14 @@ def fraction_recursion(model, g, k, kstar):
     if m == -1 and g == 0 and rest == (0, 0):
         val += 1
     return val / double_factorial(2 * kstar + 1)
+
+
+def perturbed(F: GradedSeries) -> GradedSeries:
+    """F with 1/(7 + i) added to the i-th of every third coefficient, in key order."""
+    bad = dict(F.terms)
+    for i, k in enumerate(sorted(bad)[::3]):
+        bad[k] += Fraction(1, 7 + i)
+    return GradedSeries(F.trunc, bad)
 
 
 def window_keys(model, window):
@@ -285,43 +299,43 @@ class TestStore:
 class TestOracle:
     @pytest.mark.parametrize("m", range(-1, 5))
     def test_kw_residual_zero(self, m):
-        assert virasoro_oracle_residual("KW", TR, m).is_zero()
+        assert virasoro_oracle_residual("KW", TR, [m])[m].is_zero()
 
     @pytest.mark.parametrize("m", range(0, 5))
     def test_bgw_residual_zero(self, m):
-        assert virasoro_oracle_residual("gBGW", TRSMALL, m).is_zero()
+        assert virasoro_oracle_residual("gBGW", TRSMALL, [m])[m].is_zero()
 
     def test_perturbed_f_detected(self):
-        F = free_energy("KW", TRSMALL)
+        F = free_energy("KW", solve_truncation("KW", TRSMALL))
         bad = dict(F.terms)
         key = (0, 0, (1,))
         assert bad[key] == Fraction(1, 24)
         bad[key] = Fraction(1, 23)
-        res = apply_virasoro_oracle(GradedSeries(F.trunc, bad), "KW", 0)
-        assert not res.restrict(TRSMALL).is_zero()
+        res = apply_virasoro_oracle(GradedSeries(F.trunc, bad), "KW", [0], TRSMALL)
+        assert not res[0].is_zero()
 
     def test_m_below_range_rejected(self):
-        F = free_energy("gBGW", TRSMALL)
+        F = free_energy("gBGW", solve_truncation("gBGW", TRSMALL))
         with pytest.raises(ExactCoreError):
-            apply_virasoro_oracle(F, "gBGW", -1)
+            apply_virasoro_oracle(F, "gBGW", [-1], TRSMALL)
 
 
 def z_level_residual(Z: GradedSeries, model: str, m: int) -> GradedSeries:
     """((2m+2c+1)!! d/dt_{m+c} - L_m - shift) Z, the constraint applied to Z itself."""
     c = OFFSET[model]
-    res = Z.derive(m + c).scale(double_factorial(2 * m + 2 * c + 1))
+    res = derive(Z, m + c).scale(double_factorial(2 * m + 2 * c + 1))
     for i in range(m):
         j = m - 1 - i
         qc = quadratic_coefficient(i, j)
-        res = res - Z.derive(i).derive(j).shift(dh=1).scale(Fraction(qc, 2))
+        res = res - shift(derive(derive(Z, i), j), 1).scale(Fraction(qc, 2))
     for i in range(max(-m, 0), Z.trunc.kmax - m + 1):
-        res = res - Z.derive(i + m).times_t(i).scale(linear_coefficient(i, m))
+        res = res - times_t(derive(Z, i + m), i).scale(linear_coefficient(i, m))
     if m == 0:
         res = res - Z.scale(Fraction(1, 8))
         if model == "gBGW":
-            res = res - (Z * GradedSeries.term(Z.trunc, 1, h=-1, a=1)).scale(Fraction(1, 2))
+            res = res - (Z * monomial(Z.trunc, 1, h=-1, a=1)).scale(Fraction(1, 2))
     if m == -1:
-        res = res - Z.times_t(0).times_t(0).shift(dh=-1).scale(Fraction(1, 2))
+        res = res - shift(times_t(times_t(Z, 0), 0), -1).scale(Fraction(1, 2))
     return res
 
 
@@ -336,29 +350,25 @@ class TestConjugation:
     )
     def test_matches_z_level_route(self, model, m):
         trunc = Truncation(2, 3, 2, 4 if model == "gBGW" else 0)
-        F = free_energy(model, trunc)
-        bad = dict(F.terms)
-        for i, k in enumerate(sorted(bad)[::3]):
-            bad[k] += Fraction(1, 7 + i)
-        F = GradedSeries(F.trunc, bad)
+        F = perturbed(free_energy(model, solve_truncation(model, trunc)))
         Fz = F.with_window(F.trunc.z_window())
         cert = Truncation(trunc.gmax, min(trunc.kmax, F.trunc.kmax), trunc.dmax, trunc.smax)
         z_level = (z_level_residual(Fz.exp(), model, m) * (-Fz).exp()).restrict(cert)
-        f_level = apply_virasoro_oracle(F, model, m).restrict(cert)
+        f_level = apply_virasoro_oracle(F, model, [m], cert)[m]
         assert f_level.terms == z_level.terms
         assert not f_level.is_zero()
 
 
 class TestHomogeneity:
     def test_bgw_zero(self):
-        assert check_homogeneity(free_energy("gBGW", TRSMALL).restrict(TRSMALL)).is_zero()
+        assert check_homogeneity(free_energy("gBGW", TRSMALL)).is_zero()
 
     def test_kw_nonzero(self):
-        assert not check_homogeneity(free_energy("KW", TRSMALL).restrict(TRSMALL)).is_zero()
+        assert not check_homogeneity(free_energy("KW", TRSMALL)).is_zero()
 
     def test_sensitivity(self):
         # one wrong gBGW coefficient breaks the grading it must satisfy
-        F = free_energy("gBGW", TRSMALL).restrict(TRSMALL)
+        F = free_energy("gBGW", TRSMALL)
         bad = dict(F.terms)
         key = (0, 0, (0,))
         assert bad[key] == Fraction(1, 8)
@@ -369,14 +379,14 @@ class TestHomogeneity:
 class TestKdV:
     @pytest.mark.parametrize("model", ["KW", "gBGW"])
     def test_zero(self, model):
-        res, deg = kdv_residual(free_energy(model, TR5).restrict(TR5))
+        res, deg = kdv_residual(free_energy(model, TR5))
         assert deg == 0
         assert res.is_zero()
 
     def test_sensitivity(self):
         # plant a spurious coefficient that the degree-0 slice of the
         # residual sees through d2/dt_0^2 d/dt_1
-        F = free_energy("KW", TR5).restrict(TR5)
+        F = free_energy("KW", TR5)
         bad = dict(F.terms)
         bad[(0, 0, (0, 0, 1))] = Fraction(1, 1000)
         assert not kdv_residual(GradedSeries(F.trunc, bad))[0].is_zero()
@@ -384,5 +394,189 @@ class TestKdV:
     def test_too_small_rejected(self):
         with pytest.raises(ExactCoreError):
             small = Truncation(1, 2, 4, 0)
-            kdv_residual(free_energy("KW", small).restrict(small))
+            kdv_residual(free_energy("KW", small))
 
+
+
+# ---------------------------------------------------------------------------
+# the residual checks as Fraction series operations, the references of the
+# package's int kernels
+
+
+def reference_oracle(F: GradedSeries, model: str, m: int) -> GradedSeries:
+    """The oracle residual for one m on F's whole window, one Fraction
+    series operation per term."""
+    c = OFFSET[model]
+    tr = F.trunc
+    res = derive(F, m + c).scale(double_factorial(2 * m + 2 * c + 1))
+    low = tr._replace(dmax=max(tr.dmax - 2, 0))
+    for i in range((m + 1) // 2):
+        j = m - 1 - i
+        product = derive(F, i).restrict(low) * derive(F, j).restrict(low)
+        second = derive(derive(F, i), j) + product.with_window(tr)
+        weight = Fraction(quadratic_coefficient(i, j), 2 if i == j else 1)
+        res = res - shift(second, 1).scale(weight)
+    for i in range(max(-m, 0), tr.kmax - m + 1):
+        res = res - times_t(derive(F, i + m), i).scale(linear_coefficient(i, m))
+    if m == 0:
+        res = res - monomial(tr, Fraction(1, 8))
+        if model == "gBGW":
+            res = res - monomial(tr, Fraction(1, 2), h=-1, a=1)
+    if m == -1:
+        res = res - monomial(tr, Fraction(1, 2), h=-1, t=(0, 0))
+    return res
+
+
+def reference_homogeneity(F: GradedSeries) -> GradedSeries:
+    tr = F.trunc
+    res = derive(F, 0)
+    for k in range(tr.kmax + 1):
+        res = res - times_t(derive(F, k), k).scale(2 * k + 1)
+    res = res - monomial(tr, Fraction(1, 2), h=-1, a=1) - monomial(tr, Fraction(1, 8))
+    return res.restrict(Truncation(tr.gmax, tr.kmax, tr.dmax - 1, tr.smax))
+
+
+def reference_kdv(F: GradedSeries) -> GradedSeries:
+    tr = F.trunc
+    U = shift(derive(derive(F, 0), 0), 1)
+    U0 = derive(U, 0)
+    res = derive(U, 1) - U * U0 - shift(derive(derive(U0, 0), 0), 1).scale(Fraction(1, 12))
+    return res.restrict(Truncation(tr.gmax, tr.kmax, tr.dmax - 5, tr.smax))
+
+
+def window_id(trunc: Truncation) -> str:
+    return "-".join(map(str, trunc[:4]))
+
+
+ORACLE_WINDOWS = [Truncation(1, 5, 3, 6), Truncation(1, 6, 4, 4), Truncation(2, 6, 4, 6)]
+
+
+def residual_cases(dmax):
+    """The four free energies the kdv and homogeneity suites check, on
+    windows of t-degree dmax."""
+    return {
+        "KW": lambda: free_energy("KW", Truncation(2, 5, dmax, 0)),
+        "gBGW": lambda: free_energy("gBGW", Truncation(2, 5, dmax, 6)),
+        "zk": lambda: zk_free_energy(Truncation(2, 5, dmax, 4), graded=False),
+        "spin": lambda: spin_free_energy(Truncation(2, 2, dmax, 6)),
+    }
+
+
+# a small window with negative h and a, so that random keys sit on its
+# edges and every window filter of the kernels is reached
+EDGE = Truncation(gmax=2, kmax=2, dmax=6, smax=4, hmin=-2, hmax=2, amin=-2, amax=2)
+edge_series = st.dictionaries(
+    st.tuples(
+        st.integers(EDGE.hmin, EDGE.hmax),
+        st.integers(EDGE.amin, EDGE.amax),
+        st.lists(st.integers(0, EDGE.kmax), max_size=EDGE.dmax).map(lambda t: tuple(sorted(t))),
+    ),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(bool),
+    max_size=12,
+).map(lambda terms: GradedSeries(EDGE, terms))
+
+
+class TestIntKernels:
+    """The int kernels equal the Fraction references key for key, in value
+    and in window: on the store's F, on F with every third coefficient
+    perturbed, and on random series over a window's edges."""
+
+    @given(edge_series)
+    @settings(max_examples=100, deadline=None)
+    def test_random_series_on_window_edges(self, F):
+        # every term is formed on F's window, whatever window is read: a
+        # wider one holds no further key
+        wide = EDGE.padded(1)._replace(dmax=EDGE.dmax + 1)
+        for model, c in OFFSET.items():
+            for window in (EDGE, wide):
+                for m, res in apply_virasoro_oracle(F, model, range(-c, 4), window).items():
+                    want = reference_oracle(F, model, m)
+                    assert res == want.with_window(window), (model, m, window)
+        assert check_homogeneity(F) == reference_homogeneity(F)
+        assert kdv_residual(F)[0] == reference_kdv(F)
+
+    @pytest.mark.parametrize("trunc", ORACLE_WINDOWS, ids=window_id)
+    @pytest.mark.parametrize("model", ["KW", "gBGW"])
+    @pytest.mark.parametrize("bad", [False, True], ids=["store", "perturbed"])
+    def test_oracle(self, trunc, model, bad):
+        work = solve_truncation(model, trunc)
+        F = perturbed(free_energy(model, work)) if bad else free_energy(model, work)
+        ms = range(-OFFSET[model], 5)
+        whole = apply_virasoro_oracle(F, model, ms, F.trunc)
+        assert list(whole) == list(ms)
+        # on the window virasoro_oracle_residual certifies, one m at a time
+        smax = trunc.smax if model == "gBGW" else 0
+        cert = Truncation(trunc.gmax, min(trunc.kmax, work.kmax), trunc.dmax, smax)
+        certified = {}
+        for m in ms:
+            want = reference_oracle(F, model, m)
+            assert whole[m] == want, m
+            certified[m] = apply_virasoro_oracle(F, model, [m], cert)[m]
+            assert certified[m] == want.restrict(cert), m
+        if bad:
+            assert not all(r.is_zero() for r in certified.values())
+        else:
+            assert virasoro_oracle_residual(model, trunc, ms) == certified
+            assert all(r.is_zero() for r in certified.values())
+
+    @pytest.mark.parametrize("case", ["KW", "gBGW", "zk", "spin"])
+    @pytest.mark.parametrize("bad", [False, True], ids=["series", "perturbed"])
+    def test_homogeneity(self, case, bad):
+        F = residual_cases(4)[case]()
+        F = perturbed(F) if bad else F
+        got = check_homogeneity(F)
+        assert got == reference_homogeneity(F)
+        # the gBGW and spin series are homogeneous; the KW negative control,
+        # the s = 1 kappa series and every perturbed series are not
+        assert got.is_zero() == (case in ("gBGW", "spin") and not bad)
+
+    @pytest.mark.parametrize("case", ["KW", "gBGW", "zk", "spin"])
+    @pytest.mark.parametrize("bad", [False, True], ids=["series", "perturbed"])
+    def test_kdv(self, case, bad):
+        F = residual_cases(6)[case]()
+        F = perturbed(F) if bad else F
+        got, deg = kdv_residual(F)
+        assert deg == 1
+        assert got == reference_kdv(F)
+        assert got.is_zero() == (not bad)
+
+
+#: windows of `free_energy`, z-windows of partition functions among them
+FREE_ENERGY_WINDOWS = [
+    pytest.param(model, window, id=f"{model}-{window_id(window)}{'-z' if z else ''}")
+    for model, window, z in [
+        ("KW", Truncation(1, 5, 5, 0), False),
+        ("KW", Truncation(2, 6, 4, 0), False),
+        ("KW", Truncation(2, 6, 3, 0).z_window(), True),
+        ("gBGW", Truncation(1, 6, 5, 6), False),
+        ("gBGW", Truncation(2, 4, 4, 4), False),
+        ("gBGW", Truncation(2, 3, 2, 4).z_window(), True),
+        ("gBGW", Truncation(1, 3, 3, 6).z_window(), True),
+    ]
+]
+
+
+class TestFreeEnergyWindow:
+    """`free_energy(model, window)` holds the store entries inside `window`
+    and fills no other: it equals the series solved on the padded window
+    `solve_truncation` gives and restricted back."""
+
+    @staticmethod
+    def padded(model, window):
+        work = solve_truncation(model, window)
+        return free_energy_series(work, _stored_entries(model, work)).restrict(window)
+
+    @pytest.mark.parametrize("model, window", FREE_ENERGY_WINDOWS)
+    def test_equals_padded_then_restricted(self, model, window):
+        got = free_energy(model, window)
+        assert got.terms and got == self.padded(model, window)
+
+    @pytest.mark.parametrize("model, window", FREE_ENERGY_WINDOWS)
+    def test_cold_build_fills_fewer_entries(self, model, window):
+        def filled(build):
+            _correlator.cache_clear()
+            free_energy.cache_clear()
+            build(model, window)
+            return _correlator.cache_info().currsize
+
+        assert filled(free_energy) < filled(self.padded)
